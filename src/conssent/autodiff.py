@@ -103,9 +103,15 @@ class Tape:
         if loss.value.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
         loss.grad = np.ones_like(loss.value)
-        for var in reversed(self._items):
-            if var._back is not None and var.grad is not None:
-                var._back(var.grad)
+        try:
+            for var in reversed(self._items):
+                if var._back is not None and var.grad is not None:
+                    var._back(var.grad)
+        finally:
+            # every Var points back at its tape; dropping the recording
+            # breaks that cycle, so a step's activations are freed as soon
+            # as the caller lets go of them instead of at the next GC pass
+            self._items = []
 
     def __len__(self):
         return len(self._items)
@@ -220,14 +226,17 @@ def reshape(x, shape) -> Var:
     return tape._push(out, back)
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # two-branch form avoids overflow for large |x| and works in any float dtype
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow, in any float dtype.
+
+    Branch-free form of the two-branch formula (1 / (1 + e^-x) for x >= 0,
+    e^x / (1 + e^x) below) with e = exp(min(x, -x)) = e^-|x|; the
+    numerator max(e, [x >= 0]) is 1 where x >= 0 (as e <= 1) and e
+    elsewhere. Every element goes through the same IEEE operations, NaN
+    signs included, so results match the two-branch formula bit for bit.
+    """
+    e = np.exp(np.minimum(x, -x))
+    return np.maximum(e, (x >= 0).astype(e.dtype)) / (1.0 + e)
 
 
 def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
@@ -237,7 +246,7 @@ def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
 
 def sigmoid(x) -> Var:
     tape = _tape_of(x)
-    s = _stable_sigmoid(_value(x))
+    s = stable_sigmoid(_value(x))
 
     def back(g):
         _accum(x, g * s * (1.0 - s))
@@ -255,32 +264,6 @@ def tanh(x) -> Var:
     return tape._push(t, back)
 
 
-def slice_cols(x, start: int, stop: int) -> Var:
-    tape = _tape_of(x)
-    vx = _value(x)
-    out = vx[:, start:stop].copy()
-
-    def back(g):
-        gx = np.zeros_like(vx)
-        gx[:, start:stop] = g
-        _accum(x, gx)
-
-    return tape._push(out, back)
-
-
-def concat_cols(a, b) -> Var:
-    tape = _tape_of(a, b)
-    va, vb = _value(a), _value(b)
-    split = va.shape[1]
-    out = np.concatenate([va, vb], axis=1)
-
-    def back(g):
-        _accum(a, g[:, :split])
-        _accum(b, g[:, split:])
-
-    return tape._push(out, back)
-
-
 def stack_rows(xs) -> Var:
     """Stack same-shape arrays along a new leading axis."""
     xs = list(xs)
@@ -290,25 +273,6 @@ def stack_rows(xs) -> Var:
     def back(g):
         for i, x in enumerate(xs):
             _accum(x, g[i])
-
-    return tape._push(out, back)
-
-
-def max_over_rows(x) -> Var:
-    """Elementwise max over the leading axis.
-
-    The gradient flows only to the position that attains the max; on exact
-    ties the lowest index wins (np.argmax returns the first occurrence).
-    """
-    tape = _tape_of(x)
-    vx = _value(x)
-    idx = np.argmax(vx, axis=0)
-    out = np.take_along_axis(vx, idx[None, ...], axis=0)[0]
-
-    def back(g):
-        gx = np.zeros_like(vx)
-        np.put_along_axis(gx, idx[None, ...], g[None, ...], axis=0)
-        _accum(x, gx)
 
     return tape._push(out, back)
 

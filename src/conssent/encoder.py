@@ -6,9 +6,16 @@ the two hidden states at every position, and taking the elementwise max
 over positions. Classification heads are two-layer perceptrons applied on
 top of (pairs of) these fixed-size vectors.
 
-Everything is expressed through the ops in ``autodiff``; the same code
-path serves training (recording tape) and frozen inference
-(non-recording tape).
+The whole BiLSTM-max is one tape op, ``bilstm_max``: one gather and one
+input-projection matmul, a recurrence that steps both directions together
+and, on a recording tape only, caches gates, states and the pool argmax
+for a hand-written backpropagation through time. Values and gradients are
+bit-identical to the per-op graph this op replaced (kept in the tests as
+the oracle): the backward forms each intermediate with the same operations
+and association, and adds one term per timestep into each parameter's
+gradient in that graph's reverse order, continuing any running sum the
+parameter already holds. Training here is chaotic, so anything looser
+would change trained models.
 """
 
 import json
@@ -190,31 +197,190 @@ def bind_params(params: EncoderParams, tape: ad.Tape) -> tuple[EncoderParams, di
     return params_view(leaves), leaves
 
 
-def _lstm_direction(ids, mask, emb, w, hidden, tape, reverse):
-    """Run one direction over (B, T) ids; returns per-position h Vars."""
-    B, T = ids.shape
-    h = tape.leaf(np.zeros((B, hidden)))
-    c = tape.leaf(np.zeros((B, hidden)))
-    padded = mask is not None
-    steps = range(T - 1, -1, -1) if reverse else range(T)
-    hs = [None] * T
-    for t in steps:
-        x_t = ad.gather_rows(emb, ids[:, t])
-        z = ad.add(ad.add(ad.matmul(x_t, w.w_x), ad.matmul(h, w.w_h)), w.b)
-        i_g = ad.sigmoid(ad.slice_cols(z, 0, hidden))
-        f_g = ad.sigmoid(ad.slice_cols(z, hidden, 2 * hidden))
-        o_g = ad.sigmoid(ad.slice_cols(z, 2 * hidden, 3 * hidden))
-        g_g = ad.tanh(ad.slice_cols(z, 3 * hidden, 4 * hidden))
-        c_new = ad.add(ad.mul(f_g, c), ad.mul(i_g, g_g))
-        h_new = ad.mul(o_g, ad.tanh(c_new))
-        if padded:
-            m = mask[:, t : t + 1]  # (B, 1) constant
-            c = ad.add(ad.mul(c_new, m), ad.mul(c, 1.0 - m))
-            h = ad.add(ad.mul(h_new, m), ad.mul(h, 1.0 - m))
-        else:
+class _PairSum:
+    """Running gradients of a (forward, backward) pair of operands.
+
+    Terms arrive stacked (2, ...). The first one is assigned, or added to
+    a gradient the operand already holds, exactly as ``autodiff._accum``
+    did on the per-op tape; later terms are added in place into the
+    stacked array this op owns. Constants (non-Var operands) take nothing.
+    """
+
+    __slots__ = ("pair", "total")
+
+    def __init__(self, pair):
+        self.pair = pair
+        self.total = None
+
+    def add(self, terms: np.ndarray) -> None:
+        if self.total is not None:
+            self.total += terms
+            return
+        self.total = np.stack([
+            t if not isinstance(v, ad.Var) or v.grad is None else v.grad + t
+            for v, t in zip(self.pair, terms)
+        ])
+
+    def done(self) -> None:
+        for v, total in zip(self.pair, self.total):
+            if isinstance(v, ad.Var):
+                v.grad = total
+
+
+def _scatter_rows(emb, dx: np.ndarray, steps: np.ndarray) -> None:
+    """Add per-step embedding-row gradients into ``emb.grad``.
+
+    ``dx`` (2, T, B, E) and ``steps`` (2, T, B) follow the step layout of
+    ``_scan``. Repeats of an id within one step are summed in batch order
+    first, as the per-op gather did into a zero matrix; then each step's
+    rows join the running sum in the per-op tape's order: the backward
+    direction's steps first, then the forward direction's, last step first.
+    """
+    if not isinstance(emb, ad.Var):
+        return
+    V, E = emb.value.shape
+    T = steps.shape[1]
+    # one slot per distinct (direction, step, id), sorted by step then id
+    step_of = np.arange(2 * T).reshape(2, T, 1)
+    keys, slot = np.unique(steps + V * step_of, return_inverse=True)
+    part = np.zeros((len(keys), E), dtype=emb.value.dtype)
+    np.add.at(part, slot.ravel(), dx.reshape(-1, E))
+    bounds = np.searchsorted(keys, V * np.arange(2 * T + 1))
+    rows = keys % V
+    total = np.zeros_like(emb.value) if emb.grad is None else emb.grad.copy()
+    for d in (1, 0):
+        for k in range(T - 1, -1, -1):
+            lo, hi = bounds[d * T + k], bounds[d * T + k + 1]
+            total[rows[lo:hi]] += part[lo:hi]
+    emb.grad = total
+
+
+def _scan(xw, w_h, b, mask, keep, cache):
+    """Both directions' recurrences, stepped together.
+
+    Everything is laid out (2, T, B, ...) in step order: direction 0 reads
+    the sentence left to right, direction 1 right to left, so step k of
+    direction 1 is position T-1-k. Returns the hidden states (2, T, B, H).
+    When ``cache`` is a list, each step appends what its backward needs:
+    (sigmoid gates, tanh gate, c before, h before, tanh(c after)).
+    """
+    _, T, B, _ = xw.shape
+    H = w_h.shape[1]
+    hs = np.empty((2, T, B, H), dtype=np.result_type(xw, w_h, b))
+    h = np.zeros((2, B, H))
+    c = np.zeros((2, B, H))
+    for k in range(T):
+        z = h @ w_h  # one BLAS call per direction
+        z += xw[:, k]
+        z += b
+        s = ad.stable_sigmoid(z[..., : 3 * H])  # i, f, o in one call
+        g = np.tanh(z[..., 3 * H :])
+        c_new = s[..., H : 2 * H] * c + s[..., :H] * g
+        tc = np.tanh(c_new)
+        h_new = s[..., 2 * H :] * tc
+        if cache is not None:
+            cache.append((s, g, c, h, tc))
+        if mask is None:
             c, h = c_new, h_new
-        hs[t] = h
+        else:  # padded steps carry the state through unchanged
+            c = c_new * mask[:, k] + c * keep[:, k]
+            h = h_new * mask[:, k] + h * keep[:, k]
+        hs[:, k] = h
     return hs
+
+
+def _bptt(pool, x, w_x, w_h, mask, keep, cache, sums):
+    """Backward through both directions, step k = T-1 down to 0.
+
+    ``pool`` (2, T, B, H) is the max-pool gradient reaching each step's h.
+    Each intermediate is formed with the operations, operand order and
+    association the per-op tape used, and each weight gets one term per
+    step in that tape's order, so values and rounding match it bit for
+    bit. Returns the embedding-row gradients (2, T, B, E) for the caller
+    to scatter in the tape's order.
+    """
+    T = pool.shape[1]
+    H = w_h.shape[1]
+    sum_x, sum_h, sum_b = sums
+    dx = np.empty(pool.shape[:3] + (w_x.shape[1],), dtype=pool.dtype)
+    dh = pool[:, T - 1]  # the last step's h feeds only the pool
+    dc = None  # the last step's c feeds nothing
+    for k in range(T - 1, -1, -1):
+        s, g, c_prev, h_prev, tc = cache[k]
+        dhn = dh if mask is None else dh * mask[:, k]
+        dcn = (dhn * s[..., 2 * H :]) * (1.0 - tc * tc)
+        if dc is not None:
+            dcn = (dc if mask is None else dc * mask[:, k]) + dcn
+        ds = np.empty_like(s)  # upstream grads of the i, f, o gates
+        np.multiply(dcn, g, out=ds[..., :H])
+        np.multiply(dcn, c_prev, out=ds[..., H : 2 * H])
+        np.multiply(dhn, tc, out=ds[..., 2 * H :])
+        dz = np.empty(s.shape[:2] + (4 * H,), dtype=ds.dtype)
+        dz[..., : 3 * H] = (ds * s) * (1.0 - s)
+        dz[..., 3 * H :] = (dcn * s[..., :H]) * (1.0 - g * g)
+        sum_b.add(dz.sum(axis=1))
+        sum_h.add(h_prev.transpose(0, 2, 1) @ dz)
+        sum_x.add(x[:, k].transpose(0, 2, 1) @ dz)
+        np.matmul(dz, w_x.transpose(0, 2, 1), out=dx[:, k])
+        if k > 0:
+            f = s[..., H : 2 * H]
+            if mask is None:
+                dh = pool[:, k - 1] + dz @ w_h.transpose(0, 2, 1)
+                dc = dcn * f
+            else:
+                dh = (pool[:, k - 1] + dh * keep[:, k]) + dz @ w_h.transpose(0, 2, 1)
+                dc = dcn * f if dc is None else dc * keep[:, k] + dcn * f
+    return dx
+
+
+def bilstm_max(ids: np.ndarray, mask, emb, fwd: LstmWeights, bwd: LstmWeights, tape: ad.Tape) -> ad.Var:
+    """Both LSTM directions over padded (B, T) ids, max-pooled: one tape node.
+
+    The embeddings are gathered once, step-major for each direction, and
+    projected for every step with one matmul; numpy issues it as one BLAS
+    call per direction and step, with exactly the operand shapes and
+    layout of a per-step ``x_t @ w_x`` (OpenBLAS picks its kernel by
+    shape, so one (T*B, E) @ (E, 8H) GEMM would round differently on small
+    batches). The two directions then step together, the direction being a
+    leading batch axis, adding ``h @ w_h`` and ``b`` in the per-step order.
+    ``mask`` is None for a full batch, else (B, T) with 1 on real tokens.
+    Gates, states and the pool argmax are kept only on a recording tape.
+    """
+    B, T = ids.shape
+    # (2, T, B) token ids in step order; direction 1 runs right to left.
+    # C order keeps each gathered x[d, k] laid out like a per-step gather.
+    steps = np.ascontiguousarray(np.stack([ids.T, ids.T[::-1]]))
+    x = _value_of(emb)[steps]  # (2, T, B, E)
+    w_x, w_h, b = (np.stack([_value_of(getattr(fwd, n)), _value_of(getattr(bwd, n))])
+                   for n in ("w_x", "w_h", "b"))
+    H = w_h.shape[1]
+    m = keep = None
+    if mask is not None:
+        m = mask.T[:, :, None]  # (T, B, 1)
+        m = np.stack([m, m[::-1]])
+        keep = 1.0 - m
+    cache = [] if tape.recording else None
+    hs = _scan(x @ w_x[:, None], w_h, b[:, None], m, keep, cache)
+    hcat = np.concatenate([hs[0], hs[1, ::-1]], axis=2)  # (T, B, 2H) by position
+    if m is not None:  # padded positions can never win the pool
+        hcat += (m[0] - 1.0) * _NEG_BIG
+    idx = np.argmax(hcat, axis=0)  # first position wins ties
+    out = np.take_along_axis(hcat, idx[None], axis=0)[0]
+    if cache is None:
+        return tape._push(out, None)
+
+    def back(g):
+        pool = np.zeros((T, B, 2 * H), dtype=g.dtype)
+        np.put_along_axis(pool, idx[None], g[None], axis=0)
+        pool = np.stack([pool[:, :, :H], pool[::-1, :, H:]])
+        sums = [_PairSum((fwd_p, bwd_p)) for fwd_p, bwd_p in
+                ((fwd.w_x, bwd.w_x), (fwd.w_h, bwd.w_h), (fwd.b, bwd.b))]
+        dx = _bptt(pool, x, w_x, w_h, m, keep, cache, sums)
+        for leaf_pair in sums:
+            leaf_pair.done()
+        _scatter_rows(emb, dx, steps)
+
+    return tape._push(out, back)
 
 
 def encode_batch(seqs: list, params: EncoderParams, tape: ad.Tape) -> ad.Var:
@@ -233,25 +399,12 @@ def encode_batch(seqs: list, params: EncoderParams, tape: ad.Tape) -> ad.Var:
     ids = np.full((B, T), PAD_ID, dtype=np.int64)
     for b, s in enumerate(seqs):
         ids[b, : len(s)] = s
-    ragged = min(lengths) != T
     mask = None
-    if ragged:
+    if min(lengths) != T:
         mask = np.zeros((B, T))
         for b, n in enumerate(lengths):
             mask[b, :n] = 1.0
-
-    bound = params if isinstance(params.embedding, ad.Var) else bind_params(params, tape)[0]
-    hidden = bound.hidden_size
-    hs_f = _lstm_direction(ids, mask, bound.embedding, bound.fwd, hidden, tape, reverse=False)
-    hs_b = _lstm_direction(ids, mask, bound.embedding, bound.bwd, hidden, tape, reverse=True)
-
-    per_pos = []
-    for t in range(T):
-        u = ad.concat_cols(hs_f[t], hs_b[t])
-        if ragged:
-            u = ad.add(u, (mask[:, t : t + 1] - 1.0) * _NEG_BIG)
-        per_pos.append(u)
-    return ad.max_over_rows(ad.stack_rows(per_pos))
+    return bilstm_max(ids, mask, params.embedding, params.fwd, params.bwd, tape)
 
 
 def encode_sentences(
@@ -311,6 +464,8 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict]:
         data = fh.read()
     if data[:4] != _MAGIC:
         raise DataError(f"{path}: not a checkpoint (bad magic {data[:4]!r})")
+    if len(data) < 12:
+        raise DataError(f"{path}: truncated header ({len(data)} bytes)")
     version, meta_len = struct.unpack_from("<II", data, 4)
     if version != _FORMAT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
@@ -318,23 +473,29 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict]:
         meta = json.loads(data[12 : 12 + meta_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: corrupt metadata: {exc}") from exc
-    V, D, H = meta["vocab_size"], meta["embed_dim"], meta["hidden_size"]
-
-    shapes = {
-        "embedding": (V, D),
-        "fwd.w_x": (D, 4 * H),
-        "fwd.w_h": (H, 4 * H),
-        "fwd.b": (4 * H,),
-        "bwd.w_x": (D, 4 * H),
-        "bwd.w_h": (H, 4 * H),
-        "bwd.b": (4 * H,),
-    }
-    for task in sorted(meta.get("heads", {})):
-        hm = meta["heads"][task]
-        shapes[f"head.{task}.w1"] = (2 * H, hm["hidden"])
-        shapes[f"head.{task}.b1"] = (hm["hidden"],)
-        shapes[f"head.{task}.w2"] = (hm["hidden"], hm["classes"])
-        shapes[f"head.{task}.b2"] = (hm["classes"],)
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: metadata is not a JSON object")
+    try:
+        V, D, H = meta["vocab_size"], meta["embed_dim"], meta["hidden_size"]
+        shapes = {
+            "embedding": (V, D),
+            "fwd.w_x": (D, 4 * H),
+            "fwd.w_h": (H, 4 * H),
+            "fwd.b": (4 * H,),
+            "bwd.w_x": (D, 4 * H),
+            "bwd.w_h": (H, 4 * H),
+            "bwd.b": (4 * H,),
+        }
+        for task in sorted(meta.get("heads", {})):
+            hm = meta["heads"][task]
+            shapes[f"head.{task}.w1"] = (2 * H, hm["hidden"])
+            shapes[f"head.{task}.b1"] = (hm["hidden"],)
+            shapes[f"head.{task}.w2"] = (hm["hidden"], hm["classes"])
+            shapes[f"head.{task}.b2"] = (hm["classes"],)
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{path}: metadata lacks or mistypes {exc}") from exc
+    if not all(type(n) is int and n >= 0 for shape in shapes.values() for n in shape):
+        raise DataError(f"{path}: metadata sizes must be non-negative integers")
 
     offset = 12 + meta_len
     arrays = {}

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize
 
+from .autodiff import stable_sigmoid
 from .corpus import Vocabulary
 from .encoder import EncoderParams, encode_sentences, init_params
 from .errors import DataError, UsageError
@@ -342,15 +343,6 @@ def _np_rng(seed: int, item: int) -> np.random.Generator:
     return np.random.default_rng((s.next_u32(), s.next_u32()))
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def fit_mlp(x, y, num_classes, hidden, dropout, rng, epochs=40, lr=0.2, batch_size=32):
     """Minibatch SGD on CE; dropout sits between sigmoid and classifier."""
     n, d = x.shape
@@ -363,7 +355,7 @@ def fit_mlp(x, y, num_classes, hidden, dropout, rng, epochs=40, lr=0.2, batch_si
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             xb, yb = x[idx], y[idx]
-            h = _sigmoid(xb @ w1 + b1)
+            h = stable_sigmoid(xb @ w1 + b1)
             if dropout > 0.0:
                 mask = (rng.random(h.shape) >= dropout) / (1.0 - dropout)
                 hd = h * mask
@@ -391,7 +383,7 @@ def fit_mlp(x, y, num_classes, hidden, dropout, rng, epochs=40, lr=0.2, batch_si
 
 def _mlp_accuracy(model, x, y) -> float:
     w1, b1, w2, b2 = model
-    h = _sigmoid(x @ w1 + b1)  # dropout off at eval time
+    h = stable_sigmoid(x @ w1 + b1)  # dropout off at eval time
     return float(np.mean(np.argmax(h @ w2 + b2, axis=1) == y))
 
 

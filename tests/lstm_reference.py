@@ -1,0 +1,118 @@
+"""The per-op BiLSTM-max path, kept as a reference oracle for the fused op.
+
+This is how ``encoder.encode_batch`` was written before ``bilstm_max``:
+every timestep of every direction records a gather, two matmuls, two adds,
+four column slices, four nonlinearities and the cell update (plus four
+mask ops on a ragged batch), and the pool is a per-position concat, a
+stack and a max over positions, all as separate tape nodes. The fused op
+must reproduce its forward values and every leaf gradient bit for bit.
+The three ops below exist only for this path.
+"""
+
+import numpy as np
+
+from conssent import autodiff as ad
+from conssent.corpus import PAD_ID
+from conssent.encoder import EncoderParams, bind_params
+
+_NEG_BIG = 1e30
+
+
+def slice_cols(x, start: int, stop: int) -> ad.Var:
+    tape = ad._tape_of(x)
+    vx = ad._value(x)
+    out = vx[:, start:stop].copy()
+
+    def back(g):
+        gx = np.zeros_like(vx)
+        gx[:, start:stop] = g
+        ad._accum(x, gx)
+
+    return tape._push(out, back)
+
+
+def concat_cols(a, b) -> ad.Var:
+    tape = ad._tape_of(a, b)
+    va, vb = ad._value(a), ad._value(b)
+    split = va.shape[1]
+    out = np.concatenate([va, vb], axis=1)
+
+    def back(g):
+        ad._accum(a, g[:, :split])
+        ad._accum(b, g[:, split:])
+
+    return tape._push(out, back)
+
+
+def max_over_rows(x) -> ad.Var:
+    """Elementwise max over the leading axis.
+
+    The gradient flows only to the position that attains the max; on exact
+    ties the lowest index wins (np.argmax returns the first occurrence).
+    """
+    tape = ad._tape_of(x)
+    vx = ad._value(x)
+    idx = np.argmax(vx, axis=0)
+    out = np.take_along_axis(vx, idx[None, ...], axis=0)[0]
+
+    def back(g):
+        gx = np.zeros_like(vx)
+        np.put_along_axis(gx, idx[None, ...], g[None, ...], axis=0)
+        ad._accum(x, gx)
+
+    return tape._push(out, back)
+
+
+def _lstm_direction(ids, mask, emb, w, hidden, tape, reverse):
+    """Run one direction over (B, T) ids; returns per-position h Vars."""
+    B, T = ids.shape
+    h = tape.leaf(np.zeros((B, hidden)))
+    c = tape.leaf(np.zeros((B, hidden)))
+    padded = mask is not None
+    steps = range(T - 1, -1, -1) if reverse else range(T)
+    hs = [None] * T
+    for t in steps:
+        x_t = ad.gather_rows(emb, ids[:, t])
+        z = ad.add(ad.add(ad.matmul(x_t, w.w_x), ad.matmul(h, w.w_h)), w.b)
+        i_g = ad.sigmoid(slice_cols(z, 0, hidden))
+        f_g = ad.sigmoid(slice_cols(z, hidden, 2 * hidden))
+        o_g = ad.sigmoid(slice_cols(z, 2 * hidden, 3 * hidden))
+        g_g = ad.tanh(slice_cols(z, 3 * hidden, 4 * hidden))
+        c_new = ad.add(ad.mul(f_g, c), ad.mul(i_g, g_g))
+        h_new = ad.mul(o_g, ad.tanh(c_new))
+        if padded:
+            m = mask[:, t : t + 1]  # (B, 1) constant
+            c = ad.add(ad.mul(c_new, m), ad.mul(c, 1.0 - m))
+            h = ad.add(ad.mul(h_new, m), ad.mul(h, 1.0 - m))
+        else:
+            c, h = c_new, h_new
+        hs[t] = h
+    return hs
+
+
+def encode_batch(seqs: list, params: EncoderParams, tape: ad.Tape) -> ad.Var:
+    """Per-op twin of ``conssent.encoder.encode_batch``."""
+    lengths = [len(s) for s in seqs]
+    B, T = len(seqs), max(lengths)
+    ids = np.full((B, T), PAD_ID, dtype=np.int64)
+    for b, s in enumerate(seqs):
+        ids[b, : len(s)] = s
+    ragged = min(lengths) != T
+    mask = None
+    if ragged:
+        mask = np.zeros((B, T))
+        for b, n in enumerate(lengths):
+            mask[b, :n] = 1.0
+
+    bound = params if isinstance(params.embedding, ad.Var) else bind_params(params, tape)[0]
+    hidden = bound.hidden_size
+    hs_f = _lstm_direction(ids, mask, bound.embedding, bound.fwd, hidden, tape, reverse=False)
+    hs_b = _lstm_direction(ids, mask, bound.embedding, bound.bwd, hidden, tape, reverse=True)
+
+    per_pos = []
+    for t in range(T):
+        u = concat_cols(hs_f[t], hs_b[t])
+        if ragged:
+            u = ad.add(u, (mask[:, t : t + 1] - 1.0) * _NEG_BIG)
+        per_pos.append(u)
+    return max_over_rows(ad.stack_rows(per_pos))

@@ -1,7 +1,15 @@
-"""Tape mechanics plus per-op agreement with central finite differences."""
+"""Tape mechanics plus per-op agreement with central finite differences.
+
+``slice_cols``, ``concat_cols`` and ``max_over_rows`` live with the per-op
+reference encoder in ``lstm_reference``; they are checked here like the
+package's own ops because the fused encoder is tested against them.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from lstm_reference import concat_cols, max_over_rows, slice_cols
 
 from conssent import autodiff as ad
 from conssent.autodiff import DoubleBackward, Tape, finite_diff_check
@@ -112,6 +120,37 @@ def test_sigmoid_tanh_values():
     np.testing.assert_allclose(t, [0.0, 1.0, -1.0], atol=1e-12)
 
 
+def _two_branch_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+_SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 800.0, -800.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.floats(-800.0, 800.0, allow_subnormal=True), st.sampled_from(_SIGMOID_EDGES)),
+        min_size=1,
+        max_size=64,
+    )
+)
+def test_stable_sigmoid_matches_two_branch_formula(values):
+    x = np.array(values)
+    block = np.stack([x, -x, x[::-1]], axis=1)
+    for arr in (x, x[::2], block[:, :2], x.astype(np.longdouble)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = ad.stable_sigmoid(arr), _two_branch_sigmoid(arr)
+        assert got.dtype == arr.dtype
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_softmax_xent_known_values():
     tape = Tape(recording=False)
     # uniform logits over 2 classes
@@ -140,7 +179,7 @@ def test_softmax_xent_extreme_logits_stay_finite():
 def test_max_over_rows_value_and_ties():
     tape = Tape()
     x = tape.leaf(np.array([[1.0, 5.0], [1.0, 2.0], [1.0, 5.0]]))
-    m = ad.max_over_rows(x)
+    m = max_over_rows(x)
     np.testing.assert_allclose(m.value, [1.0, 5.0])
     tape.backward(ad.sum_all(m))
     # column 0 is a three-way tie, column 1 ties rows 0 and 2: gradient must
@@ -221,9 +260,9 @@ def test_grad_sigmoid_tanh():
 
 def test_grad_slice_concat():
     def build(tape, v):
-        left = ad.slice_cols(v["x"], 0, 2)
-        right = ad.slice_cols(v["x"], 2, 5)
-        cat = ad.concat_cols(ad.tanh(right), left)
+        left = slice_cols(v["x"], 0, 2)
+        right = slice_cols(v["x"], 2, 5)
+        cat = concat_cols(ad.tanh(right), left)
         return ad.mean_all(ad.mul(cat, cat))
 
     check(build, x=rand(3, 5, seed=13))
@@ -232,7 +271,7 @@ def test_grad_slice_concat():
 def test_grad_stack_max():
     def build(tape, v):
         stacked = ad.stack_rows([v["a"], v["b"], v["c"]])
-        return ad.mean_all(ad.max_over_rows(stacked))
+        return ad.mean_all(max_over_rows(stacked))
 
     # well-separated values so the argmax is stable under the probe step
     check(build, a=rand(2, 3, seed=14), b=rand(2, 3, seed=15) + 3.0, c=rand(2, 3, seed=16) - 3.0)

@@ -1,12 +1,17 @@
 """Encoder: init contracts, agreement with a scalar re-implementation,
+bit-exact agreement of the fused op with the per-op reference path,
 padding neutrality, gradients, and checkpoint round trips."""
 
+import json
 import math
+import struct
 
+import lstm_reference
 import numpy as np
 import pytest
 
 from conssent import autodiff as ad
+from conssent import train
 from conssent.autodiff import Tape, finite_diff_check
 from conssent.corpus import PAD_ID
 from conssent.encoder import (
@@ -19,9 +24,11 @@ from conssent.encoder import (
     head_logits,
     init_params,
     load_checkpoint,
+    params_view,
     save_checkpoint,
 )
 from conssent.errors import DataError
+from conssent.perturb import PairBatch
 
 # --------------------------------------------------------------------------
 # oracle: the same recurrence written with Python scalars and loops
@@ -149,6 +156,140 @@ def test_batching_does_not_change_encodings():
     a = encode_sentences(seqs, params, batch_size=2)
     b = encode_sentences(seqs, params, batch_size=128)
     np.testing.assert_allclose(a, b, rtol=1e-15)
+
+
+# --------------------------------------------------------------------------
+# the fused bilstm_max op against the per-op reference path, bit for bit
+# --------------------------------------------------------------------------
+
+
+def _assert_bitwise_equal(got, want, what):
+    # array_equal alone would let -0.0 stand in for +0.0
+    assert got.dtype == want.dtype, what
+    assert np.array_equal(got, want), what
+    assert np.array_equal(np.signbit(got), np.signbit(want)), what
+
+
+def _assert_same_run(run):
+    """``run(encode)`` returns (forward values, leaf grads); compare both paths."""
+    got_values, got_grads = run(encode_batch)
+    want_values, want_grads = run(lstm_reference.encode_batch)
+    _assert_bitwise_equal(got_values, want_values, "forward values")
+    assert got_grads.keys() == want_grads.keys()
+    for name, want in want_grads.items():
+        got = got_grads[name]
+        assert (got is None) == (want is None), name
+        if want is not None:
+            _assert_bitwise_equal(got, want, name)
+
+
+def _single_step(params, seqs, labels):
+    def run(encode):
+        tape = Tape()
+        bound, leaves = bind_params(params, tape)
+        pooled = encode(seqs, bound, tape)
+        tape.backward(ad.softmax_xent(head_logits(pooled, bound.heads["D"]), labels))
+        return pooled.value, {name: leaf.grad for name, leaf in leaves.items()}
+
+    return run
+
+
+def _weighted_step(params, seqs, weights):
+    """Loss sum(pooled * weights), which sends any chosen gradient upstream."""
+
+    def run(encode):
+        tape = Tape()
+        bound, leaves = bind_params(params, tape)
+        pooled = encode(seqs, bound, tape)
+        tape.backward(ad.sum_all(ad.mul(pooled, weights)))
+        return pooled.value, {name: leaf.grad for name, leaf in leaves.items()}
+
+    return run
+
+
+def test_fused_matches_reference_ragged_with_duplicates():
+    params = init_params(15, 4, 5, head_tasks=("D",), head_dim=6, seed=21, init_gain=6.0)
+    seqs = [[2, 3, 3, 9, 2, 14], [7, 7], [9], [3, 2, 3, 2, 11], [2, 3, 3, 9, 2, 14]]
+    labels = np.array([1, 0, 1, 1, 0])
+    _assert_same_run(_single_step(params, seqs, labels))
+
+
+def test_fused_matches_reference_width_one():
+    # E = H = 1 turns several products into BLAS matrix-vector calls, whose
+    # rounding depends on operand strides
+    rng = np.random.default_rng(26)
+    for trial in range(20):
+        params = init_params(40, 1, 1, seed=trial, init_gain=6.0)
+        seqs = [list(rng.integers(0, 40, size=int(n))) for n in rng.integers(1, 9, size=int(rng.integers(2, 9)))]
+        weights = rng.standard_normal((len(seqs), 2))
+        _assert_same_run(_weighted_step(params, seqs, weights))
+
+
+def test_fused_matches_reference_on_signed_zero_gradient():
+    # an all-zero upstream gradient: only the signs of the zeros can differ
+    params = init_params(12, 3, 4, seed=27, init_gain=6.0)
+    seqs = [[2, 3, 4, 5]]  # one sentence, so no sum over the batch can hide a -0.0
+    weights = np.full((1, 8), -0.0)
+    weights[0, ::3] = 0.0
+    _assert_same_run(_weighted_step(params, seqs, weights))
+
+
+def test_fused_matches_reference_pair_step_shared_leaves(monkeypatch):
+    # pair_batch_loss encodes twice on one tape into the same leaves, whose
+    # running sums must carry on from one encode's backward into the next
+    params = init_params(12, 3, 4, seed=22, init_gain=6.0)
+    batch = PairBatch(
+        lefts=[[2, 3, 4], [5, 6], [7, 8, 9, 10], [11, 2]],
+        rights=[[3, 4, 5, 6], [6, 2], [9, 10], [2, 11, 11]],
+        cand_idx=np.array([[0, 1, 2], [1, 3, 0], [2, 0, 3], [3, 2, 1]]),
+        targets=np.array([0, 0, 0, 0]),
+        kind="C",
+        k=3,
+    )
+
+    def run(encode):
+        monkeypatch.setattr(train, "encode_batch", encode)
+        tape = Tape()
+        bound, leaves = bind_params(params, tape)
+        loss = train.pair_batch_loss(batch, bound, tape)
+        tape.backward(loss)
+        return loss.value, {name: leaf.grad for name, leaf in leaves.items()}
+
+    _assert_same_run(run)
+
+
+def test_fused_matches_reference_long_large_vocab():
+    rng = np.random.default_rng(23)
+    V = 18_000
+    params = init_params(V, 32, 32, head_tasks=("D",), head_dim=16, seed=23, init_gain=6.0)
+    seqs = [list(rng.integers(2, V, size=int(n))) for n in rng.integers(10, 41, size=64)]
+    seqs[0] = list(rng.integers(2, V, size=40))
+    seqs[1][:6] = seqs[2][:6]  # repeated ids within a timestep
+    labels = rng.integers(0, 2, size=len(seqs))
+    _assert_same_run(_single_step(params, seqs, labels))
+
+
+def test_fused_matches_reference_longdouble_frozen():
+    params = init_params(11, 3, 4, seed=24, init_gain=6.0)
+    seqs = [[2, 3, 4, 5], [6, 7], [8, 9, 10], [0, 1]]
+
+    def run(encode):
+        tape = Tape(recording=False)
+        leaves = {k: tape.leaf(v.astype(np.longdouble)) for k, v in params.named_arrays().items()}
+        pooled = encode(seqs, params_view(leaves), tape).value
+        assert pooled.dtype == np.longdouble
+        assert len(tape) == 0
+        return pooled, {}
+
+    _assert_same_run(run)
+
+
+def test_fused_op_is_one_tape_node():
+    params = init_params(10, 3, 4, seed=25)
+    tape = Tape()
+    bound, _ = bind_params(params, tape)
+    encode_batch([[2, 3, 4], [5]], bound, tape)
+    assert len(tape) == 1
 
 
 def test_pad_embedding_gets_no_gradient():
@@ -280,6 +421,42 @@ def test_checkpoint_rejects_truncation(tmp_path):
         load_checkpoint(path)
     path.write_bytes(blob + b"\x00\x00\x00\x00")
     with pytest.raises(DataError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_short_header(tmp_path):
+    path = tmp_path / "short.ckpt"
+    path.write_bytes(b"CSNT\x01")
+    with pytest.raises(DataError, match="truncated header"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("vocab_size", None, "vocab_size"),  # None: drop the key
+        ("embed_dim", None, "embed_dim"),
+        ("hidden_size", None, "hidden_size"),
+        ("heads", {"D": {"classes": 2}}, "hidden"),
+        ("heads", ["D"], "mistypes"),
+        ("vocab_size", "six", "non-negative integers"),
+        ("hidden_size", 2.0, "non-negative integers"),
+        ("embed_dim", -1, "non-negative integers"),
+    ],
+)
+def test_checkpoint_rejects_bad_shape_meta(tmp_path, key, value, message):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(6, 2, 2, head_tasks=("D",), head_dim=3, seed=1))
+    blob = path.read_bytes()
+    meta_len = struct.unpack_from("<I", blob, 8)[0]
+    meta = json.loads(blob[12 : 12 + meta_len])
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    new_meta = json.dumps(meta).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(new_meta)) + new_meta + blob[12 + meta_len :])
+    with pytest.raises(DataError, match=message):
         load_checkpoint(path)
 
 

@@ -1,7 +1,9 @@
 """Trainer contract: losses, optimizer, schedule, engines, metrics."""
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from conssent import autodiff as ad
 from conssent import train
 from conssent.corpus import prepare_corpus
-from conssent.encoder import encode_batch, init_params
+from conssent.encoder import bind_params, encode_batch, head_logits, init_params
 from conssent.errors import DataError
 from conssent.perturb import PairBatch, gen_single_examples
 from conssent.toydata import make_toy_corpus
@@ -194,6 +196,30 @@ def test_pair_batch_loss_equals_mean_of_per_anchor_ranking(tiny_data):
         for i in range(len(batch.lefts))
     ]
     assert float(loss.value) == pytest.approx(sum(per_anchor) / len(per_anchor), rel=1e-10)
+
+
+def test_training_step_frees_activations_without_gc():
+    # every Var points at its tape; if the tape kept its recording after
+    # the sweep, a step's activations would live until a cyclic GC pass
+    params = init_params(12, 4, 5, head_tasks=("D",), head_dim=6, seed=3)
+
+    def step():
+        tape = ad.Tape()
+        bound, leaves = bind_params(params, tape)
+        pooled = encode_batch([[2, 3, 4], [5, 6], [7, 8, 9, 10]], bound, tape)
+        logits = head_logits(pooled, bound.heads["D"])
+        tape.backward(ad.softmax_xent(logits, np.array([0, 1, 1])))
+        sgd_step(params, {name: leaf.grad for name, leaf in leaves.items()}, 0.1, 5.0)
+        return weakref.ref(pooled.value), weakref.ref(logits.value)
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        refs = step()
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
