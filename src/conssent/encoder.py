@@ -19,6 +19,7 @@ would change trained models.
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -101,8 +102,13 @@ def _value_of(x):
 
 
 def _uniform_array(rng: RngStream, shape: tuple, lo: float, hi: float) -> np.ndarray:
-    size = int(np.prod(shape))
-    flat = np.fromiter((rng.uniform(lo, hi) for _ in range(size)), dtype=np.float64, count=size)
+    """``rng.uniform(lo, hi)`` per element, bit for bit, from one block draw."""
+    flat = np.empty(math.prod(shape))
+    rng.fill_u32(flat)
+    # The same operations in the same order as RngStream.uniform.
+    flat *= 2.0**-32
+    flat *= hi - lo
+    flat += lo
     return flat.reshape(shape)
 
 
@@ -500,7 +506,7 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict]:
     offset = 12 + meta_len
     arrays = {}
     for name, shape in shapes.items():
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         nbytes = 4 * count
         if offset + nbytes > len(data):
             raise DataError(f"{path}: truncated at array {name!r}")

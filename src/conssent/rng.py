@@ -3,8 +3,20 @@
 Every piece of randomness in the package flows through ``RngStream``, a
 PCG32 generator (the "XSH RR 64/32" setseq variant): 64-bit LCG state,
 32-bit output, multiplier 6364136223846793005, increment derived from the
-stream index as ``(index << 1) | 1``. Pure Python integer arithmetic, so a
-given (seed, index) pair produces the same byte stream on every platform.
+stream index as ``(index << 1) | 1``. Every operation is exact modular
+integer arithmetic, so a given (seed, index) pair produces the same byte
+stream on every platform.
+
+The generator has two paths over one state. ``next_u32`` steps the LCG with
+Python integers; it is the reference, and it serves the streams that draw a
+few values each (perturbations, splits, batch order, the toy grammar).
+``fill_u32`` produces the next ``n`` outputs at once for bulk draws such as
+weight initialisation: within each fixed-size chunk it builds all LCG states
+in numpy ``uint64`` (which wraps modulo 2**64, like the scalar mask) by
+jump-ahead doubling (Brown 1994, "Random number generation with arbitrary
+strides"), applies the XSH-RR output function elementwise, and leaves the
+stream exactly where ``n`` calls to ``next_u32`` would. The two paths are
+interchangeable draw for draw.
 
 Streams are keyed by (global_seed, item_index) so data generation is
 order-independent: item 7 gets the same draws whether it is produced
@@ -14,9 +26,14 @@ first, last, or in a worker process.
 from collections.abc import Sequence
 from typing import TypeVar
 
+import numpy as np
+
 _MULT = 6364136223846793005
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
+
+# Draws per fill_u32 chunk: bounds its uint64 scratch to 256 KiB whatever n is.
+_CHUNK = 1 << 15
 
 # Purpose tags folded into the stream index by stream_index(); keeping the
 # purposes disjoint guarantees e.g. batch-order draws never collide with
@@ -57,6 +74,34 @@ class RngStream:
         xorshifted = (((old >> 18) ^ old) >> 27) & _MASK32
         rot = old >> 59
         return ((xorshifted >> rot) | (xorshifted << ((32 - rot) & 31))) & _MASK32
+
+    def fill_u32(self, out: np.ndarray) -> None:
+        """Write the next ``len(out)`` ``next_u32`` outputs into 1-D ``out``.
+
+        ``out`` may have any dtype that holds 32-bit integers exactly (e.g.
+        uint32, uint64, float64). The stream advances by ``len(out)`` draws.
+        """
+        if out.ndim != 1:
+            raise ValueError(f"out must be 1-D, got shape {out.shape}")
+        n = len(out)
+        states = np.empty(min(n, _CHUNK), dtype=np.uint64)
+        for start in range(0, n, _CHUNK):
+            m = min(_CHUNK, n - start)
+            s = states[:m]
+            s[0] = self._state
+            # s[k + j] = a_k * s[j] + c_k, where (a_k, c_k) is the k-step LCG;
+            # composing it with itself gives a_2k = a_k**2, c_2k = c_k * (a_k + 1).
+            a, c, k = _MULT, self._inc, 1
+            while k < m:
+                w = min(k, m - k)
+                np.multiply(s[:w], np.uint64(a), out=s[k : k + w])
+                s[k : k + w] += np.uint64(c)
+                a, c, k = (a * a) & _MASK64, (c * (a + 1)) & _MASK64, 2 * k
+            self._state = (int(s[m - 1]) * _MULT + self._inc) & _MASK64
+            xorshifted = ((s >> 18) ^ s) >> 27
+            xorshifted = xorshifted.astype(np.uint32)  # keeps the low 32 bits
+            rot = (s >> 59).astype(np.uint32)
+            out[start : start + m] = (xorshifted >> rot) | (xorshifted << ((32 - rot) & 31))
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 32-bit resolution."""

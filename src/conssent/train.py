@@ -78,7 +78,11 @@ class DimMismatch(NumericError):
 
 
 class NonFiniteGradient(NumericError):
-    """A NaN or infinity reached the optimizer; the step was abandoned."""
+    """A NaN or infinity reached the optimizer; the step was abandoned.
+
+    Training counts abandoned steps and goes on, unless an epoch abandons
+    every step of a task; that raises a plain ``NumericError``.
+    """
 
 
 @dataclass(frozen=True)
@@ -438,6 +442,11 @@ def _run_training(
                     continue
                 losses[t].append(loss)
                 max_norm = max(max_norm, norm)
+        starved = [t for t in tasks if not losses[t]]
+        if starved:
+            raise NumericError(
+                f"epoch {epoch}: every SGD step for {starved} had a non-finite gradient"
+            )
 
         accs = {t: _validate(params, t, valid_sets[t]) for t in tasks}
         mean_acc = statistics.fmean(accs.values())
@@ -447,7 +456,7 @@ def _run_training(
                     "epoch": epoch,
                     "task": t,
                     "k": config.k,
-                    "train_loss": statistics.fmean(losses[t]) if losses[t] else float("nan"),
+                    "train_loss": statistics.fmean(losses[t]),
                     "valid_acc": accs[t],
                     "lr": lr,
                     "max_grad_norm": max_norm,

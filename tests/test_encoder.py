@@ -2,6 +2,7 @@
 bit-exact agreement of the fused op with the per-op reference path,
 padding neutrality, gradients, and checkpoint round trips."""
 
+import hashlib
 import json
 import math
 import struct
@@ -9,8 +10,11 @@ import struct
 import lstm_reference
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conssent import autodiff as ad
+from conssent import encoder
 from conssent import train
 from conssent.autodiff import Tape, finite_diff_check
 from conssent.corpus import PAD_ID
@@ -29,6 +33,7 @@ from conssent.encoder import (
 )
 from conssent.errors import DataError
 from conssent.perturb import PairBatch
+from conssent.rng import INIT, RngStream, stream
 
 # --------------------------------------------------------------------------
 # oracle: the same recurrence written with Python scalars and loops
@@ -108,6 +113,59 @@ def test_init_deterministic_per_seed():
     np.testing.assert_array_equal(a.fwd.w_x, b.fwd.w_x)
     np.testing.assert_array_equal(a.heads["P"].w1, b.heads["P"].w1)
     assert not np.array_equal(a.embedding, c.embedding)
+
+
+def _params_sha256(params):
+    h = hashlib.sha256()
+    for name, a in sorted(params.named_arrays().items()):
+        h.update(f"{name}{a.shape}{a.dtype.str}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# Digests recorded from the scalar per-draw initialiser, before block draws
+# replaced it: the bytes (signs of zeros included) must never change.
+@pytest.mark.parametrize(
+    "kwargs, digest",
+    [
+        (  # toy-R1's shape
+            dict(vocab_size=172, embed_dim=32, hidden_size=32, head_tasks=("R",),
+                 head_dim=512, seed=0, init_gain=6.0),
+            "7e4247a870f1fe5e4c46b90b9be85ea0cf32ba36774481374e7f7d973d1d4297",
+        ),
+        (  # the frozen probing encoder with a small vocabulary
+            dict(vocab_size=500, embed_dim=300, hidden_size=128, seed=7, stream_item=1),
+            "73061f400de176d5d1b4d1757ba3707414ca61cb17cb1f5631fedc9d4af97662",
+        ),
+        (  # an empty embedding draw
+            dict(vocab_size=0, embed_dim=8, hidden_size=4, head_tasks=("D",), head_dim=5, seed=3),
+            "cd964f5171ad8e7cb53a567b89889ef1c37d8c3a0e42b7ade58ea296e928c756",
+        ),
+    ],
+)
+def test_init_bytes_are_pinned(kwargs, digest):
+    assert _params_sha256(init_params(**kwargs)) == digest
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.integers(0, 2**64 - 1), st.integers(0, 40)
+)
+def test_uniform_array_is_scalar_uniform_bit_for_bit(lo, hi, seed, n):
+    got = encoder._uniform_array(RngStream(seed, 1), (n,), lo, hi)
+    rng = RngStream(seed, 1)
+    want = np.array([rng.uniform(lo, hi) for _ in range(n)])
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_empty_embedding_draw_does_not_advance_the_stream():
+    params = init_params(vocab_size=0, embed_dim=3, hidden_size=2, seed=4)
+    assert params.embedding.shape == (0, 3)
+    rng = stream(4, INIT)
+    r = 1.0 / np.sqrt(2)
+    want = [rng.uniform(-r, r) for _ in range(3 * 8)]
+    assert params.fwd.w_x.ravel().tolist() == want
 
 
 def test_named_arrays_order_is_stable():
@@ -447,17 +505,33 @@ def test_checkpoint_rejects_short_header(tmp_path):
 def test_checkpoint_rejects_bad_shape_meta(tmp_path, key, value, message):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, init_params(6, 2, 2, head_tasks=("D",), head_dim=3, seed=1))
+    _rewrite_meta(path, {key: value})
+    with pytest.raises(DataError, match=message):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_sizes_whose_product_wraps_int64(tmp_path):
+    # 2**62 * 4 is 0 in int64 arithmetic, which once let a zero-length read
+    # through to a reshape error instead of a DataError.
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(6, 2, 2, seed=1))
+    _rewrite_meta(path, {"vocab_size": 2**62, "embed_dim": 4})
+    with pytest.raises(DataError, match="truncated"):
+        load_checkpoint(path)
+
+
+def _rewrite_meta(path, changes):
+    """Replace the checkpoint's metadata keys; a None value drops the key."""
     blob = path.read_bytes()
     meta_len = struct.unpack_from("<I", blob, 8)[0]
     meta = json.loads(blob[12 : 12 + meta_len])
-    if value is None:
-        del meta[key]
-    else:
-        meta[key] = value
+    for key, value in changes.items():
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
     new_meta = json.dumps(meta).encode("utf-8")
     path.write_bytes(blob[:8] + struct.pack("<I", len(new_meta)) + new_meta + blob[12 + meta_len :])
-    with pytest.raises(DataError, match=message):
-        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_future_version(tmp_path):

@@ -1,10 +1,13 @@
-"""Stream generator: reference outputs, bounds, and stream independence."""
+"""Stream generator: reference outputs, bounds, stream independence, and the
+block path's draw-for-draw agreement with the scalar one."""
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conssent.rng import (
+    _CHUNK,
     EXAMPLES,
     ORDER,
     SPLIT,
@@ -24,6 +27,59 @@ REFERENCE_U32 = [0xA15C02B7, 0x7B47F409, 0xBA1D3330, 0x83D2F293, 0xBFA4784B, 0xC
 def test_matches_reference_vector():
     rng = RngStream(REFERENCE_SEED, REFERENCE_STREAM)
     assert [rng.next_u32() for _ in range(6)] == REFERENCE_U32
+
+
+def test_block_path_matches_reference_vector():
+    rng = RngStream(REFERENCE_SEED, REFERENCE_STREAM)
+    out = np.empty(6, dtype=np.uint32)
+    rng.fill_u32(out)
+    assert out.tolist() == REFERENCE_U32
+
+
+U64 = st.integers(min_value=0, max_value=2**64 - 1)
+# Chunk edges: empty, one draw, one short of a chunk, exactly one, one over,
+# and a multi-chunk fill whose last chunk is ragged.
+BLOCK_SIZES = [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]
+
+
+def _scalar(rng, n):
+    return [rng.next_u32() for _ in range(n)]
+
+
+def _block(rng, n, dtype=np.uint64):
+    out = np.empty(n, dtype=dtype)
+    rng.fill_u32(out)
+    return out.tolist()
+
+
+@settings(max_examples=20, deadline=None)
+@given(U64, U64, st.sampled_from(BLOCK_SIZES))
+def test_block_draws_equal_scalar_draws(seed, index, n):
+    block, scalar = RngStream(seed, index), RngStream(seed, index)
+    assert _block(block, n) == _scalar(scalar, n)
+    assert _scalar(block, 3) == _scalar(scalar, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    U64,
+    U64,
+    st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from(BLOCK_SIZES) | st.integers(0, 70)),
+        max_size=3,
+    ),
+)
+def test_interleaved_block_and_scalar_draws(seed, index, steps):
+    mixed, scalar = RngStream(seed, index), RngStream(seed, index)
+    for n_scalar, n_block in steps:
+        assert _scalar(mixed, n_scalar) == _scalar(scalar, n_scalar)
+        assert _block(mixed, n_block, np.float64) == _scalar(scalar, n_block)
+    assert _scalar(mixed, 5) == _scalar(scalar, 5)
+
+
+def test_fill_u32_rejects_multidimensional_out():
+    with pytest.raises(ValueError):
+        RngStream(0, 0).fill_u32(np.empty((2, 3)))
 
 
 def test_same_key_same_sequence():

@@ -14,7 +14,7 @@ from conssent import autodiff as ad
 from conssent import train
 from conssent.corpus import prepare_corpus
 from conssent.encoder import bind_params, encode_batch, head_logits, init_params
-from conssent.errors import DataError
+from conssent.errors import DataError, NumericError
 from conssent.perturb import PairBatch, gen_single_examples
 from conssent.toydata import make_toy_corpus
 from conssent.train import (
@@ -443,6 +443,33 @@ def test_round_robin_rotation_order(tiny_data, monkeypatch):
     assert g1 and g1 == list(GROUP1) * (len(g1) // len(GROUP1))
     assert g2 and g2 == list(GROUP2) * (len(g2) // len(GROUP2))
     assert g1[:8] == ["D", "P", "I", "R", "D", "P", "I", "R"]
+
+
+def _nan_norm_on_calls(monkeypatch, bad_calls):
+    """Make global_grad_norm report NaN on the given (0-based) calls."""
+    real, calls = train.global_grad_norm, []
+
+    def norm(grads):
+        calls.append(None)
+        return float("nan") if len(calls) - 1 in bad_calls else real(grads)
+
+    monkeypatch.setattr(train, "global_grad_norm", norm)
+
+
+def test_epoch_with_every_step_skipped_is_numeric_error(tiny_data, monkeypatch):
+    _nan_norm_on_calls(monkeypatch, range(10**6))
+    with pytest.raises(NumericError, match="epoch 0: every SGD step for \\['D'\\]") as info:
+        train_single_task(tiny_config("D"), tiny_data)
+    assert type(info.value) is NumericError
+
+
+def test_skipped_steps_are_counted_and_training_goes_on(tiny_data, monkeypatch):
+    healthy = train_single_task(tiny_config("D"), tiny_data)
+    _nan_norm_on_calls(monkeypatch, {0, 2})
+    state = train_single_task(tiny_config("D"), tiny_data)
+    assert state.skipped_steps == 2
+    assert len(state.history) == len(healthy.history)
+    assert all(math.isfinite(row["train_loss"]) for row in state.history)
 
 
 def test_multitask_state_shapes(tiny_data):
