@@ -19,8 +19,7 @@ import numpy as np
 from conssent import ensemble as ens
 from conssent import probes as pr
 from conssent.corpus import prepare_corpus
-from conssent.encoder import encode_batch, head_logits, init_params
-from conssent import autodiff as ad
+from conssent.encoder import head_probs, init_params
 from conssent.perturb import gen_single_examples
 from conssent.rng import PROBE, VALID, stream
 from conssent.toydata import make_toy_corpus
@@ -29,15 +28,6 @@ from conssent.train import TrainConfig, train_single_task
 
 def log(msg):
     print(msg, file=sys.stderr, flush=True)
-
-
-def head_probs(params, task, examples):
-    tape = ad.Tape(recording=False)
-    enc = encode_batch([ex.tokens for ex in examples], params, tape)
-    logits = head_logits(enc, params.heads[task]).value
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def main():
@@ -87,7 +77,7 @@ def main():
     examples, _ = gen_single_examples(data.valid, "R", 1, 0.5, data.vocab,
                                       123, purpose=VALID)
     labels = np.array([ex.label for ex in examples])
-    probs = [head_probs(m.params, "R", examples) for m in members]
+    probs = [head_probs([ex.tokens for ex in examples], m.params, "R") for m in members]
     accs = [float(np.mean(np.argmax(p, axis=1) == labels)) for p in probs]
     weights = ens.normalize_weights([m.best_valid for m in members])
     acc = ens.ensemble_accuracy(probs, weights, labels)

@@ -47,9 +47,7 @@ from .toydata import make_toy_corpus
 from .train import (
     TrainConfig,
     TrainState,
-    binary_loss,
     encode_multitask,
-    ranking_loss,
     run_gradcheck,
     train_multitask,
     train_single_task,
@@ -69,7 +67,6 @@ __all__ = [
     "TrainState",
     "UsageError",
     "Vocabulary",
-    "binary_loss",
     "build_vocab",
     "encode",
     "encode_multitask",
@@ -94,7 +91,6 @@ __all__ = [
     "partition",
     "perturb",
     "prepare_corpus",
-    "ranking_loss",
     "run_gradcheck",
     "save_checkpoint",
     "tokenize",

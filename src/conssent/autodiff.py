@@ -239,6 +239,13 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.maximum(e, (x >= 0).astype(e.dtype)) / (1.0 + e)
 
 
+def softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a 2-D array, shifted by each row's max."""
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
     m = z.max(axis=1)
     return m + np.log(np.exp(z - m[:, None]).sum(axis=1))
@@ -262,19 +269,6 @@ def tanh(x) -> Var:
         _accum(x, g * (1.0 - t * t))
 
     return tape._push(t, back)
-
-
-def stack_rows(xs) -> Var:
-    """Stack same-shape arrays along a new leading axis."""
-    xs = list(xs)
-    tape = _tape_of(*xs)
-    out = np.stack([_value(x) for x in xs], axis=0)
-
-    def back(g):
-        for i, x in enumerate(xs):
-            _accum(x, g[i])
-
-    return tape._push(out, back)
 
 
 def gather_rows(x, ids) -> Var:

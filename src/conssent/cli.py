@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from . import ensemble as ens
 from . import probes as pr
 from .corpus import load_corpus_file, prepare_corpus, save_vocab_file
-from .encoder import encode_sentences, load_checkpoint, save_checkpoint
+from .encoder import head_probs, load_checkpoint, save_checkpoint
 from .errors import ConsSentError, DataError, NumericError, UsageError
 from .perturb import gen_pair_batches, gen_single_examples, write_pair_dataset, write_single_dataset
 from .rng import PROBE, VALID, stream
@@ -41,50 +42,39 @@ from .train import (
     write_metrics_jsonl,
 )
 
-# Every config key with its documented default. `None` means "no value":
-# either the command supplies its own (out paths) or a fallback chain
-# resolves it (seed).
+# Config key of each settings-dataclass field: TrainConfig's fields keep
+# their names, ProbeConfig's generic ones take a probe_ prefix.
+_FIELD_KEYS = {
+    TrainConfig: {f.name: f.name for f in fields(TrainConfig)},
+    pr.ProbeConfig: {
+        f.name: {"epochs": "probe_epochs", "lr": "probe_lr", "batch_size": "probe_batch"}
+        .get(f.name, f.name)
+        for f in fields(pr.ProbeConfig)
+    },
+}
+
+# Every config key with its default: first the dataclass defaults (tuples as
+# JSON lists), then the keys whose default the CLI sets. `None` means "no
+# value": either the command supplies its own (out paths) or a fallback chain
+# resolves it (seed, in place of the dataclasses' 0).
 CONFIG_DEFAULTS = {
-    # task selection
-    "task": "R",              # D | P | I | R | C | N | MT
-    "k": 2,                   # perturbation size / candidate count
-    "gate_p": 0.5,            # probability an example is perturbed
-    # model
-    "hidden_size": 32,        # LSTM units per direction
-    "embed_dim": 64,          # word embedding width
-    "head_dim": 64,           # classifier-head hidden width
-    "init_gain": 4.0,         # initialization scale for non-embedding weights
-    # optimization
-    "batch_size": 64,
-    "lr0": 0.1,
-    "epoch_decay": 0.99,
-    "drop_decay": 0.2,
-    "clip_norm": 5.0,
-    "max_epochs": 20,
-    "valid_draws": 10,        # perturbation draws averaged per validation
-    "allow_custom_k": False,
-    # data
-    "corpus": None,           # path to one-sentence-per-line text; None -> toy
-    "toy_n": 2000,            # toy corpus size when corpus is None
+    **{
+        keys[f.name]: list(f.default) if isinstance(f.default, tuple) else f.default
+        for cls, keys in _FIELD_KEYS.items()
+        for f in fields(cls)
+        if f.default is not MISSING
+    },
+    "task": "R",                    # D | P | I | R | C | N | MT
+    "seed": None,                   # None -> CONSSENT_SEED env var -> 0
+    "corpus": None,                 # path to one-sentence-per-line text; None -> toy
+    "toy_n": 2000,                  # toy corpus size when corpus is None
     "valid_fraction": 0.1,
     "min_freq": 1,
-    # probes
-    "probes": ["SentLen", "WordContent", "BigramShift"],
+    "probes": list(pr.PROBE_NAMES),
     "probe_classifier": "logreg",   # logreg | mlp | both
-    "mlp_hidden": [50, 100, 200],
-    "dropout": [0.0, 0.1, 0.2],
-    "l2_grid": [1e-4, 1e-3, 1e-2, 1e-1, 1.0],
-    "probe_epochs": 40,
-    "probe_lr": 0.2,
-    "probe_batch": 32,
-    "baseline": False,        # also evaluate an untrained encoder
-    # execution
-    "seed": None,             # None -> CONSSENT_SEED env var -> 0
-    "threads": 1,             # data-prep parallelism cap (prep is serial today)
-    "deterministic": False,   # force single-threaded bit-stable runs
-    # artifacts
-    "out": None,              # main output path; default depends on command
-    "metrics": None,          # metrics JSONL path (train/sweep)
+    "baseline": False,              # also evaluate an untrained encoder
+    "out": None,                    # main output path; default depends on command
+    "metrics": None,                # metrics JSONL path (train/sweep)
 }
 
 
@@ -104,6 +94,19 @@ def _progress(msg: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _type_ok(value, default) -> bool:
+    """Whether a config value has its default's JSON type: an int passes for
+    a float, a list's items are checked against the default's first item, and
+    a key whose default is None takes any value."""
+    if default is None:
+        return True
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_type_ok(v, default[0]) for v in value)
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
 def load_run_config(path: str | None) -> dict:
     config = dict(CONFIG_DEFAULTS)
     if path is None:
@@ -119,6 +122,10 @@ def load_run_config(path: str | None) -> dict:
     unknown = sorted(set(loaded) - set(CONFIG_DEFAULTS))
     if unknown:
         raise UsageError(f"{path}: unknown config keys {unknown}")
+    for key, value in loaded.items():
+        if not _type_ok(value, CONFIG_DEFAULTS[key]):
+            raise UsageError(f"{path}: {key}={value!r} does not match the type "
+                             f"of its default {CONFIG_DEFAULTS[key]!r}")
     config.update(loaded)
     return config
 
@@ -130,20 +137,13 @@ def resolve_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
-    if config["seed"] is None:
-        env = os.environ.get("CONSSENT_SEED")
-        if env is not None:
-            try:
-                config["seed"] = int(env)
-            except ValueError as exc:
-                raise UsageError(f"CONSSENT_SEED={env!r} is not an integer") from exc
-        else:
-            config["seed"] = 0
-    config["seed"] = int(config["seed"])
-    if config["threads"] < 1:
-        raise UsageError(f"--threads must be >= 1, got {config['threads']}")
-    if config["deterministic"]:
-        config["threads"] = 1
+    seed, source = config["seed"], "seed"
+    if seed is None:
+        seed, source = os.environ.get("CONSSENT_SEED", 0), "CONSSENT_SEED"
+    try:
+        config["seed"] = int(seed)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{source}={seed!r} is not an integer") from exc
     return config
 
 
@@ -171,54 +171,27 @@ def _load_sentences(config: dict) -> list:
     return make_toy_corpus(config["toy_n"], seed=config["seed"])
 
 
-def _prepare(config: dict):
-    sentences = _load_sentences(config)
-    return prepare_corpus(
-        sentences,
-        min_freq=config["min_freq"],
-        valid_fraction=config["valid_fraction"],
-        seed=config["seed"],
-    )
-
-
-def _train_config(config: dict, task=None, k=None) -> TrainConfig:
+def _prepare(config: dict, sentences: list | None = None):
+    if sentences is None:
+        sentences = _load_sentences(config)
     try:
-        return _train_config_raw(config, task, k)
+        return prepare_corpus(
+            sentences,
+            min_freq=config["min_freq"],
+            valid_fraction=config["valid_fraction"],
+            seed=config["seed"],
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _train_config_raw(config: dict, task=None, k=None) -> TrainConfig:
-    return TrainConfig(
-        task=task if task is not None else config["task"],
-        k=k if k is not None else config["k"],
-        hidden_size=config["hidden_size"],
-        embed_dim=config["embed_dim"],
-        head_dim=config["head_dim"],
-        batch_size=config["batch_size"],
-        lr0=config["lr0"],
-        epoch_decay=config["epoch_decay"],
-        drop_decay=config["drop_decay"],
-        clip_norm=config["clip_norm"],
-        max_epochs=config["max_epochs"],
-        gate_p=config["gate_p"],
-        init_gain=config["init_gain"],
-        valid_draws=config["valid_draws"],
-        seed=config["seed"],
-        allow_custom_k=config["allow_custom_k"],
-    )
-
-
-def _probe_config(config: dict) -> pr.ProbeConfig:
-    return pr.ProbeConfig(
-        mlp_hidden=tuple(config["mlp_hidden"]),
-        dropout=tuple(config["dropout"]),
-        l2_grid=tuple(config["l2_grid"]),
-        epochs=config["probe_epochs"],
-        lr=config["probe_lr"],
-        batch_size=config["probe_batch"],
-        seed=config["seed"],
-    )
+def _settings(cls, config: dict):
+    """A TrainConfig or ProbeConfig filled from the resolved config."""
+    values = {name: config[key] for name, key in _FIELD_KEYS[cls].items()}
+    try:
+        return cls(**{n: tuple(v) if isinstance(v, list) else v for n, v in values.items()})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +206,7 @@ def cmd_gen(config: dict) -> int:
     if task == "MT":
         raise UsageError("gen writes one task's dataset; pick one of D P I R C N")
     # validate k through the same gate training uses
-    _train_config(config)
+    _settings(TrainConfig, config)
     if task in ("C", "N"):
         batches, stats = gen_pair_batches(
             data.all_ids, task, k, config["batch_size"], seed
@@ -262,7 +235,7 @@ def cmd_train(config: dict) -> int:
     out = config["out"] or "model.ckpt"
     metrics_path = config["metrics"] or str(out) + ".metrics.jsonl"
     data = _prepare(config)
-    tc = _train_config(config)
+    tc = _settings(TrainConfig, config)
     _progress(f"train {tc.task}(k={tc.k}) on {len(data.train)} sentences "
               f"(vocab {data.vocab.size})")
     if tc.task == "MT":
@@ -292,6 +265,7 @@ def cmd_train(config: dict) -> int:
     write_meta(out, config, **summary)
     final_losses = [h["train_loss"] for h in history if h["epoch"] == history[-1]["epoch"]]
     summary["final_loss"] = sum(final_losses) / len(final_losses)
+    summary["skipped_steps"] = sum(h["skipped_steps"] for h in history)
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -320,19 +294,14 @@ def cmd_probe(config: dict, ckpt: str) -> int:
         raise UsageError("probe needs --out for the results file stem")
     params, _meta = load_checkpoint(ckpt)
     sentences = _load_sentences(config)
-    data = prepare_corpus(
-        sentences,
-        min_freq=config["min_freq"],
-        valid_fraction=config["valid_fraction"],
-        seed=config["seed"],
-    )
+    data = _prepare(config, sentences)
     if data.vocab.size != params.vocab_size:
         raise DataError(
             f"checkpoint vocab size {params.vocab_size} != corpus vocab "
             f"{data.vocab.size}; probe with the corpus the model was trained on"
         )
     tasks = _probe_tasks(config, sentences)
-    pc = _probe_config(config)
+    pc = _settings(pr.ProbeConfig, config)
     classifiers = {"logreg": ("logreg",), "mlp": ("mlp",),
                    "both": ("logreg", "mlp")}.get(config["probe_classifier"])
     if classifiers is None:
@@ -375,7 +344,7 @@ def cmd_sweep(config: dict, k_range: str) -> int:
     rows = []
     print("task\tk\tbest_valid\tbest_epoch")
     for k in ks:
-        tc = _train_config(config, k=k)
+        tc = _settings(TrainConfig, {**config, "k": k})
         _progress(f"sweep {tc.task}(k={k})")
         if tc.task == "MT":
             state = train_multitask(tc, data, progress=_progress)
@@ -393,26 +362,6 @@ def cmd_sweep(config: dict, k_range: str) -> int:
     return 0
 
 
-def _member_probs(params, task: str, examples) -> np.ndarray:
-    """Softmax of a member's head over its encodings of labeled examples."""
-    if task not in params.heads:
-        raise DataError(f"checkpoint has no classifier head for task {task!r}")
-    from . import autodiff as ad
-    from .encoder import encode_batch, head_logits
-
-    head = params.heads[task]
-    tape = ad.Tape(recording=False)
-    probs = []
-    for start in range(0, len(examples), 256):
-        chunk = examples[start : start + 256]
-        enc = encode_batch([ex.tokens for ex in chunk], params, tape)
-        logits = head_logits(enc, head).value
-        z = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        probs.append(e / e.sum(axis=1, keepdims=True))
-    return np.concatenate(probs, axis=0)
-
-
 def cmd_ensemble(config: dict, manifest_path: str) -> int:
     spec = ens.read_manifest(manifest_path)
     task, k, seed = config["task"], config["k"], config["seed"]
@@ -421,7 +370,7 @@ def cmd_ensemble(config: dict, manifest_path: str) -> int:
             "ensemble evaluation averages classifier-head probabilities, "
             "so it applies to the binary tasks D P I R"
         )
-    if task not in spec.weights:
+    if task not in spec.valid_scores:
         raise DataError(f"manifest has no validation scores for task {task!r}")
     data = _prepare(config)
     examples, _ = gen_single_examples(
@@ -436,7 +385,7 @@ def cmd_ensemble(config: dict, manifest_path: str) -> int:
                 f"{path}: vocab size {params.vocab_size} != corpus vocab "
                 f"{data.vocab.size}; evaluate with the training corpus"
             )
-        probs = _member_probs(params, task, examples)
+        probs = head_probs([ex.tokens for ex in examples], params, task)
         member_probs.append(probs)
         member_accs.append(float(np.mean(np.argmax(probs, axis=1) == labels)))
     weights = spec.weights[task]
@@ -484,9 +433,6 @@ def _add_common(p: _Parser) -> None:
                    help="toy corpus size when --corpus is absent")
     p.add_argument("--valid-fraction", dest="valid_fraction", type=float)
     p.add_argument("--min-freq", dest="min_freq", type=int)
-    p.add_argument("--threads", type=int, help="data-prep parallelism cap")
-    p.add_argument("--deterministic", action="store_const", const=True,
-                   help="force single-threaded bit-stable execution")
     p.add_argument("--out", help="output path")
 
 

@@ -55,6 +55,7 @@ class Vocabulary:
         return token in self.token_to_id
 
     def encode(self, tokens: list[str]) -> list[int]:
+        """Map tokens to ids; out-of-vocabulary tokens become UNK."""
         t2i = self.token_to_id
         return [t2i.get(tok, UNK_ID) for tok in tokens]
 
@@ -96,15 +97,6 @@ def build_vocab(
     id_to_token = (UNK_TOKEN, PAD_TOKEN, *kept)
     token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
     return Vocabulary(token_to_id, id_to_token, min_freq)
-
-
-def encode(tokens: list[str], vocab: Vocabulary) -> list[int]:
-    """Map tokens to ids; out-of-vocabulary tokens become UNK."""
-    return vocab.encode(tokens)
-
-
-def decode(ids: list[int], vocab: Vocabulary) -> list[str]:
-    return vocab.decode(ids)
 
 
 def split_corpus(

@@ -436,6 +436,18 @@ def head_logits(v, head: HeadWeights) -> ad.Var:
     return ad.add(ad.matmul(hidden, head.w2), head.b2)
 
 
+def head_probs(seqs: list, params: EncoderParams, task: str, batch_size: int = 256) -> np.ndarray:
+    """(N, classes) softmax of ``task``'s head over frozen encodings of ``seqs``."""
+    if task not in params.heads:
+        raise DataError(f"checkpoint has no classifier head for task {task!r}")
+    head, tape = params.heads[task], ad.Tape(recording=False)
+    logits = [
+        head_logits(encode_batch(seqs[s : s + batch_size], params, tape), head).value
+        for s in range(0, len(seqs), batch_size)
+    ]
+    return ad.softmax_rows(np.concatenate(logits, axis=0))
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints: magic, version, JSON metadata, then raw little-endian float32
 # arrays in named_arrays() order.

@@ -42,11 +42,10 @@ def normalize_weights(scores) -> tuple:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Checkpoint paths plus per-task validation scores and derived weights."""
+    """Checkpoint paths plus per-task validation scores, one per member."""
 
     checkpoints: tuple            # paths, length >= 2
     valid_scores: dict            # task name -> tuple of scores, one per member
-    weights: dict                 # task name -> normalized weights
 
     def __post_init__(self):
         if len(self.checkpoints) < 2:
@@ -57,18 +56,18 @@ class EnsembleSpec:
                     f"task {task!r} has {len(scores)} scores for "
                     f"{len(self.checkpoints)} members"
                 )
-            w = self.weights[task]
-            if len(w) != len(self.checkpoints) or any(x < 0 for x in w):
-                raise UsageError(f"task {task!r}: malformed weights {w}")
-            if abs(sum(w) - 1.0) > 1e-9:
-                raise UsageError(f"task {task!r}: weights sum to {sum(w)}, not 1")
+            normalize_weights(scores)
+
+    @property
+    def weights(self) -> dict:
+        """Task name -> normalized weights derived from the scores."""
+        return {t: normalize_weights(sc) for t, sc in self.valid_scores.items()}
 
 
 def make_ensemble_spec(checkpoints, valid_scores: dict) -> EnsembleSpec:
     return EnsembleSpec(
         checkpoints=tuple(str(p) for p in checkpoints),
         valid_scores={t: tuple(float(s) for s in sc) for t, sc in valid_scores.items()},
-        weights={t: normalize_weights(sc) for t, sc in valid_scores.items()},
     )
 
 
@@ -125,10 +124,11 @@ def read_manifest(path: str | Path) -> EnsembleSpec:
     if missing:
         raise DataError(f"{path}: manifest lacks {sorted(missing)}")
     spec = make_ensemble_spec(payload["checkpoints"], payload["valid_scores"])
-    stored = payload.get("weights")
+    stored, derived = payload.get("weights"), spec.weights
     if stored is not None:
         for task, w in stored.items():
-            if np.max(np.abs(np.array(w) - np.array(spec.weights[task]))) > 1e-9:
+            want = derived.get(task, ())
+            if len(w) != len(want) or np.max(np.abs(np.array(w) - np.array(want))) > 1e-9:
                 raise DataError(
                     f"{path}: stored weights for {task!r} disagree with scores"
                 )

@@ -26,10 +26,11 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize
 
-from .autodiff import stable_sigmoid
+from .autodiff import softmax_rows, stable_sigmoid
 from .corpus import Vocabulary
 from .encoder import EncoderParams, encode_sentences, init_params
 from .errors import DataError, UsageError
+from .perturb import TooShort
 from .rng import PROBE, stream
 
 PROBE_NAMES = ("SentLen", "WordContent", "BigramShift")
@@ -46,10 +47,6 @@ class UncoveredLength(DataError):
 
 class InsufficientExamples(DataError):
     """Some probe class ended up below the minimum example count."""
-
-
-class TooShort(DataError):
-    """A sentence is too short to host the probe's perturbation."""
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +92,8 @@ def _split_indices(n: int, name: str, seed: int) -> tuple[tuple, tuple, tuple]:
     stream(seed, PROBE, epoch=0, item=_PROBE_ITEM.get(name, 7)).shuffle(order)
     n_train = int(n * 0.70)
     n_valid = int(n * 0.15)
-    # membership is random; storing each split sorted keeps serialization
-    # round-trips and within-split iteration order canonical
+    # membership is random; storing each split sorted keeps within-split
+    # iteration order canonical
     return (
         tuple(sorted(order[:n_train])),
         tuple(sorted(order[n_train : n_train + n_valid])),
@@ -235,17 +232,11 @@ def encode_probe(task: ProbeTask, encoder, vocab: Vocabulary | None = None) -> P
 # ---------------------------------------------------------------------------
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _logreg_value_and_grad(wb, x, y, l2, n_classes):
     n, d = x.shape
     w = wb[: d * n_classes].reshape(d, n_classes)
     b = wb[d * n_classes :]
-    probs = _softmax(x @ w + b)
+    probs = softmax_rows(x @ w + b)
     nll = -np.log(probs[np.arange(n), y] + 1e-300).mean()
     value = nll + 0.5 * l2 * float(np.sum(w * w))
     delta = probs
@@ -362,7 +353,7 @@ def fit_mlp(x, y, num_classes, hidden, dropout, rng, epochs=40, lr=0.2, batch_si
             else:
                 mask = None
                 hd = h
-            probs = _softmax(hd @ w2 + b2)
+            probs = softmax_rows(hd @ w2 + b2)
             delta = probs
             delta[np.arange(len(idx)), yb] -= 1.0
             delta /= len(idx)
@@ -451,50 +442,8 @@ def eval_untrained_baseline(
 
 
 # ---------------------------------------------------------------------------
-# Serialization: dataset lines and result tables
+# Serialization: result tables
 # ---------------------------------------------------------------------------
-
-
-def write_probe_dataset(path: str | Path, task: ProbeTask) -> None:
-    """Same line discipline as the perturbation datasets (tab-separated
-    metadata, space-joined tokens) with the class in the label column."""
-    split_of = {}
-    for name in ("train", "valid", "test"):
-        for i in getattr(task, f"{name}_idx"):
-            split_of[i] = name
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, (tokens, cls) in enumerate(task.examples):
-            fh.write(f"{cls}\t{task.name}\t{split_of[i]}\t{i}\t" + " ".join(tokens) + "\n")
-
-
-def read_probe_dataset(path: str | Path) -> ProbeTask:
-    examples, splits, names = [], {"train": [], "valid": [], "test": []}, set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise DataError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
-            cls, name, split, idx, toks = fields
-            if split not in splits:
-                raise DataError(f"{path}:{lineno}: bad split {split!r}")
-            if int(idx) != len(examples):
-                raise DataError(f"{path}:{lineno}: indices must be dense and ordered")
-            names.add(name)
-            splits[split].append(int(idx))
-            examples.append((tuple(toks.split()), int(cls)))
-    if len(names) != 1:
-        raise DataError(f"{path}: mixed task names {sorted(names)}")
-    return ProbeTask(
-        names.pop(),
-        tuple(examples),
-        max(c for _, c in examples) + 1,
-        tuple(splits["train"]),
-        tuple(splits["valid"]),
-        tuple(splits["test"]),
-    )
 
 
 def results_to_table(results: dict) -> dict:

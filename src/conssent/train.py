@@ -73,10 +73,6 @@ def _chan(epoch: int, task: str) -> int:
     return epoch + 256 * _MEMBER_INDEX[task]
 
 
-class DimMismatch(NumericError):
-    """Ranking inputs do not share one encoding dimension."""
-
-
 class NonFiniteGradient(NumericError):
     """A NaN or infinity reached the optimizer; the step was abandoned.
 
@@ -87,20 +83,20 @@ class NonFiniteGradient(NumericError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    task: str
-    k: int = 2
-    hidden_size: int = 32
-    embed_dim: int = 64
-    head_dim: int = 64
+    task: str                 # D | P | I | R | C | N | MT
+    k: int = 2                # perturbation size / candidate count
+    hidden_size: int = 32     # LSTM units per direction
+    embed_dim: int = 64       # word embedding width
+    head_dim: int = 64        # classifier-head hidden width
     batch_size: int = 64
     lr0: float = 0.1
     epoch_decay: float = 0.99
     drop_decay: float = 0.2
     clip_norm: float = 5.0
     max_epochs: int = 20
-    gate_p: float = 0.5
-    init_gain: float = 4.0
-    valid_draws: int = 10
+    gate_p: float = 0.5       # probability an example is perturbed
+    init_gain: float = 4.0    # initialization scale for non-embedding weights
+    valid_draws: int = 10     # perturbation draws averaged per validation
     seed: int = 0
     allow_custom_k: bool = False
 
@@ -170,51 +166,13 @@ class MultitaskState:
 # ---------------------------------------------------------------------------
 
 
-def _as_var(x, tape: ad.Tape) -> ad.Var:
-    return x if isinstance(x, ad.Var) else tape.leaf(np.asarray(x, dtype=np.float64))
-
-
-def binary_loss(logits, labels) -> ad.Var:
-    """Softmax cross-entropy over two logits; accepts (2,) or (B, 2)."""
-    if not isinstance(logits, ad.Var):
-        logits = ad.Tape(recording=False).leaf(np.asarray(logits, dtype=np.float64))
-    if logits.value.ndim == 1:
-        logits = ad.reshape(logits, (1, logits.value.shape[0]))
-    targets = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    return ad.softmax_xent(logits, targets)
-
-
-def ranking_loss(anchor, candidates, target: int) -> ad.Var:
-    """Cross-entropy of the target among k candidate dot products.
+def pair_batch_loss(batch: PairBatch, params, tape: ad.Tape) -> ad.Var:
+    """Mean ranking loss over a whole batch via one (B, B) score matrix.
 
     The minibatch inequality "anchor · true part >= anchor · impostor part"
-    becomes a k-way classification over dot-product scores, so no extra
-    parameters are introduced. At indifference the loss is exactly ln k.
+    becomes a k-way softmax cross-entropy over dot-product scores, so no
+    parameters are added; at indifference the loss is exactly ln k.
     """
-    k = len(candidates)
-    if k < 2:
-        raise ValueError(f"need at least 2 candidates, got {k}")
-    if not 0 <= target < k:
-        raise ValueError(f"target {target} outside 0..{k - 1}")
-    dims = {tuple(np.shape(c if not isinstance(c, ad.Var) else c.value)) for c in candidates}
-    a_dim = tuple(np.shape(anchor if not isinstance(anchor, ad.Var) else anchor.value))
-    if len(dims) != 1 or dims != {a_dim} or len(a_dim) != 1:
-        raise DimMismatch(
-            f"anchor {a_dim} and candidate shapes {sorted(dims)} must all be one "
-            "equal-length vector shape"
-        )
-    tape = next(
-        (x.tape for x in [anchor, *candidates] if isinstance(x, ad.Var)),
-        None,
-    ) or ad.Tape(recording=False)
-    anchor = _as_var(anchor, tape)
-    cands = ad.stack_rows([_as_var(c, tape) for c in candidates])  # (k, d)
-    dots = ad.matmul(ad.reshape(anchor, (1, a_dim[0])), ad.transpose(cands))  # (1, k)
-    return ad.softmax_xent(dots, np.array([target], dtype=np.int64))
-
-
-def pair_batch_loss(batch: PairBatch, params, tape: ad.Tape) -> ad.Var:
-    """Mean ranking loss over a whole batch via one (B, B) score matrix."""
     left = encode_batch(batch.lefts, params, tape)
     right = encode_batch(batch.rights, params, tape)
     all_scores = ad.matmul(left, ad.transpose(right))  # (B, B) dot products
@@ -421,7 +379,6 @@ def _run_training(
     best_epoch = 0
     best_accs: dict = {}
     history: list[dict] = []
-    skipped = 0
 
     for epoch in range(config.max_epochs):
         batch_lists = {t: _epoch_batches(data.train, t, config, epoch, data.vocab) for t in tasks}
@@ -432,13 +389,14 @@ def _run_training(
                 f"{[t for t in tasks if not batch_lists[t]]}"
             )
         losses = {t: [] for t in tasks}
+        skips = dict.fromkeys(tasks, 0)
         max_norm = 0.0
         for r in range(n_rounds):
             for t in tasks:
                 try:
                     loss, norm = _train_one_batch(params, t, batch_lists[t][r], lr, config.clip_norm)
                 except NonFiniteGradient:
-                    skipped += 1
+                    skips[t] += 1
                     continue
                 losses[t].append(loss)
                 max_norm = max(max_norm, norm)
@@ -460,6 +418,7 @@ def _run_training(
                     "valid_acc": accs[t],
                     "lr": lr,
                     "max_grad_norm": max_norm,
+                    "skipped_steps": skips[t],
                 }
             )
         if progress is not None:
@@ -481,7 +440,7 @@ def _run_training(
         history=history,
         config=config,
         member_accs=best_accs,
-        skipped_steps=skipped,
+        skipped_steps=sum(row["skipped_steps"] for row in history),
     )
 
 

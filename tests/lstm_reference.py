@@ -6,7 +6,7 @@ four column slices, four nonlinearities and the cell update (plus four
 mask ops on a ragged batch), and the pool is a per-position concat, a
 stack and a max over positions, all as separate tape nodes. The fused op
 must reproduce its forward values and every leaf gradient bit for bit.
-The three ops below exist only for this path.
+The four ops below exist only for this path.
 """
 
 import numpy as np
@@ -40,6 +40,19 @@ def concat_cols(a, b) -> ad.Var:
     def back(g):
         ad._accum(a, g[:, :split])
         ad._accum(b, g[:, split:])
+
+    return tape._push(out, back)
+
+
+def stack_rows(xs) -> ad.Var:
+    """Stack same-shape arrays along a new leading axis."""
+    xs = list(xs)
+    tape = ad._tape_of(*xs)
+    out = np.stack([ad._value(x) for x in xs], axis=0)
+
+    def back(g):
+        for i, x in enumerate(xs):
+            ad._accum(x, g[i])
 
     return tape._push(out, back)
 
@@ -115,4 +128,4 @@ def encode_batch(seqs: list, params: EncoderParams, tape: ad.Tape) -> ad.Var:
         if ragged:
             u = ad.add(u, (mask[:, t : t + 1] - 1.0) * _NEG_BIG)
         per_pos.append(u)
-    return max_over_rows(ad.stack_rows(per_pos))
+    return max_over_rows(stack_rows(per_pos))

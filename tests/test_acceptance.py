@@ -15,12 +15,11 @@ import numpy as np
 import pytest
 
 import test_perturb as oracles
-from conssent import autodiff as ad
 from conssent import ensemble as ens
 from conssent import probes as pr
 from conssent.cli import main as cli_main
 from conssent.corpus import build_vocab, prepare_corpus
-from conssent.encoder import encode_batch, head_logits
+from conssent.encoder import head_probs
 from conssent.perturb import (
     gen_single_examples,
     make_single_example,
@@ -261,15 +260,6 @@ def test_criterion_07_multitask(toy_data):
 # ---------------------------------------------------------------------------
 
 
-def _head_probs(params, task, examples):
-    tape = ad.Tape(recording=False)
-    enc = encode_batch([list(ex.tokens) for ex in examples], params, tape)
-    logits = head_logits(enc, params.heads[task]).value
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def test_criterion_08_ensemble(toy_data):
     rng = np.random.default_rng(0)
     probs = [rng.dirichlet(np.ones(3), size=40) for _ in range(2)]
@@ -285,7 +275,8 @@ def test_criterion_08_ensemble(toy_data):
     examples, _ = gen_single_examples(toy_data.valid, "R", 1, 0.5,
                                       toy_data.vocab, 123, purpose=VALID)
     labels = np.array([ex.label for ex in examples])
-    member_probs = [_head_probs(m.params, "R", examples) for m in members]
+    member_probs = [head_probs([ex.tokens for ex in examples], m.params, "R")
+                    for m in members]
     member_accs = [float(np.mean(np.argmax(p, axis=1) == labels))
                    for p in member_probs]
     weights = ens.normalize_weights([m.best_valid for m in members])
@@ -310,7 +301,6 @@ def test_criterion_09_determinism(tmp_path, capsys):
                          "--toy-n", "80", "--hidden-size", "4", "--embed-dim", "8",
                          "--head-dim", "8", "--batch-size", "16",
                          "--max-epochs", "2", "--valid-draws", "2",
-                         "--deterministic",
                          "--out", str(tmp_path / f"{name}.ckpt")]) == 0
         losses.append(json.loads(
             capsys.readouterr().out.strip().split("\n")[-1])["final_loss"])

@@ -1,15 +1,16 @@
 """Tape mechanics plus per-op agreement with central finite differences.
 
-``slice_cols``, ``concat_cols`` and ``max_over_rows`` live with the per-op
-reference encoder in ``lstm_reference``; they are checked here like the
-package's own ops because the fused encoder is tested against them.
+``slice_cols``, ``concat_cols``, ``stack_rows`` and ``max_over_rows`` live
+with the per-op reference encoder in ``lstm_reference``; they are checked
+here like the package's own ops because the fused encoder is tested
+against them.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from lstm_reference import concat_cols, max_over_rows, slice_cols
+from lstm_reference import concat_cols, max_over_rows, slice_cols, stack_rows
 
 from conssent import autodiff as ad
 from conssent.autodiff import DoubleBackward, Tape, finite_diff_check
@@ -270,7 +271,7 @@ def test_grad_slice_concat():
 
 def test_grad_stack_max():
     def build(tape, v):
-        stacked = ad.stack_rows([v["a"], v["b"], v["c"]])
+        stacked = stack_rows([v["a"], v["b"], v["c"]])
         return ad.mean_all(max_over_rows(stacked))
 
     # well-separated values so the argmax is stable under the probe step

@@ -1,10 +1,11 @@
 """CLI: exit codes, precedence rules, artifact discipline, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
-from conssent.cli import CONFIG_DEFAULTS, config_sha256, main
+from conssent.cli import CONFIG_DEFAULTS, config_sha256, load_run_config, main
 from conssent.ensemble import make_ensemble_spec, write_manifest
 from conssent.toydata import make_toy_corpus
 
@@ -12,8 +13,19 @@ TINY = ["--hidden-size", "4", "--embed-dim", "8", "--head-dim", "8",
         "--batch-size", "16", "--max-epochs", "1", "--valid-draws", "1"]
 
 
+# sha256 of artifacts written by the commit before the settings, loss and
+# head-probability code was consolidated; that change kept these bytes.
+GEN_R2_SHA256 = "8b8595786b386604e676a25a04e15c75d0b4c8cb0b0f537df37a390acc2d7133"
+TRAIN_D1_SHA256 = "a4cff490c2d493be60b3d0a816921bf64a8400e7039b135c6e0bdb3c67aac454"
+ENSEMBLE_R1_SHA256 = "d2498548a123653a85fdb355f270bc7c41eab0061e5ae425bfd6a0a8ca6370ba"
+
+
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture()
@@ -38,6 +50,7 @@ def test_gen_is_byte_identical_across_runs(tmp_path):
                "--toy-n", "60", "--out", b) == 0
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.tsv.vocab").read_bytes() == (tmp_path / "b.tsv.vocab").read_bytes()
+    assert sha256(a) == GEN_R2_SHA256
 
 
 def test_gen_pair_task_dataset(tmp_path):
@@ -66,6 +79,19 @@ def test_gen_rejects_mt_and_bad_k(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [("--min-freq", "0"), ("--valid-fraction", "1.5")])
+def test_bad_corpus_setting_is_usage_error(tmp_path, capsys, flag):
+    assert run("gen", "--task", "D", "--k", "1", "--toy-n", "50", *flag,
+               "--out", tmp_path / "x") == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [("--threads", "2"), ("--deterministic",)])
+def test_removed_knobs_are_unknown_flags(tmp_path, argv):
+    assert run("train", "--task", "D", "--k", "1", "--toy-n", "50", *argv,
+               "--out", tmp_path / "m.ckpt") == 1
+
+
 # ---------------------------------------------------------------------------
 # Config file handling and precedence
 # ---------------------------------------------------------------------------
@@ -75,6 +101,32 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"task": "D", "nonsense_key": 1}))
     assert run("gen", "--config", cfg, "--out", tmp_path / "x") == 1
+
+
+@pytest.mark.parametrize("entry", [
+    {"hidden_size": "big"},
+    {"hidden_size": 32.0},
+    {"max_epochs": True},
+    {"allow_custom_k": 1},
+    {"lr0": "0.1"},
+    {"l2_grid": 0.1},
+    {"mlp_hidden": [50, "wide"]},
+    {"probes": "SentLen"},
+    {"threads": 1},
+])
+def test_mistyped_or_removed_config_value_is_usage_error(tmp_path, capsys, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    assert run("train", "--config", cfg, "--out", tmp_path / "m.ckpt") == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_config_accepts_int_for_float_list_for_tuple_any_for_none(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    entries = {"lr0": 1, "dropout": [0, 0.5], "l2_grid": [1], "corpus": None,
+               "out": "x", "seed": "3"}
+    cfg.write_text(json.dumps(entries))
+    assert load_run_config(str(cfg)) == {**CONFIG_DEFAULTS, **entries}
 
 
 def test_invalid_config_json_is_data_error(tmp_path):
@@ -124,8 +176,25 @@ def test_unknown_flag_exits_one():
 
 def test_defaults_documented():
     # every key must carry an inline comment in the source defaults block
-    assert set(CONFIG_DEFAULTS) >= {"task", "k", "seed", "threads", "deterministic",
-                                    "corpus", "out", "l2_grid"}
+    assert set(CONFIG_DEFAULTS) >= {"task", "k", "seed", "corpus", "out", "l2_grid"}
+
+
+def test_defaults_match_the_documented_literal():
+    # the table the CLI documented before its defaults were derived from
+    # TrainConfig and ProbeConfig
+    assert load_run_config(None) == {
+        "task": "R", "k": 2, "gate_p": 0.5,
+        "hidden_size": 32, "embed_dim": 64, "head_dim": 64, "init_gain": 4.0,
+        "batch_size": 64, "lr0": 0.1, "epoch_decay": 0.99, "drop_decay": 0.2,
+        "clip_norm": 5.0, "max_epochs": 20, "valid_draws": 10,
+        "allow_custom_k": False,
+        "corpus": None, "toy_n": 2000, "valid_fraction": 0.1, "min_freq": 1,
+        "probes": ["SentLen", "WordContent", "BigramShift"],
+        "probe_classifier": "logreg", "mlp_hidden": [50, 100, 200],
+        "dropout": [0.0, 0.1, 0.2], "l2_grid": [1e-4, 1e-3, 1e-2, 1e-1, 1.0],
+        "probe_epochs": 40, "probe_lr": 0.2, "probe_batch": 32, "baseline": False,
+        "seed": None, "out": None, "metrics": None,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +210,16 @@ def test_train_writes_checkpoint_metrics_meta(tmp_path, capsys):
     assert summary["task"] == "R" and summary["checkpoint"] == str(out)
     assert out.exists()
     metrics = [json.loads(l) for l in (tmp_path / "m.ckpt.metrics.jsonl").read_text().splitlines()]
-    assert all({"epoch", "task", "train_loss", "valid_acc", "lr"} <= set(m) for m in metrics)
+    assert all({"epoch", "task", "train_loss", "valid_acc", "lr", "skipped_steps"} <= set(m)
+               for m in metrics)
+    assert summary["skipped_steps"] == 0
     meta = json.loads((tmp_path / "m.ckpt.meta.json").read_text())
     assert meta["best_valid"] == summary["best_valid"]
 
 
 def test_train_deterministic_bit_identical(tmp_path, capsys):
     args = ("train", "--task", "D", "--k", "1", "--seed", "5", "--toy-n", "80",
-            *TINY, "--deterministic")
+            *TINY)
     assert run(*args, "--out", tmp_path / "a.ckpt") == 0
     first = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
     assert run(*args, "--out", tmp_path / "b.ckpt") == 0
@@ -156,6 +227,7 @@ def test_train_deterministic_bit_identical(tmp_path, capsys):
     assert first["final_loss"] == second["final_loss"]
     assert first["best_valid"] == second["best_valid"]
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+    assert sha256(tmp_path / "a.ckpt") == TRAIN_D1_SHA256
 
 
 def test_train_multitask_writes_two_checkpoints(tmp_path, capsys):
@@ -244,12 +316,14 @@ def test_ensemble_cli_round_trip(tmp_path, corpus_file, capsys):
     manifest = tmp_path / "manifest.json"
     write_manifest(manifest, make_ensemble_spec(
         [tmp_path / "m1.ckpt", tmp_path / "m2.ckpt"], {"R": scores}))
+    out = tmp_path / "report.json"
     assert run("ensemble", manifest, "--task", "R", "--k", "1",
-               "--corpus", corpus_file, "--seed", "9") == 0
+               "--corpus", corpus_file, "--seed", "9", "--out", out) == 0
     report = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
     assert len(report["members"]) == 2
     assert report["ensemble"] >= 0.0
     assert sum(report["weights"]) == pytest.approx(1.0)
+    assert sha256(out) == ENSEMBLE_R1_SHA256
 
 
 def test_ensemble_rejects_ranking_tasks(tmp_path):

@@ -152,6 +152,14 @@ def test_spec_weights_derived_per_task():
     assert spec.weights["task2"] == (0.5, 0.5)
 
 
+def test_spec_validates_scores_at_construction():
+    # weights are derived on demand, so bad scores must fail when the spec is made
+    with pytest.raises(E.AllZero):
+        E.EnsembleSpec(("a", "b"), {"t": (0.0, 0.0)})
+    with pytest.raises(UsageError):
+        E.EnsembleSpec(("a", "b"), {"t": (-1.0, 2.0)})
+
+
 def test_manifest_round_trip(tmp_path):
     spec = E.make_ensemble_spec(
         ["m1.ckpt", "m2.ckpt", "m3.ckpt"],
@@ -178,12 +186,17 @@ def test_manifest_rejects_garbage(tmp_path):
 
 def test_manifest_rejects_inconsistent_weights(tmp_path):
     import json
-    payload = {
-        "checkpoints": ["a", "b"],
-        "valid_scores": {"t": [0.8, 0.6]},
-        "weights": {"t": [0.9, 0.1]},   # disagrees with the scores
-    }
-    path = tmp_path / "tampered.json"
-    path.write_text(json.dumps(payload))
-    with pytest.raises(DataError):
-        E.read_manifest(path)
+    for weights in (
+        {"t": [0.9, 0.1]},          # disagrees with the scores
+        {"t": [0.5, 0.25, 0.25]},   # one weight too many
+        {"u": [0.5, 0.5]},          # a task without scores
+    ):
+        payload = {
+            "checkpoints": ["a", "b"],
+            "valid_scores": {"t": [0.8, 0.6]},
+            "weights": weights,
+        }
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError):
+            E.read_manifest(path)

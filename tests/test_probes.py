@@ -216,25 +216,6 @@ def test_overlapping_splits_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def test_probe_dataset_round_trip(tmp_path, corpus):
-    task = P.gen_probe_sentlen(corpus, P.default_length_bins(corpus), seed=1)
-    path = tmp_path / "sentlen.tsv"
-    P.write_probe_dataset(path, task)
-    assert P.read_probe_dataset(path) == task
-
-
-def test_probe_dataset_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.tsv"
-    path.write_text("0\tX\ttrain\t0\ta b\n1\tX\tnowhere\t1\tc d\n")
-    with pytest.raises(DataError):
-        P.read_probe_dataset(path)
-
-
-# ---------------------------------------------------------------------------
 # Logistic-regression probe
 # ---------------------------------------------------------------------------
 

@@ -21,16 +21,13 @@ from conssent.train import (
     GROUP1,
     GROUP2,
     K_RANGES,
-    DimMismatch,
     NonFiniteGradient,
     TrainConfig,
     binary_accuracy,
-    binary_loss,
     encode_multitask,
     global_grad_norm,
     lr_schedule,
     pair_batch_loss,
-    ranking_loss,
     read_metrics_jsonl,
     run_gradcheck,
     sgd_step,
@@ -62,29 +59,34 @@ def tiny_config(task, **kw):
 
 
 # ---------------------------------------------------------------------------
-# binary_loss
+# binary loss: softmax_xent over a head's two logits
 # ---------------------------------------------------------------------------
+
+
+def binary_loss(logits, labels):
+    z = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    return float(ad.softmax_xent(ad.Tape(recording=False).leaf(z), np.atleast_1d(labels)).value)
 
 
 def test_binary_loss_indifference_is_ln2():
     for label in (0, 1):
-        assert float(binary_loss([0.0, 0.0], label).value) == pytest.approx(math.log(2), rel=1e-12)
+        assert binary_loss([0.0, 0.0], label) == pytest.approx(math.log(2), rel=1e-12)
 
 
 def test_binary_loss_confident_correct_is_tiny():
-    assert float(binary_loss([50.0, -50.0], 0).value) < 1e-20
+    assert binary_loss([50.0, -50.0], 0) < 1e-20
 
 
 def test_binary_loss_frozen_example():
-    got = float(binary_loss([1.0, -1.0], 1).value)
+    got = binary_loss([1.0, -1.0], 1)
     assert got == pytest.approx(math.log1p(math.exp(2.0)), rel=1e-12)
     assert got == pytest.approx(2.1269280110429727, rel=1e-12)
 
 
 def test_binary_loss_batch_is_mean_of_rows():
     logits = np.array([[0.0, 0.0], [1.0, -1.0]])
-    lone = [float(binary_loss(row, lab).value) for row, lab in zip(logits, [0, 1])]
-    both = float(binary_loss(logits, [0, 1]).value)
+    lone = [binary_loss(row, lab) for row, lab in zip(logits, [0, 1])]
+    both = binary_loss(logits, [0, 1])
     assert both == pytest.approx(sum(lone) / 2, rel=1e-12)
 
 
@@ -93,50 +95,57 @@ def test_binary_loss_batch_is_mean_of_rows():
     st.integers(min_value=0, max_value=1),
 )
 def test_binary_loss_nonnegative(logits, label):
-    assert float(binary_loss(logits, label).value) >= 0.0
+    assert binary_loss(logits, label) >= 0.0
 
 
 # ---------------------------------------------------------------------------
-# ranking_loss
+# ranking loss: pair_batch_loss over minibatch dot products
 # ---------------------------------------------------------------------------
+
+
+def ranking_loss(anchor, candidates, target, tape=None):
+    """pair_batch_loss for one anchor among k candidates, with the encoder
+    swapped for the identity so the scores are the given dot products.
+    Returns the loss and the (k, d) leaf holding the candidates."""
+    if tape is None:
+        tape = ad.Tape(recording=False)
+    leaves = []
+
+    def identity(vectors, params, tape):
+        leaves.append(tape.leaf(np.array(vectors, dtype=np.float64)))
+        return leaves[-1]
+
+    k = len(candidates)
+    batch = PairBatch([anchor], list(candidates), np.arange(k)[None, :],
+                      np.array([target]), "C", k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(train, "encode_batch", identity)
+        loss = pair_batch_loss(batch, None, tape)
+    return loss, leaves[1]
 
 
 def test_ranking_loss_indifference_is_ln_k():
     for k in (2, 3, 5):
         cand = [np.array([1.0, 2.0, 3.0])] * k
-        got = float(ranking_loss(np.array([0.5, -0.5, 1.0]), cand, 0).value)
-        assert got == pytest.approx(math.log(k), abs=1e-12)
+        got, _ = ranking_loss(np.array([0.5, -0.5, 1.0]), cand, 0)
+        assert float(got.value) == pytest.approx(math.log(k), abs=1e-12)
 
 
 def test_ranking_loss_confident_example():
     anchor = np.array([5.0, 0.0])
     cands = [np.array([1.0, 0.0]), np.array([-1.0, 0.0])]  # dots (5, -5)
-    got = float(ranking_loss(anchor, cands, 0).value)
-    assert got == pytest.approx(math.log1p(math.exp(-10.0)), rel=1e-12)
+    got, _ = ranking_loss(anchor, cands, 0)
+    assert float(got.value) == pytest.approx(math.log1p(math.exp(-10.0)), rel=1e-12)
 
 
 def test_ranking_loss_frozen_three_way():
     # dots (1, 0, -1), target 0
     anchor = np.array([1.0, 0.0])
     cands = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-1.0, 0.0])]
-    got = float(ranking_loss(anchor, cands, 0).value)
+    got, _ = ranking_loss(anchor, cands, 0)
     expect = -math.log(math.e / (math.e + 1.0 + math.exp(-1.0)))
-    assert got == pytest.approx(expect, rel=1e-12)
-    assert got == pytest.approx(0.4076059644443803, rel=1e-12)
-
-
-def test_ranking_loss_rejects_dim_mismatch():
-    with pytest.raises(DimMismatch):
-        ranking_loss(np.zeros(3), [np.zeros(3), np.zeros(2)], 0)
-    with pytest.raises(DimMismatch):
-        ranking_loss(np.zeros(4), [np.zeros(3), np.zeros(3)], 0)
-
-
-def test_ranking_loss_needs_two_candidates_and_valid_target():
-    with pytest.raises(ValueError):
-        ranking_loss(np.zeros(2), [np.zeros(2)], 0)
-    with pytest.raises(ValueError):
-        ranking_loss(np.zeros(2), [np.zeros(2), np.zeros(2)], 2)
+    assert float(got.value) == pytest.approx(expect, rel=1e-12)
+    assert float(got.value) == pytest.approx(0.4076059644443803, rel=1e-12)
 
 
 @given(st.integers(0, 2), st.lists(st.floats(-8, 8), min_size=3, max_size=3))
@@ -144,15 +153,14 @@ def test_ranking_loss_needs_two_candidates_and_valid_target():
 def test_ranking_gradient_signs(target, dot_values):
     """Target dot pulls up (negative gradient), impostors push down."""
     tape = ad.Tape()
-    anchor = tape.leaf(np.array([1.0, 0.0]))
-    cands = [tape.leaf(np.array([d, 0.0])) for d in dot_values]
-    loss = ranking_loss(anchor, cands, target)
+    loss, cands = ranking_loss(np.array([1.0, 0.0]), [np.array([d, 0.0]) for d in dot_values],
+                               target, tape)
     tape.backward(loss)
-    for j, c in enumerate(cands):
+    for j in range(len(dot_values)):
         if j == target:
-            assert c.grad[0] < 0.0
+            assert cands.grad[j, 0] < 0.0
         else:
-            assert c.grad[0] > 0.0
+            assert cands.grad[j, 0] > 0.0
 
 
 @given(
@@ -171,12 +179,12 @@ def test_ranking_loss_nonnegative(k, dim, data):
     )
     anchor, *cands = [np.array(v) for v in vecs]
     target = data.draw(st.integers(0, k - 1))
-    assert float(ranking_loss(anchor, cands, target).value) >= 0.0
+    assert float(ranking_loss(anchor, cands, target)[0].value) >= 0.0
 
 
 def test_pair_batch_loss_equals_mean_of_per_anchor_ranking(tiny_data):
-    """Dual route: the batched (B, k) score path must agree with applying
-    the k-way ranking loss anchor by anchor on the same encodings."""
+    """Dual route: the batched (B, k) score path must agree with the k-way
+    ranking loss computed anchor by anchor in numpy on the same encodings."""
     params = init_params(tiny_data.vocab.size, 8, 4, seed=5)
     sents = [s for s in tiny_data.train if len(s) >= 4][:6]
     from conssent.perturb import make_pair_batch
@@ -189,12 +197,12 @@ def test_pair_batch_loss_equals_mean_of_per_anchor_ranking(tiny_data):
     quiet = ad.Tape(recording=False)
     left = encode_batch(batch.lefts, params, quiet).value
     right = encode_batch(batch.rights, params, quiet).value
-    per_anchor = [
-        float(
-            ranking_loss(left[i], [right[j] for j in batch.cand_idx[i]], batch.targets[i]).value
-        )
-        for i in range(len(batch.lefts))
-    ]
+    per_anchor = []
+    for i in range(len(batch.lefts)):
+        scores = right[batch.cand_idx[i]] @ left[i]
+        top = scores.max()
+        logsumexp = top + np.log(np.exp(scores - top).sum())
+        per_anchor.append(logsumexp - scores[batch.targets[i]])
     assert float(loss.value) == pytest.approx(sum(per_anchor) / len(per_anchor), rel=1e-10)
 
 
@@ -470,6 +478,8 @@ def test_skipped_steps_are_counted_and_training_goes_on(tiny_data, monkeypatch):
     assert state.skipped_steps == 2
     assert len(state.history) == len(healthy.history)
     assert all(math.isfinite(row["train_loss"]) for row in state.history)
+    assert [row["skipped_steps"] for row in state.history] == [2, 0]
+    assert all(row["skipped_steps"] == 0 for row in healthy.history)
 
 
 def test_multitask_state_shapes(tiny_data):
