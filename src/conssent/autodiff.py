@@ -41,28 +41,6 @@ class Var:
     def __repr__(self):
         return f"Var(shape={self.value.shape}, grad={'set' if self.grad is not None else 'none'})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Tape:
     """Execution-ordered recording of Vars for one forward/backward pass."""
@@ -157,28 +135,6 @@ def add(a, b) -> Var:
     return tape._push(out, back)
 
 
-def sub(a, b) -> Var:
-    tape = _tape_of(a, b)
-    va, vb = _value(a), _value(b)
-    out = va - vb
-
-    def back(g):
-        _accum(a, _unbroadcast(g, va.shape))
-        _accum(b, _unbroadcast(-g, vb.shape))
-
-    return tape._push(out, back)
-
-
-def neg(x) -> Var:
-    tape = _tape_of(x)
-    out = -_value(x)
-
-    def back(g):
-        _accum(x, -g)
-
-    return tape._push(out, back)
-
-
 def mul(a, b) -> Var:
     tape = _tape_of(a, b)
     va, vb = _value(a), _value(b)
@@ -213,17 +169,6 @@ def transpose(x) -> Var:
         _accum(x, g.T)
 
     return tape._push(np.ascontiguousarray(out), back)
-
-
-def reshape(x, shape) -> Var:
-    tape = _tape_of(x)
-    vx = _value(x)
-    out = vx.reshape(shape)
-
-    def back(g):
-        _accum(x, g.reshape(vx.shape))
-
-    return tape._push(out, back)
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:

@@ -30,7 +30,14 @@ from . import probes as pr
 from .corpus import load_corpus_file, prepare_corpus, save_vocab_file
 from .encoder import head_probs, load_checkpoint, save_checkpoint
 from .errors import ConsSentError, DataError, NumericError, UsageError
-from .perturb import gen_pair_batches, gen_single_examples, write_pair_dataset, write_single_dataset
+from .perturb import (
+    PAIR_TASKS,
+    SINGLE_TASKS,
+    gen_pair_batches,
+    gen_single_examples,
+    write_pair_dataset,
+    write_single_dataset,
+)
 from .rng import PROBE, VALID, stream
 from .toydata import make_toy_corpus
 from .train import (
@@ -97,9 +104,9 @@ def _progress(msg: str) -> None:
 def _type_ok(value, default) -> bool:
     """Whether a config value has its default's JSON type: an int passes for
     a float, a list's items are checked against the default's first item, and
-    a key whose default is None takes any value."""
+    a key whose default is None (a path) takes a string or null."""
     if default is None:
-        return True
+        return value is None or type(value) is str
     if isinstance(default, list):
         return isinstance(value, list) and all(_type_ok(v, default[0]) for v in value)
     if isinstance(default, float):
@@ -123,7 +130,8 @@ def load_run_config(path: str | None) -> dict:
     if unknown:
         raise UsageError(f"{path}: unknown config keys {unknown}")
     for key, value in loaded.items():
-        if not _type_ok(value, CONFIG_DEFAULTS[key]):
+        # the seed is checked where it is resolved, after its fallbacks
+        if key != "seed" and not _type_ok(value, CONFIG_DEFAULTS[key]):
             raise UsageError(f"{path}: {key}={value!r} does not match the type "
                              f"of its default {CONFIG_DEFAULTS[key]!r}")
     config.update(loaded)
@@ -207,7 +215,7 @@ def cmd_gen(config: dict) -> int:
         raise UsageError("gen writes one task's dataset; pick one of D P I R C N")
     # validate k through the same gate training uses
     _settings(TrainConfig, config)
-    if task in ("C", "N"):
+    if task in PAIR_TASKS:
         batches, stats = gen_pair_batches(
             data.all_ids, task, k, config["batch_size"], seed
         )
@@ -312,8 +320,7 @@ def cmd_probe(config: dict, ckpt: str) -> int:
         enc = pr.encode_probe(task, params, data.vocab)
         for clf in classifiers:
             key = f"{name}/{clf}"
-            results[key] = (pr.eval_logreg(enc, pc.l2_grid) if clf == "logreg"
-                            else pr.eval_mlp_probe(enc, pc))
+            results[key] = pr.eval_classifier(enc, clf, pc)
             _progress(f"probe {key}: test acc {results[key].test_accuracy:.4f}")
     out = config["out"]
     pr.write_results_json(str(out) + ".json", results)
@@ -365,7 +372,7 @@ def cmd_sweep(config: dict, k_range: str) -> int:
 def cmd_ensemble(config: dict, manifest_path: str) -> int:
     spec = ens.read_manifest(manifest_path)
     task, k, seed = config["task"], config["k"], config["seed"]
-    if task not in ("D", "P", "I", "R"):
+    if task not in SINGLE_TASKS:
         raise UsageError(
             "ensemble evaluation averages classifier-head probabilities, "
             "so it applies to the binary tasks D P I R"

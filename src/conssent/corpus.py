@@ -45,7 +45,6 @@ class Vocabulary:
 
     token_to_id: dict[str, int]
     id_to_token: tuple[str, ...]
-    min_freq: int = 1
 
     @property
     def size(self) -> int:
@@ -96,7 +95,7 @@ def build_vocab(
         kept = kept[:max_size]
     id_to_token = (UNK_TOKEN, PAD_TOKEN, *kept)
     token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
-    return Vocabulary(token_to_id, id_to_token, min_freq)
+    return Vocabulary(token_to_id, id_to_token)
 
 
 def split_corpus(
@@ -162,9 +161,9 @@ def save_vocab_file(vocab: Vocabulary, path: str | Path) -> None:
             fh.write(tok + "\n")
 
 
-def load_vocab_file(path: str | Path, min_freq: int = 1) -> Vocabulary:
+def load_vocab_file(path: str | Path) -> Vocabulary:
     with open(path, encoding="utf-8") as fh:
         tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
     id_to_token = (UNK_TOKEN, PAD_TOKEN, *tokens)
     token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
-    return Vocabulary(token_to_id, id_to_token, min_freq)
+    return Vocabulary(token_to_id, id_to_token)

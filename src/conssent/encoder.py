@@ -505,6 +505,8 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict]:
             "bwd.b": (4 * H,),
         }
         for task in sorted(meta.get("heads", {})):
+            if "." in task:  # flat array names are split on "."
+                raise DataError(f"{path}: head name {task!r} contains '.'")
             hm = meta["heads"][task]
             shapes[f"head.{task}.w1"] = (2 * H, hm["hidden"])
             shapes[f"head.{task}.b1"] = (hm["hidden"],)
@@ -530,27 +532,9 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict]:
         offset += nbytes
     if offset != len(data):
         raise DataError(f"{path}: {len(data) - offset} trailing bytes")
-
-    fwd = LstmWeights(arrays["fwd.w_x"], arrays["fwd.w_h"], arrays["fwd.b"])
-    bwd = LstmWeights(arrays["bwd.w_x"], arrays["bwd.w_h"], arrays["bwd.b"])
-    heads = {
-        task: HeadWeights(
-            arrays[f"head.{task}.w1"],
-            arrays[f"head.{task}.b1"],
-            arrays[f"head.{task}.w2"],
-            arrays[f"head.{task}.b2"],
-        )
-        for task in sorted(meta.get("heads", {}))
-    }
-    return EncoderParams(arrays["embedding"], fwd, bwd, heads), meta
+    return params_view(arrays), meta
 
 
 def copy_params(params: EncoderParams) -> EncoderParams:
     """Deep copy of all arrays (used to snapshot the best validation model)."""
-    fwd = LstmWeights(params.fwd.w_x.copy(), params.fwd.w_h.copy(), params.fwd.b.copy())
-    bwd = LstmWeights(params.bwd.w_x.copy(), params.bwd.w_h.copy(), params.bwd.b.copy())
-    heads = {
-        task: HeadWeights(h.w1.copy(), h.b1.copy(), h.w2.copy(), h.b2.copy())
-        for task, h in params.heads.items()
-    }
-    return EncoderParams(params.embedding.copy(), fwd, bwd, heads)
+    return params_view({name: arr.copy() for name, arr in params.named_arrays().items()})

@@ -120,16 +120,23 @@ def read_manifest(path: str | Path) -> EnsembleSpec:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: manifest is not a JSON object")
     missing = {"checkpoints", "valid_scores"} - payload.keys()
     if missing:
         raise DataError(f"{path}: manifest lacks {sorted(missing)}")
-    spec = make_ensemble_spec(payload["checkpoints"], payload["valid_scores"])
-    stored, derived = payload.get("weights"), spec.weights
-    if stored is not None:
+    stored = {} if payload.get("weights") is None else payload["weights"]
+    if not isinstance(payload["valid_scores"], dict) or not isinstance(stored, dict):
+        raise DataError(f"{path}: valid_scores and weights must map tasks to lists")
+    try:
+        spec = make_ensemble_spec(payload["checkpoints"], payload["valid_scores"])
+        derived = spec.weights
         for task, w in stored.items():
             want = derived.get(task, ())
             if len(w) != len(want) or np.max(np.abs(np.array(w) - np.array(want))) > 1e-9:
                 raise DataError(
                     f"{path}: stored weights for {task!r} disagree with scores"
                 )
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed manifest: {exc}") from exc
     return spec

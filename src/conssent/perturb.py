@@ -30,7 +30,6 @@ from .rng import EXAMPLES, PAIRS, stream
 
 SINGLE_TASKS = ("D", "P", "I", "R")
 PAIR_TASKS = ("C", "N")
-ALL_TASKS = SINGLE_TASKS + PAIR_TASKS
 
 _MAX_RETRIES = 64
 

@@ -267,8 +267,9 @@ def fit_logreg(x, y, num_classes: int, l2: float, init=None):
     return w, b, float(res.fun)
 
 
-def _accuracy(w, b, x, y) -> float:
-    return float(np.mean(np.argmax(x @ w + b, axis=1) == y))
+def _logreg_logits(model, x):
+    w, b = model
+    return x @ w + b
 
 
 @dataclass
@@ -281,26 +282,33 @@ class ProbeResult:
     table: list = field(default_factory=list)  # (config dict, valid accuracy)
 
 
+def _grid_search(enc: ProbeEncodings, classifier: str, cells: list, fit, logits) -> ProbeResult:
+    """Fit ``fit(i, **cell)`` for every cell in the given order, select the
+    first validation maximum, and read test accuracy for that cell only."""
+
+    def accuracy(model, split):
+        return float(np.mean(np.argmax(logits(model, enc.x[split]), axis=1) == enc.y[split]))
+
+    best, table = None, []
+    for i, cell in enumerate(cells):
+        model = fit(i, **cell)
+        acc = accuracy(model, "valid")
+        table.append((cell, acc))
+        if best is None or acc > best[0]:
+            best = (acc, cell, model)
+    valid_acc, cell, model = best
+    return ProbeResult(enc.name, classifier, accuracy(model, "test"), valid_acc, cell, table)
+
+
 def eval_logreg(enc: ProbeEncodings, l2_grid=DEFAULT_L2_GRID) -> ProbeResult:
     """Fit one regression per L2 value; select on validation (ties -> the
     smaller L2, i.e. the first maximum in ascending grid order)."""
-    best = None
-    table = []
-    for l2 in sorted(l2_grid):
+
+    def fit(_, l2):
         w, b, _ = fit_logreg(enc.x["train"], enc.y["train"], enc.num_classes, l2)
-        acc = _accuracy(w, b, enc.x["valid"], enc.y["valid"])
-        table.append(({"l2": l2}, acc))
-        if best is None or acc > best[0]:
-            best = (acc, l2, w, b)
-    valid_acc, l2, w, b = best
-    return ProbeResult(
-        name=enc.name,
-        classifier="logreg",
-        test_accuracy=_accuracy(w, b, enc.x["test"], enc.y["test"]),
-        valid_accuracy=valid_acc,
-        selected={"l2": l2},
-        table=table,
-    )
+        return w, b
+
+    return _grid_search(enc, "logreg", [{"l2": l2} for l2 in sorted(l2_grid)], fit, _logreg_logits)
 
 
 # ---------------------------------------------------------------------------
@@ -372,40 +380,37 @@ def fit_mlp(x, y, num_classes, hidden, dropout, rng, epochs=40, lr=0.2, batch_si
     return w1, b1, w2, b2
 
 
-def _mlp_accuracy(model, x, y) -> float:
+def _mlp_logits(model, x):
     w1, b1, w2, b2 = model
-    h = stable_sigmoid(x @ w1 + b1)  # dropout off at eval time
-    return float(np.mean(np.argmax(h @ w2 + b2, axis=1) == y))
+    return stable_sigmoid(x @ w1 + b1) @ w2 + b2  # dropout off at eval time
 
 
 def eval_mlp_probe(enc: ProbeEncodings, config: ProbeConfig | None = None) -> ProbeResult:
     """3x3 grid over (hidden, dropout); select on validation accuracy with
     ties resolved toward smaller hidden, then smaller dropout."""
     config = config or ProbeConfig()
-    best = None
-    table = []
-    cell = 0
-    for hidden in sorted(config.mlp_hidden):
-        for dropout in sorted(config.dropout):
-            rng = _np_rng(config.seed, item=16 + cell)
-            cell += 1
-            model = fit_mlp(
-                enc.x["train"], enc.y["train"], enc.num_classes, hidden, dropout,
-                rng, config.epochs, config.lr, config.batch_size,
-            )
-            acc = _mlp_accuracy(model, enc.x["valid"], enc.y["valid"])
-            table.append(({"hidden": hidden, "dropout": dropout}, acc))
-            if best is None or acc > best[0]:
-                best = (acc, hidden, dropout, model)
-    valid_acc, hidden, dropout, model = best
-    return ProbeResult(
-        name=enc.name,
-        classifier="mlp",
-        test_accuracy=_mlp_accuracy(model, enc.x["test"], enc.y["test"]),
-        valid_accuracy=valid_acc,
-        selected={"hidden": hidden, "dropout": dropout},
-        table=table,
-    )
+    cells = [
+        {"hidden": hidden, "dropout": dropout}
+        for hidden in sorted(config.mlp_hidden)
+        for dropout in sorted(config.dropout)
+    ]
+
+    def fit(i, hidden, dropout):
+        return fit_mlp(
+            enc.x["train"], enc.y["train"], enc.num_classes, hidden, dropout,
+            _np_rng(config.seed, item=16 + i), config.epochs, config.lr, config.batch_size,
+        )
+
+    return _grid_search(enc, "mlp", cells, fit, _mlp_logits)
+
+
+def eval_classifier(enc: ProbeEncodings, classifier: str, config: ProbeConfig | None = None) -> ProbeResult:
+    """The ``logreg`` or ``mlp`` probe with ``config``'s grids."""
+    if classifier == "logreg":
+        return eval_logreg(enc, (config or ProbeConfig()).l2_grid)
+    if classifier == "mlp":
+        return eval_mlp_probe(enc, config)
+    raise UsageError(f"unknown classifier {classifier!r}")
 
 
 def eval_untrained_baseline(
@@ -430,14 +435,7 @@ def eval_untrained_baseline(
         )
     out = {}
     for name, task in tasks.items():
-        enc = encode_probe(task, params, vocab)
-        if classifier == "logreg":
-            result = eval_logreg(enc, (config or ProbeConfig()).l2_grid)
-        elif classifier == "mlp":
-            result = eval_mlp_probe(enc, config)
-        else:
-            raise UsageError(f"unknown classifier {classifier!r}")
-        out[name] = result.test_accuracy
+        out[name] = eval_classifier(encode_probe(task, params, vocab), classifier, config).test_accuracy
     return out
 
 

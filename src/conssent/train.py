@@ -34,14 +34,13 @@ from .errors import DataError, NumericError
 from .perturb import (
     PAIR_TASKS,
     SINGLE_TASKS,
-    BatchTooSmall,
+    LabeledExample,
     PairBatch,
     gen_pair_batches,
     gen_single_examples,
-    make_pair_batch,
     min_sentence_len,
 )
-from .rng import EXAMPLES, GRADCHECK, ORDER, PAIRS, VALID, stream
+from .rng import EXAMPLES, GRADCHECK, ORDER, VALID, stream
 
 TASKS = SINGLE_TASKS + PAIR_TASKS + ("MT",)
 
@@ -60,13 +59,13 @@ K_RANGES = {
 # Multitask groups: group 1 trains one encoder with a head per task, group 2
 # trains a second encoder through ranking losses alone. Tuple order is the
 # round-robin rotation order.
-GROUP1 = ("D", "P", "I", "R")
+GROUP1 = SINGLE_TASKS
 GROUP2 = ("N", "C")
 
 # Every task keeps its own data streams even when several share an encoder;
-# the member index is folded into the stream's epoch field (epochs stay far
-# below 256, so the channels never collide).
-_MEMBER_INDEX = {"D": 0, "P": 1, "I": 2, "R": 3, "N": 4, "C": 5}
+# the member index (its place in GROUP1 + GROUP2) is folded into the stream's
+# epoch field (epochs stay far below 256, so the channels never collide).
+_MEMBER_INDEX = {task: i for i, task in enumerate(GROUP1 + GROUP2)}
 
 
 def _chan(epoch: int, task: str) -> int:
@@ -103,7 +102,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}; expected one of {TASKS}")
-        hard_floor = 1 if self.task in ("D", "I", "R") else 2
+        hard_floor = K_RANGES[self.task].start
         if self.k < hard_floor:
             raise ValueError(f"task {self.task} needs k >= {hard_floor}, got {self.k}")
         if not self.allow_custom_k and self.k not in K_RANGES[self.task]:
@@ -112,7 +111,7 @@ class TrainConfig:
                 f"k={self.k} outside the default range {r.start}..{r.stop - 1} "
                 f"for task {self.task}; pass allow_custom_k=True to override"
             )
-        if self.task in ("C", "N", "MT") and self.batch_size < self.k:
+        if self.task not in SINGLE_TASKS and self.batch_size < self.k:
             raise ValueError(
                 f"batch_size {self.batch_size} < k {self.k}: the minibatch is the "
                 "candidate pool for ranking tasks"
@@ -178,6 +177,20 @@ def pair_batch_loss(batch: PairBatch, params, tape: ad.Tape) -> ad.Var:
     all_scores = ad.matmul(left, ad.transpose(right))  # (B, B) dot products
     scores = ad.gather_cols(all_scores, batch.cand_idx)  # (B, k)
     return ad.softmax_xent(scores, np.asarray(batch.targets, dtype=np.int64))
+
+
+def batch_loss(params, task: str, batch, tape: ad.Tape) -> ad.Var:
+    """The loss training minimizes on one batch of ``task``.
+
+    D P I R: head cross-entropy over a list of ``LabeledExample``s;
+    C N: the in-batch ranking loss over a ``PairBatch``.
+    """
+    if task not in SINGLE_TASKS:
+        return pair_batch_loss(batch, params, tape)
+    enc = encode_batch([list(ex.tokens) for ex in batch], params, tape)
+    logits = head_logits(enc, params.heads[task])
+    labels = np.array([ex.label for ex in batch], dtype=np.int64)
+    return ad.softmax_xent(logits, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +299,12 @@ def _epoch_batches(train_sents, task, config: TrainConfig, epoch: int, vocab):
             [examples[j] for j in idx[s : s + config.batch_size]]
             for s in range(0, len(idx), config.batch_size)
         ]
+    # filter before the shuffle: it fixes which sentences share a batch
     need = min_sentence_len(task, config.k)
     eligible = [s for s in train_sents if len(s) >= need]
-    order = stream(config.seed, ORDER, ch)
-    order.shuffle(eligible)
-    batches = []
-    for b, start in enumerate(range(0, len(eligible), config.batch_size)):
-        chunk = eligible[start : start + config.batch_size]
-        rng = stream(config.seed, PAIRS, ch, b)
-        try:
-            batches.append(make_pair_batch(chunk, task, config.k, rng))
-        except BatchTooSmall:
-            continue
-    return batches
+    stream(config.seed, ORDER, ch).shuffle(eligible)
+    batches, _ = gen_pair_batches(eligible, task, config.k, config.batch_size, config.seed, epoch=ch)
+    return [b for b, _ in batches]
 
 
 def _build_validation(data: SplitCorpus, task: str, config: TrainConfig):
@@ -344,13 +350,7 @@ def _train_one_batch(params, task, batch, lr, clip_norm):
     """One forward/backward/update; returns (loss, post-clip norm)."""
     tape = ad.Tape()
     bound, leaves = bind_params(params, tape)
-    if task in SINGLE_TASKS:
-        enc = encode_batch([list(ex.tokens) for ex in batch], bound, tape)
-        logits = head_logits(enc, bound.heads[task])
-        labels = np.array([ex.label for ex in batch], dtype=np.int64)
-        loss = ad.softmax_xent(logits, labels)
-    else:
-        loss = pair_batch_loss(batch, bound, tape)
+    loss = batch_loss(bound, task, batch, tape)
     tape.backward(loss)
     grads = {name: leaf.grad for name, leaf in leaves.items() if leaf.grad is not None}
     norm = sgd_step(params, grads, lr, clip_norm)
@@ -505,12 +505,13 @@ def read_metrics_jsonl(path) -> list:
 
 
 def run_gradcheck(n_models: int = 20, seed: int = 0, step: float = 1e-5, progress=None) -> dict:
-    """Finite-difference check of full random models, alternating losses.
+    """Finite-difference check of ``batch_loss`` on full random models.
 
     Each model gets random sizes, fresh parameters, and a random minibatch;
-    even indices check the binary head path, odd indices the ranking path.
-    Returns {"worst": float, "models": [...]} where worst is the maximum
-    relative gradient error over every parameter of every model.
+    even indices check the head loss (task D over ``LabeledExample``s), odd
+    indices the ranking loss (task C over a ``PairBatch``). Returns
+    {"worst": float, "models": [...]} where worst is the maximum relative
+    gradient error over every parameter of every model.
     """
     worst = 0.0
     models = []
@@ -527,42 +528,32 @@ def run_gradcheck(n_models: int = 20, seed: int = 0, step: float = 1e-5, progres
             ]
 
         if binary:
-            head_dim = 3 + r.randint(6)
+            task, head_dim = "D", 3 + r.randint(6)
             params = init_params(
-                vocab_size, embed_dim, hidden, head_tasks=("D",), head_dim=head_dim,
+                vocab_size, embed_dim, hidden, head_tasks=(task,), head_dim=head_dim,
                 seed=seed, stream_item=1000 + i,
             )
-            batch = 2 + r.randint(3)
-            seqs = rand_sentences(batch)
-            labels = np.array([r.randint(2) for _ in range(batch)], dtype=np.int64)
-
-            def build_loss(tape, leaves, seqs=seqs, labels=labels):
-                view = params_view(leaves)
-                enc = encode_batch(seqs, view, tape)
-                return ad.softmax_xent(head_logits(enc, view.heads["D"]), labels)
-
+            seqs = rand_sentences(2 + r.randint(3))
+            batch = [LabeledExample(tuple(s), r.randint(2), task, 1) for s in seqs]
         else:
+            task, k = "C", 3
             params = init_params(
                 vocab_size, embed_dim, hidden, seed=seed, stream_item=1000 + i
             )
-            batch = 3 + r.randint(2)
-            k = 3
-            lefts, rights = rand_sentences(batch), rand_sentences(batch)
+            size = 3 + r.randint(2)
+            lefts, rights = rand_sentences(size), rand_sentences(size)
             rows, targets = [], []
-            for b in range(batch):
-                row = r.sample([j for j in range(batch) if j != b], k - 1) + [b]
+            for b in range(size):
+                row = r.sample([j for j in range(size) if j != b], k - 1) + [b]
                 r.shuffle(row)
                 rows.append(row)
                 targets.append(row.index(b))
-            cand_idx = np.array(rows, dtype=np.int64)
-            target_arr = np.array(targets, dtype=np.int64)
+            batch = PairBatch(
+                lefts, rights, np.array(rows, dtype=np.int64), np.array(targets, dtype=np.int64), task, k
+            )
 
-            def build_loss(tape, leaves, lefts=lefts, rights=rights, cand_idx=cand_idx, target_arr=target_arr):
-                view = params_view(leaves)
-                left = encode_batch(lefts, view, tape)
-                right = encode_batch(rights, view, tape)
-                scores = ad.gather_cols(ad.matmul(left, ad.transpose(right)), cand_idx)
-                return ad.softmax_xent(scores, target_arr)
+        def build_loss(tape, leaves, task=task, batch=batch):
+            return batch_loss(params_view(leaves), task, batch, tape)
 
         err = ad.finite_diff_check(params.named_arrays(), build_loss, step=step)
         worst = max(worst, err)

@@ -83,20 +83,6 @@ def test_dead_branch_is_skipped():
     np.testing.assert_allclose(x.grad, [1.0, 1.0])
 
 
-def test_operator_overloads():
-    tape = Tape()
-    a = tape.leaf(np.array([[1.0, 2.0]]))
-    b = tape.leaf(np.array([[3.0], [4.0]]))
-    out = (-a) @ b  # -(1*3 + 2*4) = -11
-    assert out.value.item() == -11.0
-    c = 1.0 - a  # ndarray/scalar on the left must defer to Var
-    np.testing.assert_allclose(c.value, [[0.0, -1.0]])
-    d = a * np.array([2.0, 2.0]) + 1.0
-    np.testing.assert_allclose(d.value, [[3.0, 5.0]])
-    e = a - 1.0
-    np.testing.assert_allclose(e.value, [[0.0, 1.0]])
-
-
 def test_bias_broadcast_grad_sums_rows():
     tape = Tape()
     x = tape.leaf(np.zeros((3, 4)))
@@ -219,14 +205,6 @@ def test_grad_add_broadcast():
     )
 
 
-def test_grad_sub():
-    check(
-        lambda tape, v: ad.mean_all(ad.sub(v["a"], v["b"])),
-        a=rand(2, 3, seed=3),
-        b=rand(2, 3, seed=4),
-    )
-
-
 def test_grad_mul_broadcast():
     check(
         lambda tape, v: ad.mean_all(ad.mul(v["a"], v["b"])),
@@ -245,9 +223,9 @@ def test_grad_matmul():
 
 def test_grad_transpose_reshape():
     check(
-        lambda tape, v: ad.mean_all(ad.matmul(ad.transpose(v["a"]), ad.reshape(v["b"], (3, 2)))),
+        lambda tape, v: ad.mean_all(ad.matmul(ad.transpose(v["a"]), v["b"])),
         a=rand(3, 4, seed=9),
-        b=rand(6, seed=10),
+        b=rand(3, 2, seed=10),
     )
 
 

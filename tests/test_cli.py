@@ -19,6 +19,27 @@ GEN_R2_SHA256 = "8b8595786b386604e676a25a04e15c75d0b4c8cb0b0f537df37a390acc2d713
 TRAIN_D1_SHA256 = "a4cff490c2d493be60b3d0a816921bf64a8400e7039b135c6e0bdb3c67aac454"
 ENSEMBLE_R1_SHA256 = "d2498548a123653a85fdb355f270bc7c41eab0061e5ae425bfd6a0a8ca6370ba"
 
+# Recorded before the batch loss, pair batches, parameter layout and probe
+# grid search each got one definition; that change kept these bytes.
+# (task, k) -> sha256 of each checkpoint a tiny `train` run writes.
+TRAIN_SHA256 = {
+    ("P", 2): ["1f4b04f2c791b743c2955c4967ff7aa2d623b44d6e6f7860a6e5d3b3ccf86755"],
+    ("I", 2): ["2c0c04f3064334ee9fdb5f5281518db0631e414ec50176714601bfd6c39e2b66"],
+    ("R", 1): ["974752da996f4492b6c9e6ac4ac30354528ad0719280e1199d2e974d72db05a9"],
+    ("C", 2): ["e1b275d41c950e53924bbe4f114999d566d6b9c36158578918dbe0a77738a16d"],
+    ("N", 3): ["8b2d337774cc83017a459bd8a24125a1e06950eba4b6304b331015629124f596"],
+    ("MT", 2): ["098419834affe9178ec801ff051593fcc47f217be2c14ce2b7f095635308af15",
+                "e0e7231f43bb0fa7aa30681ccc714fc303162b28fe9e3477b59a2b24c01612fd"],
+}
+# `probe --probe-classifier both --baseline` on SentLen and BigramShift
+PROBE_BOTH_JSON_SHA256 = "1e092a5401924f657d38e489d940adc9dad61c14889cab6020a4ea952f5aef0c"
+PROBE_BOTH_TSV_SHA256 = "f030477b0413c361d11be612f49e637a1b2ad8f32f06d385d5ee55fffda952d0"
+PROBE_BOTH_TABLE = {
+    "BigramShift": {"logreg": 0.6666666666666666, "mlp": 0.5},
+    "SentLen": {"logreg": 0.6111111111111112, "mlp": 0.3888888888888889},
+    "untrained": {"BigramShift": 0.4444444444444444, "SentLen": 0.4444444444444444},
+}
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -113,6 +134,9 @@ def test_unknown_config_key_rejected(tmp_path):
     {"mlp_hidden": [50, "wide"]},
     {"probes": "SentLen"},
     {"threads": 1},
+    {"corpus": 7},
+    {"out": 5},
+    {"metrics": 3},
 ])
 def test_mistyped_or_removed_config_value_is_usage_error(tmp_path, capsys, entry):
     cfg = tmp_path / "cfg.json"
@@ -228,6 +252,12 @@ def test_train_deterministic_bit_identical(tmp_path, capsys):
     assert first["best_valid"] == second["best_valid"]
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
     assert sha256(tmp_path / "a.ckpt") == TRAIN_D1_SHA256
+    for (task, k), digests in TRAIN_SHA256.items():
+        out = tmp_path / f"{task}.ckpt"
+        assert run("train", "--task", task, "--k", k, "--seed", "5", "--toy-n", "80",
+                   *TINY, "--out", out) == 0
+        suffixes = [".g1", ".g2"] if task == "MT" else [""]
+        assert [sha256(tmp_path / f"{task}.ckpt{sfx}") for sfx in suffixes] == digests, task
 
 
 def test_train_multitask_writes_two_checkpoints(tmp_path, capsys):
@@ -263,6 +293,14 @@ def test_probe_writes_results(tmp_path, corpus_file, trained_ckpt, capsys):
     assert set(results) == {"SentLen/logreg", "BigramShift/logreg"}
     tsv = (tmp_path / "results.tsv").read_text()
     assert tsv.startswith("task\t")
+
+    both = tmp_path / "both"
+    assert run("probe", trained_ckpt, "--corpus", corpus_file, "--seed", "3",
+               "--out", both, "--probes", "SentLen", "BigramShift",
+               "--probe-classifier", "both", "--baseline") == 0
+    assert json.loads(capsys.readouterr().out.strip().split("\n")[-1]) == PROBE_BOTH_TABLE
+    assert sha256(tmp_path / "both.json") == PROBE_BOTH_JSON_SHA256
+    assert sha256(tmp_path / "both.tsv") == PROBE_BOTH_TSV_SHA256
 
 
 def test_probe_vocab_mismatch_is_data_error(tmp_path, trained_ckpt):
@@ -334,8 +372,15 @@ def test_ensemble_rejects_ranking_tasks(tmp_path):
 
 def test_ensemble_bad_manifest_is_data_error(tmp_path):
     manifest = tmp_path / "broken.json"
-    manifest.write_text("{oops")
-    assert run("ensemble", manifest, "--task", "R", "--toy-n", "60") == 2
+    for text in [
+        "{oops",
+        "[1, 2]",
+        '{"checkpoints": ["a", "b"], "valid_scores": [0.5, 0.5]}',
+        '{"checkpoints": ["a", "b"], "valid_scores": {"R": ["high", 0.5]}}',
+        '{"checkpoints": ["a", "b"], "valid_scores": {"R": 0.5}}',
+    ]:
+        manifest.write_text(text)
+        assert run("ensemble", manifest, "--task", "R", "--toy-n", "60") == 2, text
 
 
 # ---------------------------------------------------------------------------

@@ -500,6 +500,7 @@ def test_checkpoint_rejects_short_header(tmp_path):
         ("vocab_size", "six", "non-negative integers"),
         ("hidden_size", 2.0, "non-negative integers"),
         ("embed_dim", -1, "non-negative integers"),
+        ("heads", {"a.b": {"hidden": 3, "classes": 2}}, "head name"),  # names split on "."
     ],
 )
 def test_checkpoint_rejects_bad_shape_meta(tmp_path, key, value, message):

@@ -528,8 +528,28 @@ def test_learning_signal_all_tasks_twenty_seeds(tiny_data):
 # ---------------------------------------------------------------------------
 
 
-def test_run_gradcheck_smoke():
+# max_rel_error of run_gradcheck(n_models=4, seed=0), recorded when the
+# gradcheck still differentiated its own copies of the two training losses
+GRADCHECK_4_ERRORS = [
+    1.51709451791231e-07,
+    1.2817014548452033e-06,
+    4.43103789338174e-07,
+    3.234049864627563e-07,
+]
+
+
+def test_run_gradcheck_smoke(monkeypatch):
+    seen = []
+    real = train.batch_loss
+
+    def spy(params, task, batch, tape):
+        seen.append(task)
+        return real(params, task, batch, tape)
+
+    monkeypatch.setattr(train, "batch_loss", spy)  # the loss training minimizes
     report = run_gradcheck(n_models=4, seed=0)
     assert len(report["models"]) == 4
     assert report["worst"] == max(m["max_rel_error"] for m in report["models"])
     assert report["worst"] < 1e-4
+    assert [m["max_rel_error"] for m in report["models"]] == GRADCHECK_4_ERRORS
+    assert {"D", "C"} <= set(seen)  # a head task and a ranking task
