@@ -21,7 +21,7 @@ from conssent import probes as pr
 from conssent.corpus import prepare_corpus
 from conssent.encoder import head_probs, init_params
 from conssent.perturb import gen_single_examples
-from conssent.rng import PROBE, VALID, stream
+from conssent.rng import VALID
 from conssent.toydata import make_toy_corpus
 from conssent.train import TrainConfig, train_single_task
 
@@ -58,10 +58,11 @@ def main():
 
     # 2. BigramShift probe, trained vs untrained
     t0 = time.time()
-    task = pr.gen_probe_bigramshift(corpus, stream(0, PROBE, epoch=2, item=0), seed=0)
-    trained = pr.eval_logreg(pr.encode_probe(task, state_p.params, data.vocab))
-    untrained_params = init_params(data.vocab.size, 32, hidden, seed=0)
-    untrained = pr.eval_logreg(pr.encode_probe(task, untrained_params, data.vocab))
+    tasks = pr.build_probe_tasks(["BigramShift"], corpus, seed=0)
+    twin = init_params(data.vocab.size, 32, hidden, seed=0)
+    trained, untrained = (
+        pr.probe_encoder(tasks, params, data.vocab, ("logreg",), pr.ProbeConfig())["BigramShift/logreg"]
+        for params in (state_p.params, twin))
     log(f"probe done in {time.time()-t0:.0f}s")
     print(f"BigramShift  trained P(2): {trained.test_accuracy:.3f}   "
           f"untrained: {untrained.test_accuracy:.3f}   "

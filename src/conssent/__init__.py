@@ -17,7 +17,6 @@ The package is organized bottom-up:
 from .corpus import Vocabulary, build_vocab, load_corpus_file, prepare_corpus, tokenize
 from .encoder import (
     EncoderParams,
-    encode,
     encode_sentences,
     init_params,
     load_checkpoint,
@@ -38,7 +37,6 @@ from .probes import (
     encode_probe,
     eval_logreg,
     eval_mlp_probe,
-    eval_untrained_baseline,
     gen_probe_bigramshift,
     gen_probe_sentlen,
     gen_probe_wordcontent,
@@ -47,7 +45,6 @@ from .toydata import make_toy_corpus
 from .train import (
     TrainConfig,
     TrainState,
-    encode_multitask,
     run_gradcheck,
     train_multitask,
     train_single_task,
@@ -68,15 +65,12 @@ __all__ = [
     "UsageError",
     "Vocabulary",
     "build_vocab",
-    "encode",
-    "encode_multitask",
     "encode_probe",
     "encode_sentences",
     "ensemble_accuracy",
     "ensemble_predict",
     "eval_logreg",
     "eval_mlp_probe",
-    "eval_untrained_baseline",
     "gen_pair_batches",
     "gen_probe_bigramshift",
     "gen_probe_sentlen",

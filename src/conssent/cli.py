@@ -27,8 +27,8 @@ import numpy as np
 
 from . import ensemble as ens
 from . import probes as pr
-from .corpus import load_corpus_file, prepare_corpus, save_vocab_file
-from .encoder import head_probs, load_checkpoint, save_checkpoint
+from .corpus import load_corpus_file, prepare_corpus, read_utf8, save_vocab_file
+from .encoder import head_probs, init_params, load_checkpoint, save_checkpoint
 from .errors import ConsSentError, DataError, NumericError, UsageError
 from .perturb import (
     PAIR_TASKS,
@@ -38,7 +38,7 @@ from .perturb import (
     write_pair_dataset,
     write_single_dataset,
 )
-from .rng import PROBE, VALID, stream
+from .rng import VALID
 from .toydata import make_toy_corpus
 from .train import (
     TASKS,
@@ -119,10 +119,10 @@ def load_run_config(path: str | None) -> dict:
     if path is None:
         return config
     try:
-        loaded = json.loads(Path(path).read_text(encoding="utf-8"))
+        loaded = json.loads(read_utf8(path))
     except FileNotFoundError as exc:
         raise UsageError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, too deep or too long a number
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise DataError(f"{path}: config must be a JSON object")
@@ -278,25 +278,6 @@ def cmd_train(config: dict) -> int:
     return 0
 
 
-def _probe_tasks(config: dict, sentences: list) -> dict:
-    seed = config["seed"]
-    tasks = {}
-    for name in config["probes"]:
-        if name == "SentLen":
-            tasks[name] = pr.gen_probe_sentlen(
-                sentences, pr.default_length_bins(sentences), seed=seed)
-        elif name == "WordContent":
-            tasks[name] = pr.gen_probe_wordcontent(
-                sentences, pr.default_wordcontent_targets(sentences), seed=seed)
-        elif name == "BigramShift":
-            tasks[name] = pr.gen_probe_bigramshift(
-                sentences, stream(seed, PROBE, epoch=2, item=0), seed=seed)
-        else:
-            raise UsageError(f"unknown probe {name!r}; "
-                             f"choose from {', '.join(pr.PROBE_NAMES)}")
-    return tasks
-
-
 def cmd_probe(config: dict, ckpt: str) -> int:
     if config["out"] is None:
         raise UsageError("probe needs --out for the results file stem")
@@ -308,31 +289,23 @@ def cmd_probe(config: dict, ckpt: str) -> int:
             f"checkpoint vocab size {params.vocab_size} != corpus vocab "
             f"{data.vocab.size}; probe with the corpus the model was trained on"
         )
-    tasks = _probe_tasks(config, sentences)
+    seed = config["seed"]
+    tasks = pr.build_probe_tasks(config["probes"], sentences, seed)
     pc = _settings(pr.ProbeConfig, config)
-    classifiers = {"logreg": ("logreg",), "mlp": ("mlp",),
-                   "both": ("logreg", "mlp")}.get(config["probe_classifier"])
-    if classifiers is None:
-        raise UsageError(f"probe_classifier must be logreg|mlp|both, "
-                         f"got {config['probe_classifier']!r}")
-    results = {}
-    for name, task in tasks.items():
-        enc = pr.encode_probe(task, params, data.vocab)
-        for clf in classifiers:
-            key = f"{name}/{clf}"
-            results[key] = pr.eval_classifier(enc, clf, pc)
-            _progress(f"probe {key}: test acc {results[key].test_accuracy:.4f}")
+    clf = config["probe_classifier"]
+    classifiers = ("logreg", "mlp") if clf == "both" else (clf,)
+    results = pr.probe_encoder(tasks, params, data.vocab, classifiers, pc)
+    for key, res in results.items():
+        _progress(f"probe {key}: test acc {res.test_accuracy:.4f}")
     out = config["out"]
     pr.write_results_json(str(out) + ".json", results)
     pr.write_results_tsv(str(out) + ".tsv", results)
     table = pr.results_to_table(results)
     if config["baseline"]:
-        table["untrained"] = pr.eval_untrained_baseline(
-            tasks, data.vocab,
-            hidden_size=params.hidden_size, embed_dim=params.embed_dim,
-            seed=config["seed"], config=pc,
-            classifier=classifiers[0], expect_dim=params.output_dim,
-        )
+        # the untrained twin: same vocabulary and widths, default init gain
+        twin = init_params(data.vocab.size, params.embed_dim, params.hidden_size, seed=seed)
+        table["untrained"] = pr.results_to_table(
+            pr.probe_encoder(tasks, twin, data.vocab, classifiers, pc))
     write_meta(out, config, results={k: r.test_accuracy for k, r in results.items()},
                checkpoint=str(ckpt))
     print(json.dumps(table, sort_keys=True))
@@ -519,6 +492,9 @@ def main(argv=None) -> int:
         raise UsageError(f"unknown command {args.command!r}")
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a directory, an unwritable path, ...
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

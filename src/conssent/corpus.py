@@ -50,9 +50,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.id_to_token)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
     def encode(self, tokens: list[str]) -> list[int]:
         """Map tokens to ids; out-of-vocabulary tokens become UNK."""
         t2i = self.token_to_id
@@ -71,14 +68,11 @@ class Vocabulary:
         return hashlib.sha256(blob).hexdigest()
 
 
-def build_vocab(
-    corpus: list[list[str]], min_freq: int = 1, max_size: int | None = None
-) -> Vocabulary:
+def build_vocab(corpus: list[list[str]], min_freq: int = 1) -> Vocabulary:
     """Assign dense ids to tokens with frequency >= min_freq.
 
     Id order is frequency-descending with lexicographic tie-break, so the
-    mapping is deterministic for a given corpus. ``max_size`` (if set) caps
-    the number of non-special tokens, keeping the most frequent ones.
+    mapping is deterministic for a given corpus.
     """
     if not corpus:
         raise EmptyCorpus("cannot build a vocabulary from an empty corpus")
@@ -91,8 +85,6 @@ def build_vocab(
         (tok for tok, c in counts.items() if c >= min_freq),
         key=lambda tok: (-counts[tok], tok),
     )
-    if max_size is not None:
-        kept = kept[:max_size]
     id_to_token = (UNK_TOKEN, PAD_TOKEN, *kept)
     token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
     return Vocabulary(token_to_id, id_to_token)
@@ -131,25 +123,32 @@ class SplitCorpus:
 def prepare_corpus(
     sentences: list[list[str]],
     min_freq: int = 1,
-    max_size: int | None = None,
     valid_fraction: float = 0.1,
     seed: int = 0,
 ) -> SplitCorpus:
     """Build the vocabulary and train/valid split in one step."""
-    vocab = build_vocab(sentences, min_freq=min_freq, max_size=max_size)
+    vocab = build_vocab(sentences, min_freq=min_freq)
     ids = [vocab.encode(s) for s in sentences]
     train, valid = split_corpus(ids, valid_fraction, seed)
     return SplitCorpus(vocab=vocab, train=train, valid=valid, all_ids=ids)
 
 
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file, read with universal newlines; bytes that
+    do not decode are a DataError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def load_corpus_file(path: str | Path) -> list[list[str]]:
     """Read one sentence per line, skipping blank lines."""
     sentences = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                sentences.append(tokenize(line))
+    for line in read_utf8(path).split("\n"):
+        line = line.strip()
+        if line:
+            sentences.append(tokenize(line))
     if not sentences:
         raise EmptyCorpus(f"no sentences in {path}")
     return sentences
@@ -162,8 +161,7 @@ def save_vocab_file(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def load_vocab_file(path: str | Path) -> Vocabulary:
-    with open(path, encoding="utf-8") as fh:
-        tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+    tokens = [line for line in read_utf8(path).split("\n") if line]
     id_to_token = (UNK_TOKEN, PAD_TOKEN, *tokens)
     token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
     return Vocabulary(token_to_id, id_to_token)

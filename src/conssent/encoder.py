@@ -138,7 +138,6 @@ def init_params(
     hidden_size: int,
     head_tasks: tuple = (),
     head_dim: int = 64,
-    head_classes: int = 2,
     seed: int = 0,
     stream_item: int = 0,
     init_gain: float = 1.0,
@@ -164,7 +163,7 @@ def init_params(
         w.w_h *= init_gain
     heads = {}
     for task in sorted(head_tasks):
-        head = _init_head(rng, 2 * hidden_size, head_dim, head_classes)
+        head = _init_head(rng, 2 * hidden_size, head_dim, 2)  # binary tasks only
         head.w1 *= init_gain
         head.w2 *= init_gain
         heads[task] = head
@@ -425,27 +424,28 @@ def encode_sentences(
     return np.concatenate(out, axis=0)
 
 
-def encode(seq: list, params: EncoderParams) -> np.ndarray:
-    """Frozen (2H,) encoding of one sentence."""
-    return encode_sentences([seq], params)[0]
-
-
 def head_logits(v, head: HeadWeights) -> ad.Var:
     """Two-layer perceptron with tanh between the layers."""
     hidden = ad.tanh(ad.add(ad.matmul(v, head.w1), head.b1))
     return ad.add(ad.matmul(hidden, head.w2), head.b2)
 
 
-def head_probs(seqs: list, params: EncoderParams, task: str, batch_size: int = 256) -> np.ndarray:
-    """(N, classes) softmax of ``task``'s head over frozen encodings of ``seqs``."""
+def frozen_head_logits(seqs: list, params: EncoderParams, task: str) -> np.ndarray:
+    """(N, classes) logits of ``task``'s head over frozen encodings of ``seqs``,
+    encoded 256 sentences at a time."""
     if task not in params.heads:
         raise DataError(f"checkpoint has no classifier head for task {task!r}")
     head, tape = params.heads[task], ad.Tape(recording=False)
     logits = [
-        head_logits(encode_batch(seqs[s : s + batch_size], params, tape), head).value
-        for s in range(0, len(seqs), batch_size)
+        head_logits(encode_batch(seqs[s : s + 256], params, tape), head).value
+        for s in range(0, len(seqs), 256)
     ]
-    return ad.softmax_rows(np.concatenate(logits, axis=0))
+    return np.concatenate(logits, axis=0)
+
+
+def head_probs(seqs: list, params: EncoderParams, task: str) -> np.ndarray:
+    """(N, classes) softmax of ``task``'s head over frozen encodings of ``seqs``."""
+    return ad.softmax_rows(frozen_head_logits(seqs, params, task))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import read_utf8
 from .errors import DataError, UsageError
 
 
@@ -105,20 +106,10 @@ def ensemble_accuracy(member_prob_batches, weights, labels) -> float:
 # ---------------------------------------------------------------------------
 
 
-def write_manifest(path: str | Path, spec: EnsembleSpec) -> None:
-    payload = {
-        "checkpoints": list(spec.checkpoints),
-        "valid_scores": {t: list(s) for t, s in spec.valid_scores.items()},
-        "weights": {t: list(w) for t, w in spec.weights.items()},
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
-
-
 def read_manifest(path: str | Path) -> EnsembleSpec:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        payload = json.loads(read_utf8(path))
+    except (ValueError, RecursionError) as exc:  # bad JSON, too deep or too long a number
         raise DataError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise DataError(f"{path}: manifest is not a JSON object")
@@ -137,6 +128,6 @@ def read_manifest(path: str | Path) -> EnsembleSpec:
                 raise DataError(
                     f"{path}: stored weights for {task!r} disagree with scores"
                 )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed manifest: {exc}") from exc
     return spec

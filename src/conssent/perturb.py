@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, read_utf8
 from .errors import DataError
 from .rng import EXAMPLES, PAIRS, stream
 
@@ -438,20 +438,20 @@ def write_single_dataset(path: str | Path, examples: list[LabeledExample]) -> No
 
 def read_single_dataset(path: str | Path) -> list[LabeledExample]:
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise DataError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
-            label, kind, k, src, toks = fields
-            if label not in ("0", "1"):
-                raise DataError(f"{path}:{lineno}: bad label {label!r}")
-            examples.append(
-                LabeledExample(tuple(toks.split()), int(label), kind, int(k), int(src))
-            )
+    for lineno, line in enumerate(read_utf8(path).split("\n"), 1):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise DataError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
+        label, kind, k, src, toks = fields
+        if label not in ("0", "1"):
+            raise DataError(f"{path}:{lineno}: bad label {label!r}")
+        try:
+            k, src = int(k), int(src)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        examples.append(LabeledExample(tuple(toks.split()), int(label), kind, k, src))
     return examples
 
 
@@ -474,15 +474,17 @@ def write_pair_dataset(path: str | Path, groups: list[PairCandidateSet]) -> None
 
 def read_pair_dataset(path: str | Path) -> list[PairCandidateSet]:
     groups: list[PairCandidateSet] = []
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.rstrip("\n")]
+    lines = [ln for ln in read_utf8(path).split("\n") if ln]
     pos = 0
     while pos < len(lines):
         fields = lines[pos].split("\t")
         if len(fields) != 6 or fields[4] != "anchor":
             raise DataError(f"{path}: line {pos + 1}: expected an anchor record")
-        _, kind, k_str, src, _, toks = fields
-        k = int(k_str)
+        _, kind, k, src, _, toks = fields
+        try:
+            k, src = int(k), int(src)
+        except ValueError as exc:
+            raise DataError(f"{path}: line {pos + 1}: {exc}") from exc
         if pos + 1 + k > len(lines):
             raise DataError(f"{path}: truncated group at line {pos + 1}")
         cands, target = [], None
@@ -500,9 +502,7 @@ def read_pair_dataset(path: str | Path) -> list[PairCandidateSet]:
         if target is None:
             raise DataError(f"{path}: group at line {pos + 1} has no true candidate")
         groups.append(
-            PairCandidateSet(
-                tuple(toks.split()), tuple(cands), target, kind, k, int(src)
-            )
+            PairCandidateSet(tuple(toks.split()), tuple(cands), target, kind, k, src)
         )
         pos += 1 + k
     return groups

@@ -28,7 +28,7 @@ from scipy.optimize import minimize
 
 from .autodiff import softmax_rows, stable_sigmoid
 from .corpus import Vocabulary
-from .encoder import EncoderParams, encode_sentences, init_params
+from .encoder import EncoderParams, encode_sentences
 from .errors import DataError, UsageError
 from .perturb import TooShort
 from .rng import PROBE, stream
@@ -184,6 +184,25 @@ def gen_probe_bigramshift(corpus, rng, seed: int = 0) -> ProbeTask:
     return _make_task("BigramShift", examples, 2, seed)
 
 
+def build_probe_tasks(names, sentences: list, seed: int) -> dict:
+    """Name -> ProbeTask for each named probe over ``sentences``: SentLen and
+    WordContent at their default bins and targets, BigramShift swapping from
+    the (seed, PROBE, epoch 2, item 0) stream."""
+    makers = {
+        "SentLen": lambda: gen_probe_sentlen(sentences, default_length_bins(sentences), seed=seed),
+        "WordContent": lambda: gen_probe_wordcontent(
+            sentences, default_wordcontent_targets(sentences), seed=seed),
+        "BigramShift": lambda: gen_probe_bigramshift(
+            sentences, stream(seed, PROBE, epoch=2, item=0), seed=seed),
+    }
+    tasks = {}
+    for name in names:
+        if name not in makers:
+            raise UsageError(f"unknown probe {name!r}; choose from {', '.join(PROBE_NAMES)}")
+        tasks[name] = makers[name]()
+    return tasks
+
+
 # ---------------------------------------------------------------------------
 # Frozen encodings
 # ---------------------------------------------------------------------------
@@ -196,34 +215,15 @@ class ProbeEncodings:
     x: dict  # split -> (N, D) float64
     y: dict  # split -> (N,) int64
 
-    @property
-    def dim(self) -> int:
-        return self.x["train"].shape[1]
 
-
-def encode_probe(task: ProbeTask, encoder, vocab: Vocabulary | None = None) -> ProbeEncodings:
-    """Encode every split with a frozen encoder.
-
-    ``encoder`` is either EncoderParams (sentences are encoded with this
-    package's BiLSTM-max, token strings mapped through ``vocab``) or any
-    callable list-of-sentences -> (N, D) array.
-    """
-    if isinstance(encoder, EncoderParams):
-        if vocab is None:
-            raise UsageError("vocab is required when passing raw EncoderParams")
-        params = encoder
-
-        def encoder(batch):  # noqa: F811 - deliberate shadowing
-            return encode_sentences([vocab.encode(list(s)) for s in batch], params)
-
+def encode_probe(task: ProbeTask, params: EncoderParams, vocab: Vocabulary) -> ProbeEncodings:
+    """Encode every split with the frozen BiLSTM-max ``params``, token
+    strings mapped to ids through ``vocab``."""
     x, y = {}, {}
     for split in ("train", "valid", "test"):
         rows = task.split(split)
-        x[split] = np.asarray(encoder([s for s, _ in rows]), dtype=np.float64)
+        x[split] = encode_sentences([vocab.encode(list(s)) for s, _ in rows], params)
         y[split] = np.array([c for _, c in rows], dtype=np.int64)
-    dims = {m.shape[1] for m in x.values()}
-    if len(dims) != 1:
-        raise DataError(f"{task.name}: inconsistent encoding dims {sorted(dims)}")
     return ProbeEncodings(task.name, task.num_classes, x, y)
 
 
@@ -404,39 +404,24 @@ def eval_mlp_probe(enc: ProbeEncodings, config: ProbeConfig | None = None) -> Pr
     return _grid_search(enc, "mlp", cells, fit, _mlp_logits)
 
 
-def eval_classifier(enc: ProbeEncodings, classifier: str, config: ProbeConfig | None = None) -> ProbeResult:
-    """The ``logreg`` or ``mlp`` probe with ``config``'s grids."""
-    if classifier == "logreg":
-        return eval_logreg(enc, (config or ProbeConfig()).l2_grid)
-    if classifier == "mlp":
-        return eval_mlp_probe(enc, config)
-    raise UsageError(f"unknown classifier {classifier!r}")
+def probe_encoder(tasks: dict, params: EncoderParams, vocab: Vocabulary,
+                  classifiers, config: ProbeConfig) -> dict:
+    """Read out a frozen encoder: encode each task once, then fit each
+    ``logreg`` or ``mlp`` classifier with ``config``'s grids on it.
 
-
-def eval_untrained_baseline(
-    tasks: dict,
-    vocab: Vocabulary,
-    hidden_size: int = 32,
-    embed_dim: int = 64,
-    seed: int = 0,
-    config: ProbeConfig | None = None,
-    classifier: str = "mlp",
-    expect_dim: int | None = None,
-) -> dict:
-    """Probe accuracies of a frozen random-initialized encoder.
-
-    ``expect_dim`` guards comparisons against a trained encoder: a
-    mismatch raises instead of silently comparing different widths.
+    Returns {"<probe>/<classifier>": ProbeResult}.
     """
-    params = init_params(vocab.size, embed_dim, hidden_size, seed=seed)
-    if expect_dim is not None and params.output_dim != expect_dim:
-        raise UsageError(
-            f"untrained encoder dim {params.output_dim} != expected {expect_dim}"
-        )
-    out = {}
+    fits = {"logreg": lambda enc: eval_logreg(enc, config.l2_grid),
+            "mlp": lambda enc: eval_mlp_probe(enc, config)}
+    unknown = [clf for clf in classifiers if clf not in fits]
+    if unknown:
+        raise UsageError(f"unknown classifiers {unknown}; choose from logreg, mlp")
+    results = {}
     for name, task in tasks.items():
-        out[name] = eval_classifier(encode_probe(task, params, vocab), classifier, config).test_accuracy
-    return out
+        enc = encode_probe(task, params, vocab)
+        for clf in classifiers:
+            results[f"{name}/{clf}"] = fits[clf](enc)
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -120,9 +120,6 @@ class RngStream:
             if r < limit:
                 return r % bound
 
-    def choice(self, seq: Sequence[T]) -> T:
-        return seq[self.randint(len(seq))]
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(items) - 1, 0, -1):

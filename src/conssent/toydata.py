@@ -127,14 +127,3 @@ def make_toy_corpus(n: int = 2400, seed: int = 0) -> list[list[str]]:
     equals a smaller corpus with the same seed.
     """
     return [sample_sentence(stream(seed, TOY, item=i)) for i in range(n)]
-
-
-def grammar_size() -> int:
-    """Number of distinct surface forms the grammar can emit."""
-    forms = {".", *DET_SING, *DET_PLUR, *PREPS}
-    for topic in TOPICS.values():
-        for noun in topic["nouns"]:
-            forms.update((noun, _plural(noun)))
-        for verb in topic["iverbs"] + topic["tverbs"]:
-            forms.update((verb, _plural_verb(verb)))
-    return len(forms)

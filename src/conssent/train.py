@@ -26,6 +26,7 @@ from .encoder import (
     bind_params,
     copy_params,
     encode_batch,
+    frozen_head_logits,
     head_logits,
     init_params,
     params_view,
@@ -223,7 +224,7 @@ def sgd_step(params: EncoderParams, grads: dict, lr: float, clip_norm: float) ->
 
 
 def lr_schedule(
-    lr: float, valid_acc: float, best_so_far: float, drop_decay: float = 0.2, epoch_decay: float = 0.99
+    lr: float, valid_acc: float, best_so_far: float, drop_decay: float, epoch_decay: float
 ) -> tuple[float, float]:
     """End-of-epoch update; returns (new_lr, new_best).
 
@@ -242,18 +243,12 @@ def lr_schedule(
 # ---------------------------------------------------------------------------
 
 
-def binary_accuracy(params: EncoderParams, task: str, examples: list, batch_size: int = 256) -> float:
+def binary_accuracy(params: EncoderParams, task: str, examples: list) -> float:
     """Fraction of examples whose head argmax matches the label."""
     if not examples:
         raise DataError("no validation examples")
-    correct = 0
-    for start in range(0, len(examples), batch_size):
-        chunk = examples[start : start + batch_size]
-        tape = ad.Tape(recording=False)
-        enc = encode_batch([list(ex.tokens) for ex in chunk], params, tape)
-        logits = head_logits(enc, params.heads[task])
-        pred = np.argmax(logits.value, axis=1)
-        correct += int(np.sum(pred == np.array([ex.label for ex in chunk])))
+    logits = frozen_head_logits([list(ex.tokens) for ex in examples], params, task)
+    correct = int(np.sum(np.argmax(logits, axis=1) == np.array([ex.label for ex in examples])))
     return correct / len(examples)
 
 
@@ -459,23 +454,15 @@ def train_multitask(config: TrainConfig, data: SplitCorpus, progress=None) -> Mu
     minibatches rotate through the member tasks in fixed order, and the
     learning-rate schedule follows the unweighted mean of the members'
     validation accuracies. The groups share no parameters, so they are
-    trained one after the other; downstream representations concatenate
-    both encoders' outputs.
+    trained one after the other. The MT representation is both encoders'
+    outputs side by side (``output_dim`` wide); each encoder is saved, and
+    can be probed, on its own.
     """
     if config.task != "MT":
         raise ValueError(f"train_multitask requires task MT, got {config.task}")
     g1 = _run_training(GROUP1, data, config, init_item=0, progress=progress)
     g2 = _run_training(GROUP2, data, config, init_item=1, progress=progress)
     return MultitaskState(group1=g1, group2=g2, config=config)
-
-
-def encode_multitask(seqs: list, state: MultitaskState, batch_size: int = 128) -> np.ndarray:
-    """Concatenated (N, 2*H1 + 2*H2) frozen encodings from both encoders."""
-    from .encoder import encode_sentences
-
-    left = encode_sentences(seqs, state.group1.params, batch_size)
-    right = encode_sentences(seqs, state.group2.params, batch_size)
-    return np.concatenate([left, right], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +474,6 @@ def write_metrics_jsonl(path, history: list) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for row in history:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-def read_metrics_jsonl(path) -> list:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from conssent import ensemble as ens
 from conssent import probes as pr
 from conssent.cli import main as cli_main
 from conssent.corpus import build_vocab, prepare_corpus
-from conssent.encoder import head_probs
+from conssent.encoder import head_probs, init_params
 from conssent.perturb import (
     gen_single_examples,
     make_single_example,
@@ -226,11 +226,11 @@ def test_criterion_06_probe_ordering(toy_corpus, toy_data, trained_p2):
                                     seed=0)
     trained_acc = pr.eval_logreg(
         pr.encode_probe(task, state.params, toy_data.vocab)).test_accuracy
-    untrained = pr.eval_untrained_baseline(
-        {"BigramShift": task}, toy_data.vocab, hidden_size=32, embed_dim=32,
-        seed=0, classifier="logreg", expect_dim=state.params.output_dim)
-    gap = trained_acc - untrained["BigramShift"]
-    assert gap >= 0.05, (trained_acc, untrained["BigramShift"])
+    twin = init_params(toy_data.vocab.size, 32, 32, seed=0)
+    untrained = pr.probe_encoder({"BigramShift": task}, twin, toy_data.vocab, ("logreg",),
+                                 pr.ProbeConfig())["BigramShift/logreg"].test_accuracy
+    gap = trained_acc - untrained
+    assert gap >= 0.05, (trained_acc, untrained)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +326,8 @@ def test_criterion_10_schedule_conformance(trained_r1):
             assert row["lr"] == pytest.approx(0.1 * 0.99 ** e, rel=1e-12)
         if row["valid_acc"] < best:
             dropped = True
-        lr, best = lr_schedule(lr, row["valid_acc"], best)
+        lr, best = lr_schedule(lr, row["valid_acc"], best,
+                               state.config.drop_decay, state.config.epoch_decay)
         assert row["max_grad_norm"] <= 5.0 + 1e-9
     lrs = [row["lr"] for row in history]
     assert all(b < a for a, b in zip(lrs, lrs[1:]))

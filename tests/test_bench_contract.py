@@ -1,0 +1,82 @@
+"""The benchmark's view of the package: every ``conssent`` name that
+``perfbench/*.py`` imports or reads must exist, and every call it makes
+through one must bind to that name's signature.
+
+Tier-1 never runs the benchmark, and the benchmark's files change only
+with the benchmark itself, so a rename or a dropped parameter in the
+package would otherwise break it silently.
+"""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _uses(tree: ast.Module) -> tuple[set, list]:
+    """(module, name) pairs the file reads from conssent, and
+    (module, name, call node) for each call it makes through one."""
+    modules = {}  # local name -> the conssent module it is bound to
+    imported = {}  # local name -> (module, name) imported from a conssent module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((a.asname or a.name, a.name) for a in node.names
+                           if a.name.split(".")[0] == "conssent")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "conssent":
+            for a in node.names:
+                sub = f"{node.module}.{a.name}"
+                if node.module == "conssent" and importlib.util.find_spec(sub) is not None:
+                    modules[a.asname or a.name] = sub
+                else:
+                    imported[a.asname or a.name] = (node.module, a.name)
+
+    def target(expr):
+        if isinstance(expr, ast.Name):
+            return imported.get(expr.id)
+        if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name) and expr.value.id in modules:
+            return modules[expr.value.id], expr.attr
+        return None
+
+    names, calls = set(imported.values()), []
+    for node in ast.walk(tree):
+        if target(node) is not None:
+            names.add(target(node))
+        if isinstance(node, ast.Call) and target(node.func) is not None:
+            calls.append((*target(node.func), node))
+    return names, calls
+
+
+NAMES, CALLS = set(), []
+for _path in sorted(PERFBENCH.glob("*.py")):
+    _names, _calls = _uses(ast.parse(_path.read_text(encoding="utf-8")))
+    NAMES |= _names
+    CALLS += [(_path.name, *call) for call in _calls]
+
+
+def test_benchmark_reads_the_package():
+    assert len(NAMES) >= 2 and CALLS, "perfbench/*.py no longer parses as expected"
+
+
+@pytest.mark.parametrize("module,name", sorted(NAMES), ids=[f"{m}.{n}" for m, n in sorted(NAMES)])
+def test_every_benchmark_name_resolves(module, name):
+    assert hasattr(importlib.import_module(module), name), f"{module}.{name} is gone"
+
+
+def test_every_benchmark_call_binds():
+    failures = []
+    for where, module, name, call in CALLS:
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+            continue  # argument counts unknown until run time
+        obj = getattr(importlib.import_module(module), name, None)
+        if obj is None or isinstance(obj, type) and issubclass(obj, BaseException):
+            continue  # a missing name fails above; exceptions take any arguments
+        try:
+            inspect.signature(obj).bind(*call.args, **{k.arg: None for k in call.keywords})
+        except TypeError as exc:
+            failures.append(f"{where}:{call.lineno} {module}.{name}: {exc}")
+    assert not failures, failures

@@ -4,9 +4,11 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conssent.cli import CONFIG_DEFAULTS, config_sha256, load_run_config, main
-from conssent.ensemble import make_ensemble_spec, write_manifest
+from conssent.errors import ConsSentError
 from conssent.toydata import make_toy_corpus
 
 TINY = ["--hidden-size", "4", "--embed-dim", "8", "--head-dim", "8",
@@ -37,7 +39,11 @@ PROBE_BOTH_TSV_SHA256 = "f030477b0413c361d11be612f49e637a1b2ad8f32f06d385d5ee55f
 PROBE_BOTH_TABLE = {
     "BigramShift": {"logreg": 0.6666666666666666, "mlp": 0.5},
     "SentLen": {"logreg": 0.6111111111111112, "mlp": 0.3888888888888889},
-    "untrained": {"BigramShift": 0.4444444444444444, "SentLen": 0.4444444444444444},
+    # the untrained twin is read out with every requested classifier; the
+    # logreg values predate that, and the mlp values equal what
+    # `--probe-classifier mlp --baseline` printed when only one was used
+    "untrained": {"BigramShift": {"logreg": 0.4444444444444444, "mlp": 0.5},
+                  "SentLen": {"logreg": 0.4444444444444444, "mlp": 0.3888888888888889}},
 }
 
 
@@ -157,6 +163,23 @@ def test_invalid_config_json_is_data_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{broken")
     assert run("gen", "--config", cfg, "--out", tmp_path / "x") == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=64),
+    st.dictionaries(st.sampled_from(sorted(CONFIG_DEFAULTS) + ["bogus"]),
+                    st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+                                 lambda inner: st.lists(inner, max_size=3), max_leaves=6),
+                    max_size=4).map(lambda d: json.dumps(d).encode()),
+))
+def test_load_run_config_raises_only_package_errors(tmp_path_factory, blob):
+    cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    cfg.write_bytes(blob)
+    try:
+        load_run_config(str(cfg))
+    except ConsSentError:
+        pass
 
 
 def test_flags_override_config_file(tmp_path):
@@ -352,8 +375,8 @@ def test_ensemble_cli_round_trip(tmp_path, corpus_file, capsys):
                    "--corpus", corpus_file, *TINY, "--out", out) == 0
         scores.append(json.loads(capsys.readouterr().out.strip().split("\n")[-1])["best_valid"])
     manifest = tmp_path / "manifest.json"
-    write_manifest(manifest, make_ensemble_spec(
-        [tmp_path / "m1.ckpt", tmp_path / "m2.ckpt"], {"R": scores}))
+    manifest.write_text(json.dumps({"checkpoints": [str(tmp_path / "m1.ckpt"), str(tmp_path / "m2.ckpt")],
+                                    "valid_scores": {"R": scores}}))
     out = tmp_path / "report.json"
     assert run("ensemble", manifest, "--task", "R", "--k", "1",
                "--corpus", corpus_file, "--seed", "9", "--out", out) == 0
@@ -366,7 +389,7 @@ def test_ensemble_cli_round_trip(tmp_path, corpus_file, capsys):
 
 def test_ensemble_rejects_ranking_tasks(tmp_path):
     manifest = tmp_path / "manifest.json"
-    write_manifest(manifest, make_ensemble_spec(["a", "b"], {"C": (0.5, 0.5)}))
+    manifest.write_text(json.dumps({"checkpoints": ["a", "b"], "valid_scores": {"C": [0.5, 0.5]}}))
     assert run("ensemble", manifest, "--task", "C", "--k", "2", "--toy-n", "60") == 1
 
 
@@ -378,9 +401,38 @@ def test_ensemble_bad_manifest_is_data_error(tmp_path):
         '{"checkpoints": ["a", "b"], "valid_scores": [0.5, 0.5]}',
         '{"checkpoints": ["a", "b"], "valid_scores": {"R": ["high", 0.5]}}',
         '{"checkpoints": ["a", "b"], "valid_scores": {"R": 0.5}}',
+        '{"checkpoints": ["a", "b"], "valid_scores": {"R": [1%s, 0.5]}}' % ("0" * 400),
     ]:
         manifest.write_text(text)
         assert run("ensemble", manifest, "--task", "R", "--toy-n", "60") == 2, text
+
+
+# ---------------------------------------------------------------------------
+# IO boundary: undecodable text is a data error (2), an unusable path a
+# usage error (1); neither is a traceback
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("train", "--corpus", "{bad}"),
+    ("train", "--config", "{bad}"),
+    ("ensemble", "{bad}", "--task", "R"),
+])
+def test_undecodable_input_is_data_error(tmp_path, capsys, argv):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("the caf\xe9 sat .\n".encode("latin-1"))
+    argv = [str(a).format(bad=bad) for a in argv]
+    assert run(*argv, "--toy-n", "60", *TINY, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("train", "--corpus", "{dir}", "--out", "{dir}/m.ckpt"),
+    ("gen", "--task", "D", "--k", "1", "--toy-n", "60", "--out", "{dir}"),
+])
+def test_directory_path_is_usage_error(tmp_path, capsys, argv):
+    assert run(*[a.format(dir=tmp_path) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from conssent.encoder import (
     EncoderParams,
     bind_params,
     copy_params,
-    encode,
     encode_batch,
     encode_sentences,
     head_logits,
@@ -188,7 +187,7 @@ def test_named_arrays_order_is_stable():
 def test_encode_matches_scalar_oracle():
     params = init_params(vocab_size=9, embed_dim=2, hidden_size=3, seed=1)
     seq = [2, 5, 8, 3]
-    got = encode(seq, params)
+    got = encode_sentences([seq], params)[0]
     want = oracle_encode(seq, params)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -196,7 +195,7 @@ def test_encode_matches_scalar_oracle():
 def test_encode_matches_oracle_single_token():
     params = init_params(vocab_size=6, embed_dim=2, hidden_size=2, seed=3)
     np.testing.assert_allclose(
-        encode([4], params), oracle_encode([4], params), rtol=1e-12
+        encode_sentences([[4]], params)[0], oracle_encode([4], params), rtol=1e-12
     )
 
 
@@ -205,7 +204,7 @@ def test_ragged_batch_matches_single_encoding():
     seqs = [[2, 3, 4, 5, 6], [7, 8], [9], [10, 11, 2, 3]]
     batch = encode_sentences(seqs, params)
     for b, seq in enumerate(seqs):
-        np.testing.assert_allclose(batch[b], encode(seq, params), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(batch[b], encode_sentences([seq], params)[0], rtol=1e-12, atol=1e-12)
 
 
 def test_batching_does_not_change_encodings():
@@ -367,7 +366,7 @@ def test_empty_inputs_rejected():
     with pytest.raises(ValueError):
         encode_sentences([], params)
     with pytest.raises(DataError):
-        encode([], params)
+        encode_sentences([[]], params)
 
 
 # --------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Ensembling: weight normalization, probability averaging, manifests."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conssent import ensemble as E
-from conssent.errors import DataError, UsageError
+from conssent.errors import ConsSentError, DataError, UsageError
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +168,11 @@ def test_manifest_round_trip(tmp_path):
         {"probe": (0.9, 0.85, 0.8)},
     )
     path = tmp_path / "manifest.json"
-    E.write_manifest(path, spec)
+    path.write_text(json.dumps({
+        "checkpoints": list(spec.checkpoints),
+        "valid_scores": {t: list(s) for t, s in spec.valid_scores.items()},
+        "weights": {t: list(w) for t, w in spec.weights.items()},
+    }))
     back = E.read_manifest(path)
     assert back.checkpoints == spec.checkpoints
     assert back.valid_scores == spec.valid_scores
@@ -185,7 +191,6 @@ def test_manifest_rejects_garbage(tmp_path):
 
 
 def test_manifest_rejects_inconsistent_weights(tmp_path):
-    import json
     for weights in (
         {"t": [0.9, 0.1]},          # disagrees with the scores
         {"t": [0.5, 0.25, 0.25]},   # one weight too many
@@ -200,3 +205,29 @@ def test_manifest_rejects_inconsistent_weights(tmp_path):
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError):
             E.read_manifest(path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**400), 10**400) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=64),
+    st.fixed_dictionaries({"checkpoints": _JSON, "valid_scores": _JSON},
+                          optional={"weights": _JSON}).map(lambda d: json.dumps(d).encode()),
+    st.fixed_dictionaries({"checkpoints": st.just(["a", "b"]),
+                           "valid_scores": st.dictionaries(st.just("t"), _JSON)},
+                          optional={"weights": st.dictionaries(st.just("t"), _JSON)})
+    .map(lambda d: json.dumps(d).encode()),
+))
+def test_read_manifest_raises_only_package_errors(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("manifest") / "m.json"
+    path.write_bytes(blob)
+    try:
+        E.read_manifest(path)
+    except ConsSentError:
+        pass

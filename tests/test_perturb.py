@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conssent.corpus import build_vocab
+from conssent.errors import ConsSentError
 from conssent.perturb import (
     BatchTooSmall,
     DegenerateSplit,
@@ -592,3 +593,34 @@ def test_pair_dataset_rejects_bad_groups(tmp_path):
     path.write_text("1\tC\t3\t0\tanchor\ta b\n0\tC\t3\t0\tcand\tc d\n")
     with pytest.raises(Exception):
         read_pair_dataset(path)
+
+
+# tab-separated records of plausible and broken fields, plus raw bytes
+_FIELD = st.sampled_from(["0", "1", "2", "-1", "x", "C", "anchor", "cand", "a b", "", "\u0663"])
+_RECORDS = st.one_of(
+    st.binary(max_size=64),
+    st.lists(st.lists(_FIELD, min_size=4, max_size=7).map("\t".join), max_size=6)
+    .map(lambda lines: "\n".join(lines).encode()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_RECORDS)
+def test_read_single_dataset_raises_only_package_errors(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("single") / "d.tsv"
+    path.write_bytes(blob)
+    try:
+        read_single_dataset(path)
+    except ConsSentError:
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(_RECORDS)
+def test_read_pair_dataset_raises_only_package_errors(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("pair") / "d.tsv"
+    path.write_bytes(blob)
+    try:
+        read_pair_dataset(path)
+    except ConsSentError:
+        pass

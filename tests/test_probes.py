@@ -347,36 +347,58 @@ def test_eval_never_updates_encoder(corpus, tiny_vocab):
     assert _params_checksum(params) == before
 
 
-def test_encode_probe_requires_vocab_with_raw_params(corpus, tiny_vocab):
-    params = init_params(tiny_vocab.size, 8, 4, seed=0)
-    task = P.gen_probe_sentlen(corpus[:80], P.default_length_bins(corpus[:80]), seed=0)
-    with pytest.raises(UsageError):
-        P.encode_probe(task, params)
-
-
-def test_encode_probe_accepts_callable(corpus):
-    task = P.gen_probe_sentlen(corpus[:80], P.default_length_bins(corpus[:80]), seed=0)
-    enc = P.encode_probe(task, lambda batch: np.array([[len(s), 1.0] for s in batch]))
-    assert enc.dim == 2
-    assert enc.x["train"].shape[0] == len(task.train_idx)
-    # length feature makes SentLen trivially separable
-    assert P.eval_logreg(enc).test_accuracy == 1.0
-
-
 def test_untrained_baseline_same_seed_identical_table(corpus, tiny_vocab):
     task = P.gen_probe_sentlen(corpus[:150], P.default_length_bins(corpus[:150]), seed=0)
-    kw = dict(hidden_size=4, embed_dim=8, seed=9,
-              config=P.ProbeConfig(epochs=2), classifier="logreg")
-    a = P.eval_untrained_baseline({"SentLen": task}, tiny_vocab, **kw)
-    b = P.eval_untrained_baseline({"SentLen": task}, tiny_vocab, **kw)
-    assert a == b
+    tables = [
+        P.results_to_table(P.probe_encoder(
+            {"SentLen": task}, init_params(tiny_vocab.size, 8, 4, seed=9), tiny_vocab,
+            ("logreg", "mlp"), P.ProbeConfig(epochs=2)))
+        for _ in range(2)
+    ]
+    assert tables[0] == tables[1]
+    assert set(tables[0]["SentLen"]) == {"logreg", "mlp"}
 
 
-def test_untrained_baseline_dim_guard(corpus, tiny_vocab):
-    task = P.gen_probe_sentlen(corpus[:150], P.default_length_bins(corpus[:150]), seed=0)
+# ---------------------------------------------------------------------------
+# One readout path: the probe table and the encode-and-fit loop
+# ---------------------------------------------------------------------------
+
+
+def test_build_probe_tasks_matches_each_generator(corpus):
+    tasks = P.build_probe_tasks(P.PROBE_NAMES, corpus, seed=4)
+    assert list(tasks) == list(P.PROBE_NAMES)
+    assert tasks["SentLen"] == P.gen_probe_sentlen(corpus, P.default_length_bins(corpus), seed=4)
+    assert tasks["WordContent"] == P.gen_probe_wordcontent(
+        corpus, P.default_wordcontent_targets(corpus), seed=4)
+    assert tasks["BigramShift"] == P.gen_probe_bigramshift(
+        corpus, stream(4, PROBE, epoch=2, item=0), seed=4)
+    assert list(P.build_probe_tasks(["BigramShift"], corpus, seed=4)) == ["BigramShift"]
     with pytest.raises(UsageError):
-        P.eval_untrained_baseline({"SentLen": task}, tiny_vocab,
-                                  hidden_size=4, embed_dim=8, expect_dim=64)
+        P.build_probe_tasks(["SentLen", "Tense"], corpus, seed=4)
+
+
+def test_probe_encoder_encodes_once_and_fits_each_classifier(corpus, tiny_vocab, monkeypatch):
+    params = init_params(tiny_vocab.size, 8, 4, seed=0)
+    tasks = P.build_probe_tasks(["SentLen", "BigramShift"], corpus[:150], seed=0)
+    config = P.ProbeConfig(mlp_hidden=(50,), dropout=(0.0,), epochs=2, l2_grid=(1e-2, 1.0))
+    want = {}
+    for name, task in tasks.items():
+        enc = P.encode_probe(task, params, tiny_vocab)
+        want[f"{name}/logreg"] = P.eval_logreg(enc, config.l2_grid)
+        want[f"{name}/mlp"] = P.eval_mlp_probe(enc, config)
+    encoded, real_encode_probe = [], P.encode_probe
+
+    def spy(task, *args):
+        encoded.append(task.name)
+        return real_encode_probe(task, *args)
+
+    monkeypatch.setattr(P, "encode_probe", spy)
+    got = P.probe_encoder(tasks, params, tiny_vocab, ("logreg", "mlp"), config)
+    assert encoded == ["SentLen", "BigramShift"]
+    assert list(got) == ["SentLen/logreg", "SentLen/mlp", "BigramShift/logreg", "BigramShift/mlp"]
+    assert got == want
+    with pytest.raises(UsageError):
+        P.probe_encoder(tasks, params, tiny_vocab, ("svm",), config)
 
 
 # ---------------------------------------------------------------------------

@@ -189,9 +189,3 @@ def test_purpose_streams_diverge():
     s3 = stream(7, EXAMPLES, epoch=1).next_u32()
     s4 = stream(7, EXAMPLES, epoch=0, item=1).next_u32()
     assert len({s1, s2, s3, s4}) == 4
-
-
-def test_choice_uses_all_elements():
-    rng = RngStream(1, 1)
-    seen = {rng.choice("abc") for _ in range(100)}
-    assert seen == {"a", "b", "c"}

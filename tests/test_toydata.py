@@ -13,7 +13,6 @@ from conssent.toydata import (
     MINOR_PERCENT,
     PREPS,
     TOPICS,
-    grammar_size,
     make_toy_corpus,
     sample_sentence,
 )
@@ -38,12 +37,6 @@ def test_prefix_property():
 def test_determinism_and_seed_sensitivity():
     assert make_toy_corpus(80, seed=3) == make_toy_corpus(80, seed=3)
     assert make_toy_corpus(80, seed=3) != make_toy_corpus(80, seed=4)
-
-
-def test_grammar_size_is_about_two_hundred():
-    # 12 topics x (4 nouns + 4 plurals + 2+2 verbs in both numbers) = 192
-    # content forms, plus 6 function words and the period
-    assert grammar_size() == 199
 
 
 def test_sampled_vocabulary_stays_inside_grammar():

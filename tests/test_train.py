@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from conssent import autodiff as ad
 from conssent import train
 from conssent.corpus import prepare_corpus
-from conssent.encoder import bind_params, encode_batch, head_logits, init_params
+from conssent.encoder import bind_params, encode_batch, encode_sentences, head_logits, init_params
 from conssent.errors import DataError, NumericError
-from conssent.perturb import PairBatch, gen_single_examples
+from conssent.perturb import LabeledExample, PairBatch, gen_single_examples
 from conssent.toydata import make_toy_corpus
 from conssent.train import (
     GROUP1,
@@ -23,12 +23,9 @@ from conssent.train import (
     K_RANGES,
     NonFiniteGradient,
     TrainConfig,
-    binary_accuracy,
-    encode_multitask,
     global_grad_norm,
     lr_schedule,
     pair_batch_loss,
-    read_metrics_jsonl,
     run_gradcheck,
     sgd_step,
     train_multitask,
@@ -301,21 +298,58 @@ def test_post_clip_norm_never_exceeds_limit(scales):
 
 
 # ---------------------------------------------------------------------------
+# Frozen head readout (validation accuracy and ensemble probabilities)
+# ---------------------------------------------------------------------------
+
+
+def test_frozen_readout_encodes_256_at_a_time_through_the_encoder_module(tiny_data, monkeypatch):
+    """binary_accuracy and head_probs read a head through frozen_head_logits,
+    which looks encode_batch up on the encoder module: a tracer that swaps
+    that attribute sees every frozen encode."""
+    from conssent import encoder
+
+    params = init_params(tiny_data.vocab.size, 8, 4, head_tasks=("D",), head_dim=8, seed=1)
+    seqs = (tiny_data.train * 3)[:300]
+    examples = [LabeledExample(tuple(s), i % 2, "D", 1) for i, s in enumerate(seqs)]
+    sizes, real_encode_batch = [], encoder.encode_batch
+
+    def spy(batch, p, tape):
+        assert not tape.recording
+        sizes.append(len(batch))
+        return real_encode_batch(batch, p, tape)
+
+    monkeypatch.setattr(encoder, "encode_batch", spy)
+    logits = encoder.frozen_head_logits(seqs, params, "D")
+    assert logits.shape == (300, 2) and sizes == [256, 44]
+    labels = np.array([ex.label for ex in examples])
+    assert train.binary_accuracy(params, "D", examples) == np.mean(np.argmax(logits, axis=1) == labels)
+    np.testing.assert_array_equal(encoder.head_probs(seqs, params, "D"), ad.softmax_rows(logits))
+    assert sizes == [256, 44] * 3
+    with pytest.raises(DataError):
+        encoder.frozen_head_logits(seqs, params, "R")
+
+
+# ---------------------------------------------------------------------------
 # lr_schedule
 # ---------------------------------------------------------------------------
 
 
+# TrainConfig's decay factors: 0.2 on a drop, 0.99 otherwise
+DECAYS = {"drop_decay": TrainConfig.drop_decay, "epoch_decay": TrainConfig.epoch_decay}
+
+
 def test_lr_schedule_examples():
-    lr, best = lr_schedule(0.1, valid_acc=0.7, best_so_far=0.6)
+    lr, best = lr_schedule(0.1, valid_acc=0.7, best_so_far=0.6, **DECAYS)
     assert lr == pytest.approx(0.099, rel=1e-12) and best == 0.7
-    lr, best = lr_schedule(0.1, valid_acc=0.5, best_so_far=0.6)
+    lr, best = lr_schedule(0.1, valid_acc=0.5, best_so_far=0.6, **DECAYS)
     assert lr == pytest.approx(0.02, rel=1e-12) and best == 0.6
-    lr, _ = lr_schedule(*lr_schedule(0.1, 0.5, 0.6)[:1], valid_acc=0.5, best_so_far=0.6)
+    lr, _ = lr_schedule(*lr_schedule(0.1, 0.5, 0.6, **DECAYS)[:1], valid_acc=0.5, best_so_far=0.6,
+                        **DECAYS)
     assert lr == pytest.approx(0.004, rel=1e-12)
 
 
 def test_lr_schedule_tie_is_not_a_drop():
-    lr, best = lr_schedule(0.1, valid_acc=0.6, best_so_far=0.6)
+    lr, best = lr_schedule(0.1, valid_acc=0.6, best_so_far=0.6, **DECAYS)
     assert lr == pytest.approx(0.099, rel=1e-12) and best == 0.6
 
 
@@ -325,14 +359,14 @@ def test_lr_schedule_strictly_decreasing_and_powerlaw_on_improvement(accs):
     lr, best = 0.1, float("-inf")
     seen = [lr]
     for a in accs:
-        lr, best = lr_schedule(lr, a, best)
+        lr, best = lr_schedule(lr, a, best, **DECAYS)
         seen.append(lr)
     assert all(b < a for a, b in zip(seen, seen[1:]))
     # a purely improving prefix obeys lr = 0.1 * 0.99^E
     lr, best = 0.1, float("-inf")
     E = 0
     for a in sorted(accs):  # nondecreasing sequence never triggers the drop branch
-        lr, best = lr_schedule(lr, a, best)
+        lr, best = lr_schedule(lr, a, best, **DECAYS)
         E += 1
         assert lr == pytest.approx(0.1 * 0.99**E, rel=1e-9)
 
@@ -414,8 +448,7 @@ def test_history_schema_and_metrics_roundtrip(tiny_data, tmp_path):
     write_metrics_jsonl(path, state.history)
     lines = path.read_text().strip().split("\n")
     assert len(lines) == len(state.history)
-    assert all(json.loads(line) for line in lines)
-    assert read_metrics_jsonl(path) == state.history
+    assert [json.loads(line) for line in lines] == state.history
 
 
 def test_lr_column_follows_schedule(tiny_data):
@@ -487,8 +520,8 @@ def test_multitask_state_shapes(tiny_data):
     state = train_multitask(cfg, tiny_data)
     assert state.output_dim == 2 * cfg.hidden_size + 2 * cfg.hidden_size
     assert set(state.member_accs) == set(GROUP1) | set(GROUP2)
-    enc = encode_multitask(tiny_data.valid[:5], state)
-    assert enc.shape == (5, state.output_dim)
+    widths = [encode_sentences(tiny_data.valid[:5], g.params).shape for g in (state.group1, state.group2)]
+    assert widths == [(5, 2 * cfg.hidden_size)] * 2
     rows = {(r["task"], r["epoch"]) for r in state.history}
     assert rows == {(t, e) for t in GROUP1 + GROUP2 for e in range(1)}
 
