@@ -49,28 +49,12 @@ from .train import (
     write_metrics_jsonl,
 )
 
-# Config key of each settings-dataclass field: TrainConfig's fields keep
-# their names, ProbeConfig's generic ones take a probe_ prefix.
-_FIELD_KEYS = {
-    TrainConfig: {f.name: f.name for f in fields(TrainConfig)},
-    pr.ProbeConfig: {
-        f.name: {"epochs": "probe_epochs", "lr": "probe_lr", "batch_size": "probe_batch"}
-        .get(f.name, f.name)
-        for f in fields(pr.ProbeConfig)
-    },
-}
-
-# Every config key with its default: first the dataclass defaults (tuples as
-# JSON lists), then the keys whose default the CLI sets. `None` means "no
-# value": either the command supplies its own (out paths) or a fallback chain
-# resolves it (seed, in place of the dataclasses' 0).
+# Every config key with its default: TrainConfig's fields, then the run's
+# inputs. `None` means "no value": either the command supplies its own (out
+# paths) or a fallback chain resolves it (seed, in place of TrainConfig's 0).
+# Probes always run at ProbeConfig's fixed protocol.
 CONFIG_DEFAULTS = {
-    **{
-        keys[f.name]: list(f.default) if isinstance(f.default, tuple) else f.default
-        for cls, keys in _FIELD_KEYS.items()
-        for f in fields(cls)
-        if f.default is not MISSING
-    },
+    **{f.name: f.default for f in fields(TrainConfig) if f.default is not MISSING},
     "task": "R",                    # D | P | I | R | C | N | MT
     "seed": None,                   # None -> CONSSENT_SEED env var -> 0
     "corpus": None,                 # path to one-sentence-per-line text; None -> toy
@@ -193,13 +177,23 @@ def _prepare(config: dict, sentences: list | None = None):
         raise UsageError(str(exc)) from exc
 
 
-def _settings(cls, config: dict):
-    """A TrainConfig or ProbeConfig filled from the resolved config."""
-    values = {name: config[key] for name, key in _FIELD_KEYS[cls].items()}
+def _train_config(config: dict, **changes) -> TrainConfig:
+    """The resolved config's TrainConfig, with ``changes`` applied."""
     try:
-        return cls(**{n: tuple(v) if isinstance(v, list) else v for n, v in values.items()})
+        return TrainConfig(**{f.name: config[f.name] for f in fields(TrainConfig)} | changes)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _load_encoder(path, vocab):
+    """A checkpoint's parameters, admitted only if they embed ``vocab``."""
+    params, _meta = load_checkpoint(path)
+    if params.vocab_size != vocab.size:
+        raise DataError(
+            f"{path}: checkpoint vocab size {params.vocab_size} != corpus vocab "
+            f"{vocab.size}; use the corpus the model was trained on"
+        )
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -209,23 +203,19 @@ def _settings(cls, config: dict):
 
 def cmd_gen(config: dict) -> int:
     out = config["out"] or "dataset.tsv"
-    data = _prepare(config)
-    task, k, seed = config["task"], config["k"], config["seed"]
-    if task == "MT":
+    tc = _train_config(config)
+    if tc.task == "MT":
         raise UsageError("gen writes one task's dataset; pick one of D P I R C N")
-    # validate k through the same gate training uses
-    _settings(TrainConfig, config)
-    if task in PAIR_TASKS:
-        batches, stats = gen_pair_batches(
-            data.all_ids, task, k, config["batch_size"], seed
-        )
+    data = _prepare(config)
+    if tc.task in PAIR_TASKS:
+        batches, stats = gen_pair_batches(data.all_ids, tc.task, tc.k, tc.batch_size, tc.seed)
         groups = []
         for batch, sources in batches:
             groups.extend(batch.candidate_sets(sources))
         write_pair_dataset(out, groups)
     else:
         examples, stats = gen_single_examples(
-            data.all_ids, task, k, config["gate_p"], data.vocab, seed
+            data.all_ids, tc.task, tc.k, tc.gate_p, data.vocab, tc.seed
         )
         write_single_dataset(out, examples)
     vocab_path = str(out) + ".vocab"
@@ -233,7 +223,7 @@ def cmd_gen(config: dict) -> int:
     write_meta(out, config, written=stats.written,
                skipped=dict(stats.skipped), vocab=vocab_path)
     _progress(
-        f"gen {task}({k}): wrote {stats.written} records to {out} "
+        f"gen {tc.task}({tc.k}): wrote {stats.written} records to {out} "
         f"({stats.total_skipped} inputs skipped)"
     )
     return 0
@@ -242,8 +232,8 @@ def cmd_gen(config: dict) -> int:
 def cmd_train(config: dict) -> int:
     out = config["out"] or "model.ckpt"
     metrics_path = config["metrics"] or str(out) + ".metrics.jsonl"
+    tc = _train_config(config)
     data = _prepare(config)
-    tc = _settings(TrainConfig, config)
     _progress(f"train {tc.task}(k={tc.k}) on {len(data.train)} sentences "
               f"(vocab {data.vocab.size})")
     if tc.task == "MT":
@@ -251,7 +241,6 @@ def cmd_train(config: dict) -> int:
         paths = {"group1": str(out) + ".g1", "group2": str(out) + ".g2"}
         save_checkpoint(paths["group1"], state.group1.params, {"task": "MT/group1"})
         save_checkpoint(paths["group2"], state.group2.params, {"task": "MT/group2"})
-        history = state.history
         summary = {
             "task": "MT", "k": tc.k,
             "member_accs": state.member_accs,
@@ -262,13 +251,13 @@ def cmd_train(config: dict) -> int:
         state = train_single_task(tc, data, progress=_progress)
         save_checkpoint(out, state.params,
                         {"task": tc.task, "k": tc.k, "best_valid": state.best_valid})
-        history = state.history
         summary = {
             "task": tc.task, "k": tc.k,
             "best_valid": state.best_valid,
             "best_epoch": state.best_epoch,
             "checkpoint": str(out),
         }
+    history = state.history
     write_metrics_jsonl(metrics_path, history)
     write_meta(out, config, **summary)
     final_losses = [h["train_loss"] for h in history if h["epoch"] == history[-1]["epoch"]]
@@ -281,17 +270,12 @@ def cmd_train(config: dict) -> int:
 def cmd_probe(config: dict, ckpt: str) -> int:
     if config["out"] is None:
         raise UsageError("probe needs --out for the results file stem")
-    params, _meta = load_checkpoint(ckpt)
     sentences = _load_sentences(config)
     data = _prepare(config, sentences)
-    if data.vocab.size != params.vocab_size:
-        raise DataError(
-            f"checkpoint vocab size {params.vocab_size} != corpus vocab "
-            f"{data.vocab.size}; probe with the corpus the model was trained on"
-        )
+    params = _load_encoder(ckpt, data.vocab)
     seed = config["seed"]
     tasks = pr.build_probe_tasks(config["probes"], sentences, seed)
-    pc = _settings(pr.ProbeConfig, config)
+    pc = pr.ProbeConfig(seed=seed)
     clf = config["probe_classifier"]
     classifiers = ("logreg", "mlp") if clf == "both" else (clf,)
     results = pr.probe_encoder(tasks, params, data.vocab, classifiers, pc)
@@ -320,21 +304,21 @@ def cmd_sweep(config: dict, k_range: str) -> int:
         raise UsageError(f"--k-range must look like 2..6, got {k_range!r}") from exc
     if not ks:
         raise UsageError(f"empty k range {k_range!r}")
+    configs = [_train_config(config, k=k) for k in ks]
     data = _prepare(config)
     rows = []
     print("task\tk\tbest_valid\tbest_epoch")
-    for k in ks:
-        tc = _settings(TrainConfig, {**config, "k": k})
-        _progress(f"sweep {tc.task}(k={k})")
+    for tc in configs:
+        _progress(f"sweep {tc.task}(k={tc.k})")
         if tc.task == "MT":
+            # one row per trained encoder, as `train` saves them
             state = train_multitask(tc, data, progress=_progress)
-            best = sum(state.member_accs.values()) / len(state.member_accs)
-            epoch = max(h["epoch"] for h in state.history)
+            runs = {"MT/group1": state.group1, "MT/group2": state.group2}
         else:
-            state = train_single_task(tc, data, progress=_progress)
-            best, epoch = state.best_valid, state.best_epoch
-        rows.append({"task": tc.task, "k": k, "best_valid": best, "best_epoch": epoch})
-        print(f"{tc.task}\t{k}\t{best:.4f}\t{epoch}", flush=True)
+            runs = {tc.task: train_single_task(tc, data, progress=_progress)}
+        for name, st in runs.items():
+            rows.append({"task": name, "k": tc.k, "best_valid": st.best_valid, "best_epoch": st.best_epoch})
+            print(f"{name}\t{tc.k}\t{st.best_valid:.4f}\t{st.best_epoch}", flush=True)
     if config["out"]:
         Path(config["out"]).write_text(
             json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -343,35 +327,29 @@ def cmd_sweep(config: dict, k_range: str) -> int:
 
 
 def cmd_ensemble(config: dict, manifest_path: str) -> int:
-    spec = ens.read_manifest(manifest_path)
-    task, k, seed = config["task"], config["k"], config["seed"]
-    if task not in SINGLE_TASKS:
+    tc = _train_config(config)
+    if tc.task not in SINGLE_TASKS:
         raise UsageError(
             "ensemble evaluation averages classifier-head probabilities, "
             "so it applies to the binary tasks D P I R"
         )
-    if task not in spec.valid_scores:
-        raise DataError(f"manifest has no validation scores for task {task!r}")
+    spec = ens.read_manifest(manifest_path)
+    if tc.task not in spec.valid_scores:
+        raise DataError(f"manifest has no validation scores for task {tc.task!r}")
     data = _prepare(config)
     examples, _ = gen_single_examples(
-        data.valid, task, k, config["gate_p"], data.vocab, seed, purpose=VALID
+        data.valid, tc.task, tc.k, tc.gate_p, data.vocab, tc.seed, purpose=VALID
     )
     labels = np.array([ex.label for ex in examples])
     member_probs, member_accs = [], []
     for path in spec.checkpoints:
-        params, _meta = load_checkpoint(path)
-        if params.vocab_size != data.vocab.size:
-            raise DataError(
-                f"{path}: vocab size {params.vocab_size} != corpus vocab "
-                f"{data.vocab.size}; evaluate with the training corpus"
-            )
-        probs = head_probs([ex.tokens for ex in examples], params, task)
+        probs = head_probs([ex.tokens for ex in examples], _load_encoder(path, data.vocab), tc.task)
         member_probs.append(probs)
         member_accs.append(float(np.mean(np.argmax(probs, axis=1) == labels)))
-    weights = spec.weights[task]
+    weights = spec.weights[tc.task]
     acc = ens.ensemble_accuracy(member_probs, weights, labels)
     report = {
-        "task": task, "k": k,
+        "task": tc.task, "k": tc.k,
         "members": member_accs,
         "weights": list(weights),
         "ensemble": acc,

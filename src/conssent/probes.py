@@ -342,7 +342,7 @@ def _np_rng(seed: int, item: int) -> np.random.Generator:
     return np.random.default_rng((s.next_u32(), s.next_u32()))
 
 
-def fit_mlp(x, y, num_classes, hidden, dropout, rng, epochs=40, lr=0.2, batch_size=32):
+def fit_mlp(x, y, num_classes, hidden, dropout, rng, epochs, lr, batch_size):
     """Minibatch SGD on CE; dropout sits between sigmoid and classifier."""
     n, d = x.shape
     w1 = rng.uniform(-1 / np.sqrt(d), 1 / np.sqrt(d), size=(d, hidden))
@@ -385,10 +385,9 @@ def _mlp_logits(model, x):
     return stable_sigmoid(x @ w1 + b1) @ w2 + b2  # dropout off at eval time
 
 
-def eval_mlp_probe(enc: ProbeEncodings, config: ProbeConfig | None = None) -> ProbeResult:
+def eval_mlp_probe(enc: ProbeEncodings, config: ProbeConfig) -> ProbeResult:
     """3x3 grid over (hidden, dropout); select on validation accuracy with
     ties resolved toward smaller hidden, then smaller dropout."""
-    config = config or ProbeConfig()
     cells = [
         {"hidden": hidden, "dropout": dropout}
         for hidden in sorted(config.mlp_hidden)

@@ -1,6 +1,7 @@
 """The benchmark's view of the package: every ``conssent`` name that
-``perfbench/*.py`` imports or reads must exist, and every call it makes
-through one must bind to that name's signature.
+``perfbench/*.py`` imports or reads must exist, every call it makes
+through one must bind to that name's signature, and every attribute it
+reads off a settings object named ``config`` must exist on one.
 
 Tier-1 never runs the benchmark, and the benchmark's files change only
 with the benchmark itself, so a rename or a dropped parameter in the
@@ -14,6 +15,9 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+from conssent.probes import ProbeConfig
+from conssent.train import TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -51,11 +55,14 @@ def _uses(tree: ast.Module) -> tuple[set, list]:
     return names, calls
 
 
-NAMES, CALLS = set(), []
+NAMES, CALLS, CONFIG_ATTRS = set(), [], set()
 for _path in sorted(PERFBENCH.glob("*.py")):
-    _names, _calls = _uses(ast.parse(_path.read_text(encoding="utf-8")))
+    _tree = ast.parse(_path.read_text(encoding="utf-8"))
+    _names, _calls = _uses(_tree)
     NAMES |= _names
     CALLS += [(_path.name, *call) for call in _calls]
+    CONFIG_ATTRS |= {node.attr for node in ast.walk(_tree) if isinstance(node, ast.Attribute)
+                     and isinstance(node.value, ast.Name) and node.value.id == "config"}
 
 
 def test_benchmark_reads_the_package():
@@ -80,3 +87,11 @@ def test_every_benchmark_call_binds():
         except TypeError as exc:
             failures.append(f"{where}:{call.lineno} {module}.{name}: {exc}")
     assert not failures, failures
+
+
+def test_every_config_attribute_exists():
+    # constants such as TrainConfig.clip_norm count: they must stay attributes
+    assert len(CONFIG_ATTRS) >= 10, "perfbench/*.py no longer parses as expected"
+    settings = (TrainConfig(task="R", k=1), ProbeConfig())
+    missing = sorted(a for a in CONFIG_ATTRS if not any(hasattr(s, a) for s in settings))
+    assert not missing, missing

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conssent.cli import CONFIG_DEFAULTS, config_sha256, load_run_config, main
+from conssent.corpus import prepare_corpus
 from conssent.errors import ConsSentError
 from conssent.toydata import make_toy_corpus
+from conssent.train import TrainConfig, train_multitask
 
 TINY = ["--hidden-size", "4", "--embed-dim", "8", "--head-dim", "8",
         "--batch-size", "16", "--max-epochs", "1", "--valid-draws", "1"]
@@ -143,6 +145,9 @@ def test_unknown_config_key_rejected(tmp_path):
     {"corpus": 7},
     {"out": 5},
     {"metrics": 3},
+    {"clip_norm": 5.0},
+    {"epoch_decay": 0.99},
+    {"probe_epochs": 40},
 ])
 def test_mistyped_or_removed_config_value_is_usage_error(tmp_path, capsys, entry):
     cfg = tmp_path / "cfg.json"
@@ -153,8 +158,7 @@ def test_mistyped_or_removed_config_value_is_usage_error(tmp_path, capsys, entry
 
 def test_config_accepts_int_for_float_list_for_tuple_any_for_none(tmp_path):
     cfg = tmp_path / "cfg.json"
-    entries = {"lr0": 1, "dropout": [0, 0.5], "l2_grid": [1], "corpus": None,
-               "out": "x", "seed": "3"}
+    entries = {"lr0": 1, "probes": ["SentLen"], "corpus": None, "out": "x", "seed": "3"}
     cfg.write_text(json.dumps(entries))
     assert load_run_config(str(cfg)) == {**CONFIG_DEFAULTS, **entries}
 
@@ -223,23 +227,20 @@ def test_unknown_flag_exits_one():
 
 def test_defaults_documented():
     # every key must carry an inline comment in the source defaults block
-    assert set(CONFIG_DEFAULTS) >= {"task", "k", "seed", "corpus", "out", "l2_grid"}
+    assert set(CONFIG_DEFAULTS) >= {"task", "k", "seed", "corpus", "out"}
 
 
 def test_defaults_match_the_documented_literal():
     # the table the CLI documented before its defaults were derived from
-    # TrainConfig and ProbeConfig
+    # TrainConfig, less the keys for the paper's fixed optimizer and probe
+    # protocol, which are constants now
     assert load_run_config(None) == {
         "task": "R", "k": 2, "gate_p": 0.5,
         "hidden_size": 32, "embed_dim": 64, "head_dim": 64, "init_gain": 4.0,
-        "batch_size": 64, "lr0": 0.1, "epoch_decay": 0.99, "drop_decay": 0.2,
-        "clip_norm": 5.0, "max_epochs": 20, "valid_draws": 10,
-        "allow_custom_k": False,
+        "batch_size": 64, "lr0": 0.1, "max_epochs": 20, "valid_draws": 10,
         "corpus": None, "toy_n": 2000, "valid_fraction": 0.1, "min_freq": 1,
         "probes": ["SentLen", "WordContent", "BigramShift"],
-        "probe_classifier": "logreg", "mlp_hidden": [50, 100, 200],
-        "dropout": [0.0, 0.1, 0.2], "l2_grid": [1e-4, 1e-3, 1e-2, 1e-1, 1.0],
-        "probe_epochs": 40, "probe_lr": 0.2, "probe_batch": 32, "baseline": False,
+        "probe_classifier": "logreg", "baseline": False,
         "seed": None, "out": None, "metrics": None,
     }
 
@@ -357,6 +358,20 @@ def test_sweep_prints_one_row_per_k(tmp_path, capsys):
     assert [r["k"] for r in saved] == [1, 2, 3]
 
 
+def test_sweep_prints_one_row_per_mt_group(tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    assert run("sweep", "--task", "MT", "--k-range", "2..2", "--seed", "2",
+               "--toy-n", "80", *TINY, "--max-epochs", "4", "--out", out) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    data = prepare_corpus(make_toy_corpus(80, seed=2), min_freq=1, valid_fraction=0.1, seed=2)
+    state = train_multitask(TrainConfig(task="MT", k=2, hidden_size=4, embed_dim=8, head_dim=8,
+                                        batch_size=16, max_epochs=4, valid_draws=1, seed=2), data)
+    want = [{"task": f"MT/{name}", "k": 2, "best_valid": g.best_valid, "best_epoch": g.best_epoch}
+            for name, g in (("group1", state.group1), ("group2", state.group2))]
+    assert json.loads(out.read_text()) == want
+    assert lines[1:] == [f"{r['task']}\t2\t{r['best_valid']:.4f}\t{r['best_epoch']}" for r in want]
+
+
 def test_sweep_bad_range_exits_one(tmp_path):
     assert run("sweep", "--task", "D", "--k-range", "abc", "--toy-n", "60") == 1
     assert run("sweep", "--task", "D", "--k-range", "5..2", "--toy-n", "60") == 1
@@ -391,6 +406,31 @@ def test_ensemble_rejects_ranking_tasks(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"checkpoints": ["a", "b"], "valid_scores": {"C": [0.5, 0.5]}}))
     assert run("ensemble", manifest, "--task", "C", "--k", "2", "--toy-n", "60") == 1
+
+
+@pytest.fixture(scope="module")
+def r1_manifest(tmp_path_factory):
+    """A valid R(1) manifest and the corpus its one (twice-listed) member
+    was trained on."""
+    root = tmp_path_factory.mktemp("ens")
+    corpus = root / "toy.txt"
+    corpus.write_text("".join(" ".join(s) + "\n" for s in make_toy_corpus(120, seed=4)))
+    ckpt = root / "m.ckpt"
+    assert run("train", "--task", "R", "--k", "1", "--seed", "1", "--corpus", corpus,
+               *TINY, "--out", ckpt) == 0
+    manifest = root / "manifest.json"
+    manifest.write_text(json.dumps({"checkpoints": [str(ckpt)] * 2,
+                                    "valid_scores": {"R": [0.5, 0.5]}}))
+    return manifest, corpus
+
+
+@pytest.mark.parametrize("flag", [("--k", "99"), ("--k", "-1"), ("--k", "0"), ("--k", "7"),
+                                  ("--gate-p", "2.0")])
+def test_ensemble_rejects_settings_train_rejects(r1_manifest, capsys, flag):
+    manifest, corpus = r1_manifest
+    assert run("ensemble", manifest, "--task", "R", "--corpus", corpus, *flag) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
 
 
 def test_ensemble_bad_manifest_is_data_error(tmp_path):

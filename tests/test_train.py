@@ -392,10 +392,8 @@ def test_config_default_k_ranges():
 def test_config_enforces_k_range_unless_overridden():
     with pytest.raises(ValueError):
         TrainConfig(task="D", k=6)
-    cfg = TrainConfig(task="D", k=6, allow_custom_k=True)
-    assert cfg.k == 6
     with pytest.raises(ValueError):
-        TrainConfig(task="P", k=1, allow_custom_k=True)  # hard floor stays
+        TrainConfig(task="P", k=1)
 
 
 def test_config_requires_batch_at_least_k_for_ranking():
@@ -413,8 +411,6 @@ def test_config_rejects_bad_scalars():
         TrainConfig(task="D", k=1, valid_draws=0)
     with pytest.raises(ValueError):
         TrainConfig(task="D", k=1, gate_p=1.5)
-    with pytest.raises(ValueError):
-        TrainConfig(task="D", k=1, epoch_decay=0.0)
 
 
 # ---------------------------------------------------------------------------
