@@ -1,12 +1,13 @@
 """Command-line entry points.
 
-Subcommands: gen | train | probe | sweep | ensemble | gradcheck. Every
-command resolves its settings from, in increasing precedence: built-in
-defaults, a JSON config file (--config, unknown keys rejected), then
-explicit flags. The seed specifically resolves flag > config file >
-CONSSENT_SEED env var > 0. The resolved config's SHA-256 is written into a
-``<out>.meta.json`` sidecar next to every file artifact, so any output can
-be traced back to the exact settings that produced it.
+Subcommands: gen | train | probe | sweep | ensemble | gradcheck. Each
+command reads only its own config keys (``COMMANDS``): they are its flags,
+the keys it takes from a JSON ``--config`` file (which may hold any known
+key; unknown keys are rejected) and the config its ``<out>.meta.json``
+sidecar records with its SHA-256, so any output can be traced back to the
+exact settings that produced it. Keys resolve defaults < config file <
+flags; the seed resolves flag > config file > CONSSENT_SEED env var > 0.
+``--models``, ``--tolerance`` and ``--k-range`` are flags only.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 Human-readable progress goes to stderr; machine output goes to files and
@@ -41,6 +42,7 @@ from .perturb import (
 from .rng import VALID
 from .toydata import make_toy_corpus
 from .train import (
+    K_RANGES,
     TASKS,
     TrainConfig,
     run_gradcheck,
@@ -65,7 +67,7 @@ CONFIG_DEFAULTS = {
     "probe_classifier": "logreg",   # logreg | mlp | both
     "baseline": False,              # also evaluate an untrained encoder
     "out": None,                    # main output path; default depends on command
-    "metrics": None,                # metrics JSONL path (train/sweep)
+    "metrics": None,                # metrics JSONL path (train)
 }
 
 
@@ -122,13 +124,11 @@ def load_run_config(path: str | None) -> dict:
     return config
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < command-line flags; then seed fallbacks."""
-    config = load_run_config(getattr(args, "config", None))
-    for key in CONFIG_DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
+def resolve_config(args: dict, keys) -> dict:
+    """The command's ``keys``: defaults < config file < command-line flags;
+    then seed fallbacks."""
+    loaded = load_run_config(args["config"])
+    config = {key: loaded[key] if args[key] is None else args[key] for key in keys}
     seed, source = config["seed"], "seed"
     if seed is None:
         seed, source = os.environ.get("CONSSENT_SEED", 0), "CONSSENT_SEED"
@@ -160,6 +160,8 @@ def write_meta(out_path: str | Path, config: dict, **extra) -> None:
 def _load_sentences(config: dict) -> list:
     if config["corpus"] is not None:
         return load_corpus_file(config["corpus"])
+    if config["toy_n"] < 1:
+        raise UsageError(f"toy_n must be >= 1, got {config['toy_n']}")
     return make_toy_corpus(config["toy_n"], seed=config["seed"])
 
 
@@ -178,9 +180,11 @@ def _prepare(config: dict, sentences: list | None = None):
 
 
 def _train_config(config: dict, **changes) -> TrainConfig:
-    """The resolved config's TrainConfig, with ``changes`` applied."""
+    """The resolved config's TrainConfig, with ``changes`` applied; the
+    fields a command does not read keep TrainConfig's defaults."""
     try:
-        return TrainConfig(**{f.name: config[f.name] for f in fields(TrainConfig)} | changes)
+        return TrainConfig(**{f.name: config[f.name] for f in fields(TrainConfig)
+                              if f.name in config} | changes)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -267,12 +271,12 @@ def cmd_train(config: dict) -> int:
     return 0
 
 
-def cmd_probe(config: dict, ckpt: str) -> int:
+def cmd_probe(config: dict, checkpoint: str) -> int:
     if config["out"] is None:
         raise UsageError("probe needs --out for the results file stem")
     sentences = _load_sentences(config)
     data = _prepare(config, sentences)
-    params = _load_encoder(ckpt, data.vocab)
+    params = _load_encoder(checkpoint, data.vocab)
     seed = config["seed"]
     tasks = pr.build_probe_tasks(config["probes"], sentences, seed)
     pc = pr.ProbeConfig(seed=seed)
@@ -291,17 +295,20 @@ def cmd_probe(config: dict, ckpt: str) -> int:
         table["untrained"] = pr.results_to_table(
             pr.probe_encoder(tasks, twin, data.vocab, classifiers, pc))
     write_meta(out, config, results={k: r.test_accuracy for k, r in results.items()},
-               checkpoint=str(ckpt))
+               checkpoint=str(checkpoint))
     print(json.dumps(table, sort_keys=True))
     return 0
 
 
-def cmd_sweep(config: dict, k_range: str) -> int:
-    try:
-        lo, hi = k_range.split("..")
-        ks = list(range(int(lo), int(hi) + 1))
-    except ValueError as exc:
-        raise UsageError(f"--k-range must look like 2..6, got {k_range!r}") from exc
+def cmd_sweep(config: dict, k_range: str | None) -> int:
+    if k_range is None:  # the task's own range; TrainConfig vets the task first
+        ks = list(K_RANGES[_train_config(config).task])
+    else:
+        try:
+            lo, hi = k_range.split("..")
+            ks = list(range(int(lo), int(hi) + 1))
+        except ValueError as exc:
+            raise UsageError(f"--k-range must look like 2..6, got {k_range!r}") from exc
     if not ks:
         raise UsageError(f"empty k range {k_range!r}")
     configs = [_train_config(config, k=k) for k in ks]
@@ -326,14 +333,14 @@ def cmd_sweep(config: dict, k_range: str) -> int:
     return 0
 
 
-def cmd_ensemble(config: dict, manifest_path: str) -> int:
+def cmd_ensemble(config: dict, manifest: str) -> int:
     tc = _train_config(config)
     if tc.task not in SINGLE_TASKS:
         raise UsageError(
             "ensemble evaluation averages classifier-head probabilities, "
             "so it applies to the binary tasks D P I R"
         )
-    spec = ens.read_manifest(manifest_path)
+    spec = ens.read_manifest(manifest)
     if tc.task not in spec.valid_scores:
         raise DataError(f"manifest has no validation scores for task {tc.task!r}")
     data = _prepare(config)
@@ -361,14 +368,18 @@ def cmd_ensemble(config: dict, manifest_path: str) -> int:
     if config["out"]:
         Path(config["out"]).write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        write_meta(config["out"], config, manifest=str(manifest_path))
+        write_meta(config["out"], config, manifest=str(manifest))
     print(json.dumps(report, sort_keys=True))
     return 0
 
 
-def cmd_gradcheck(config: dict, n_models: int, tolerance: float) -> int:
-    report = run_gradcheck(n_models=n_models, seed=config["seed"], progress=_progress)
-    print(json.dumps({"max_rel_err": report["worst"], "models": n_models,
+def cmd_gradcheck(config: dict, models: int, tolerance: float) -> int:
+    if models < 1:
+        raise UsageError(f"--models must be >= 1, got {models}")
+    if not 0 < tolerance < float("inf"):
+        raise UsageError(f"--tolerance must be finite and positive, got {tolerance}")
+    report = run_gradcheck(n_models=models, seed=config["seed"], progress=_progress)
+    print(json.dumps({"max_rel_err": report["worst"], "models": models,
                       "tolerance": tolerance}, sort_keys=True))
     if not report["worst"] < tolerance:
         raise NumericError(
@@ -383,29 +394,45 @@ def cmd_gradcheck(config: dict, n_models: int, tolerance: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--config", help="JSON config file (unknown keys rejected)")
-    p.add_argument("--seed", type=int, help="master seed (beats config and env)")
-    p.add_argument("--corpus", help="text corpus, one sentence per line")
-    p.add_argument("--toy-n", dest="toy_n", type=int,
-                   help="toy corpus size when --corpus is absent")
-    p.add_argument("--valid-fraction", dest="valid_fraction", type=float)
-    p.add_argument("--min-freq", dest="min_freq", type=int)
-    p.add_argument("--out", help="output path")
+# The config keys each command reads: only these are its flags, its keys
+# from a --config file and its .meta.json config. The corpus keys are read
+# by every command that prepares a corpus (valid_fraction included: _prepare
+# splits it). Each entry: function, help, keys, and the arguments that are
+# not config keys (positionals and flag-only options).
+_CORPUS_KEYS = ("seed", "corpus", "toy_n", "valid_fraction", "min_freq", "out")
+_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")  # seed: a corpus key
+COMMANDS = {
+    "gen": (cmd_gen, "write a perturbation dataset",
+            (*_CORPUS_KEYS, "task", "k", "gate_p", "batch_size"), {}),
+    "train": (cmd_train, "train an encoder, save checkpoint + metrics",
+              (*_CORPUS_KEYS, *_TRAIN_KEYS, "metrics"), {}),
+    "probe": (cmd_probe, "probe a trained checkpoint",
+              (*_CORPUS_KEYS, "probes", "probe_classifier", "baseline"),
+              {"checkpoint": {"help": "trained model checkpoint"}}),
+    "sweep": (cmd_sweep, "train across a k range, print a table",
+              (*_CORPUS_KEYS, *(key for key in _TRAIN_KEYS if key != "k")),
+              {"--k-range": {"help": "inclusive range, e.g. 2..6 (default: the task's k range)"}}),
+    "ensemble": (cmd_ensemble, "evaluate a checkpoint ensemble",
+                 (*_CORPUS_KEYS, "task", "k", "gate_p"),
+                 {"manifest": {"help": "ensemble manifest JSON"}}),
+    "gradcheck": (cmd_gradcheck, "finite-difference gradient audit", ("seed",),
+                  {"--models": {"type": int, "default": 20, "help": "number of random small models"},
+                   "--tolerance": {"type": float, "default": 1e-4}}),
+}
 
-
-def _add_model_flags(p: _Parser) -> None:
-    p.add_argument("--task", choices=TASKS)
-    p.add_argument("--k", type=int)
-    p.add_argument("--gate-p", dest="gate_p", type=float)
-    p.add_argument("--hidden-size", dest="hidden_size", type=int)
-    p.add_argument("--embed-dim", dest="embed_dim", type=int)
-    p.add_argument("--head-dim", dest="head_dim", type=int)
-    p.add_argument("--init-gain", dest="init_gain", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr0", type=float)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--valid-draws", dest="valid_draws", type=int)
+# What a flag needs beyond the type of its key's default.
+_FLAG_OPTIONS = {
+    "task": {"choices": TASKS},
+    "seed": {"type": int, "help": "master seed (beats config and env)"},
+    "corpus": {"help": "text corpus, one sentence per line"},
+    "toy_n": {"help": "toy corpus size when --corpus is absent"},
+    "out": {"help": "output path"},
+    "metrics": {"help": "metrics JSONL path"},
+    "probes": {"nargs": "+", "choices": pr.PROBE_NAMES},
+    "probe_classifier": {"choices": ("logreg", "mlp", "both")},
+    "baseline": {"action": "store_const", "const": True,
+                 "help": "also report an untrained encoder of the same shape"},
+}
 
 
 def build_parser() -> _Parser:
@@ -413,61 +440,25 @@ def build_parser() -> _Parser:
                      description="Sentence encoders trained to tell consistent "
                                  "token sequences from perturbed ones.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", parents=[], help="write a perturbation dataset")
-    _add_common(p)
-    _add_model_flags(p)
-
-    p = sub.add_parser("train", help="train an encoder, save checkpoint + metrics")
-    _add_common(p)
-    _add_model_flags(p)
-    p.add_argument("--metrics", help="metrics JSONL path")
-
-    p = sub.add_parser("probe", help="probe a trained checkpoint")
-    _add_common(p)
-    p.add_argument("checkpoint", help="trained model checkpoint")
-    p.add_argument("--probes", nargs="+", choices=pr.PROBE_NAMES)
-    p.add_argument("--probe-classifier", dest="probe_classifier",
-                   choices=("logreg", "mlp", "both"))
-    p.add_argument("--baseline", action="store_const", const=True,
-                   help="also report an untrained encoder of the same shape")
-
-    p = sub.add_parser("sweep", help="train across a k range, print a table")
-    _add_common(p)
-    _add_model_flags(p)
-    p.add_argument("--k-range", dest="k_range", default="2..6",
-                   help="inclusive range, e.g. 2..6")
-
-    p = sub.add_parser("ensemble", help="evaluate a checkpoint ensemble")
-    _add_common(p)
-    _add_model_flags(p)
-    p.add_argument("manifest", help="ensemble manifest JSON")
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    _add_common(p)
-    p.add_argument("--models", type=int, default=20,
-                   help="number of random small models")
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    for name, (_cmd, help_text, keys, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.add_argument("--config", help="JSON config file; the command takes its own "
+                                        "keys from it (unknown keys rejected)")
+        for key in keys:
+            default = CONFIG_DEFAULTS[key]
+            options = {} if default is None or isinstance(default, (bool, list)) else {"type": type(default)}
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **options | _FLAG_OPTIONS.get(key, {}))
+        for arg, options in arguments.items():
+            p.add_argument(arg, **options)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        config = resolve_config(args)
-        if args.command == "gen":
-            return cmd_gen(config)
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "probe":
-            return cmd_probe(config, args.checkpoint)
-        if args.command == "sweep":
-            return cmd_sweep(config, args.k_range)
-        if args.command == "ensemble":
-            return cmd_ensemble(config, args.manifest)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(config, args.models, args.tolerance)
-        raise UsageError(f"unknown command {args.command!r}")
+        args = vars(build_parser().parse_args(argv))
+        command, _help, keys, _arguments = COMMANDS[args.pop("command")]
+        config = resolve_config(args, keys)
+        return command(config, **{k: v for k, v in args.items() if k not in (*keys, "config")})
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return 1

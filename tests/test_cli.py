@@ -1,13 +1,16 @@
 """CLI: exit codes, precedence rules, artifact discipline, determinism."""
 
+import argparse
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conssent.cli import CONFIG_DEFAULTS, config_sha256, load_run_config, main
+from conssent.cli import COMMANDS, CONFIG_DEFAULTS, build_parser, config_sha256, load_run_config, main
 from conssent.corpus import prepare_corpus
 from conssent.errors import ConsSentError
 from conssent.toydata import make_toy_corpus
@@ -108,7 +111,8 @@ def test_gen_rejects_mt_and_bad_k(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", [("--min-freq", "0"), ("--valid-fraction", "1.5")])
+@pytest.mark.parametrize("flag", [("--min-freq", "0"), ("--valid-fraction", "1.5"),
+                                  ("--toy-n", "-5")])
 def test_bad_corpus_setting_is_usage_error(tmp_path, capsys, flag):
     assert run("gen", "--task", "D", "--k", "1", "--toy-n", "50", *flag,
                "--out", tmp_path / "x") == 1
@@ -196,6 +200,17 @@ def test_flags_override_config_file(tmp_path):
     assert meta["config"]["task"] == "D"     # config survives where no flag
 
 
+def test_gen_hash_ignores_keys_gen_does_not_read(tmp_path):
+    hashes, out = [], tmp_path / "ds.tsv"   # one out path: it is part of the config
+    for lr0 in (0.1, 0.5):
+        cfg = tmp_path / f"cfg{lr0}.json"
+        cfg.write_text(json.dumps({"task": "R", "k": 2, "seed": 7, "toy_n": 60, "lr0": lr0}))
+        assert run("gen", "--config", cfg, "--out", out) == 0
+        assert sha256(out) == GEN_R2_SHA256
+        hashes.append(json.loads((tmp_path / "ds.tsv.meta.json").read_text())["config_sha256"])
+    assert hashes[0] == hashes[1]
+
+
 def test_seed_precedence(tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 11, "toy_n": 60, "task": "D", "k": 1}))
@@ -223,6 +238,39 @@ def test_bad_env_seed_is_usage_error(tmp_path, monkeypatch):
 
 def test_unknown_flag_exits_one():
     assert run("gen", "--frobnicate") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--lr0", "0.5", "--toy-n", "50", "--out", "{tmp}/x.tsv"),
+    ("gradcheck", "--models", "1", "--out", "{tmp}/g.json"),
+    ("sweep", "--k", "3", "--k-range", "1..1", "--toy-n", "50", *TINY),
+    ("ensemble", "{manifest}", "--task", "R", "--corpus", "{corpus}", "--hidden-size", "4"),
+])
+def test_command_rejects_keys_it_does_not_read(tmp_path, r1_manifest, capsys, argv):
+    manifest, corpus = r1_manifest
+    argv = [a.format(tmp=tmp_path, manifest=manifest, corpus=corpus) for a in argv]
+    assert run(*argv) == 1
+    assert capsys.readouterr().err.startswith("error: unrecognized arguments: ")
+
+
+def test_flags_are_the_commands_keys():
+    flag_only = {"gen": [], "train": [], "probe": [], "sweep": ["--k-range"],
+                 "ensemble": [], "gradcheck": ["--models", "--tolerance"]}
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in subparsers.choices.items():
+        keys = COMMANDS[name][2]
+        flags = [f for a in parser._actions if not isinstance(a, argparse._HelpAction)
+                 for f in a.option_strings]
+        assert sorted(flags) == sorted(["--config", *flag_only[name],
+                                        *("--" + key.replace("_", "-") for key in keys)]), name
+    assert sum(len(COMMANDS[name][2]) for name in COMMANDS) == 63
+
+
+def test_readme_table_matches_command_keys():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = dict(re.findall(r"^\| `(\w+)` \| ((?:`\w+` ?)+) \|$", readme, re.MULTILINE))
+    assert {name: rows[name].split() for name in rows} == {
+        name: [f"`{key}`" for key in keys] for name, (_cmd, _help, keys, _args) in COMMANDS.items()}
 
 
 def test_defaults_documented():
@@ -327,6 +375,24 @@ def test_probe_writes_results(tmp_path, corpus_file, trained_ckpt, capsys):
     assert sha256(tmp_path / "both.tsv") == PROBE_BOTH_TSV_SHA256
 
 
+def test_one_config_file_serves_train_and_probe(tmp_path, corpus_file, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "task": "R", "k": 1, "seed": 3, "corpus": str(corpus_file), "hidden_size": 4,
+        "embed_dim": 8, "head_dim": 8, "batch_size": 16, "max_epochs": 1, "valid_draws": 1,
+        "probes": ["SentLen"], "probe_classifier": "logreg"}))
+    ckpt = tmp_path / "m.ckpt"
+    assert run("train", "--config", cfg, "--out", ckpt) == 0
+    assert run("probe", ckpt, "--config", cfg, "--out", tmp_path / "r") == 0
+    assert set(json.loads(capsys.readouterr().out.strip().split("\n")[-1])) == {"SentLen"}
+    meta = json.loads((tmp_path / "r.meta.json").read_text())
+    assert meta["config"] == {
+        "seed": 3, "corpus": str(corpus_file), "toy_n": 2000, "valid_fraction": 0.1,
+        "min_freq": 1, "out": str(tmp_path / "r"),
+        "probes": ["SentLen"], "probe_classifier": "logreg", "baseline": False,
+    }
+
+
 def test_probe_vocab_mismatch_is_data_error(tmp_path, trained_ckpt):
     assert run("probe", trained_ckpt, "--toy-n", "300", "--seed", "9",
                "--out", tmp_path / "r") == 2
@@ -370,6 +436,14 @@ def test_sweep_prints_one_row_per_mt_group(tmp_path, capsys):
             for name, g in (("group1", state.group1), ("group2", state.group2))]
     assert json.loads(out.read_text()) == want
     assert lines[1:] == [f"{r['task']}\t2\t{r['best_valid']:.4f}\t{r['best_epoch']}" for r in want]
+
+
+def test_sweep_defaults_to_the_tasks_k_range(tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    assert run("sweep", "--toy-n", "60", "--seed", "2", *TINY, "--out", out) == 0
+    assert [r["k"] for r in json.loads(out.read_text())] == [1, 2, 3, 4, 5]   # R's range
+    meta = json.loads((tmp_path / "sweep.json.meta.json").read_text())
+    assert meta["config"]["task"] == "R" and "k" not in meta["config"]
 
 
 def test_sweep_bad_range_exits_one(tmp_path):
@@ -454,15 +528,15 @@ def test_ensemble_bad_manifest_is_data_error(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ("train", "--corpus", "{bad}"),
-    ("train", "--config", "{bad}"),
+    ("train", "--corpus", "{bad}", *TINY),
+    ("train", "--config", "{bad}", *TINY),
     ("ensemble", "{bad}", "--task", "R"),
 ])
 def test_undecodable_input_is_data_error(tmp_path, capsys, argv):
     bad = tmp_path / "latin1.txt"
     bad.write_bytes("the caf\xe9 sat .\n".encode("latin-1"))
     argv = [str(a).format(bad=bad) for a in argv]
-    assert run(*argv, "--toy-n", "60", *TINY, "--out", tmp_path / "o") == 2
+    assert run(*argv, "--toy-n", "60", "--out", tmp_path / "o") == 2
     assert capsys.readouterr().err.startswith("data error: ")
 
 
@@ -484,6 +558,18 @@ def test_gradcheck_passes_and_reports(capsys):
     assert run("gradcheck", "--models", "2", "--seed", "0") == 0
     out = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
     assert out["max_rel_err"] < 1e-4
+
+
+@pytest.mark.parametrize("argv", [("--models", "0"), ("--models", "-3", "--tolerance", "-1"),
+                                  ("--tolerance", "nan"), ("--tolerance", "inf"),
+                                  ("--tolerance", "0")])
+def test_gradcheck_rejects_bad_counts_before_building_a_model(monkeypatch, capsys, argv):
+    def never(**_kwargs):
+        raise AssertionError("gradcheck built models")
+    monkeypatch.setattr("conssent.cli.run_gradcheck", never)
+    assert run("gradcheck", *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
 
 
 def test_gradcheck_impossible_tolerance_exits_three(capsys):
