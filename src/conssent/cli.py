@@ -190,12 +190,19 @@ def _train_config(config: dict, **changes) -> TrainConfig:
 
 
 def _load_encoder(path, vocab):
-    """A checkpoint's parameters, admitted only if they embed ``vocab``."""
-    params, _meta = load_checkpoint(path)
+    """A checkpoint's parameters, admitted only if they embed ``vocab``: the
+    sizes must agree and the header must carry ``vocab``'s hash, since two
+    vocabularies of one size can map the same ids to different tokens."""
+    params, meta = load_checkpoint(path)
     if params.vocab_size != vocab.size:
         raise DataError(
             f"{path}: checkpoint vocab size {params.vocab_size} != corpus vocab "
             f"{vocab.size}; use the corpus the model was trained on"
+        )
+    if meta.get("vocab_sha256") != vocab.sha256():
+        raise DataError(
+            f"{path}: checkpoint vocab_sha256 {meta.get('vocab_sha256')} != corpus vocab "
+            f"{vocab.sha256()}; use the corpus the model was trained on"
         )
     return params
 
@@ -240,11 +247,13 @@ def cmd_train(config: dict) -> int:
     data = _prepare(config)
     _progress(f"train {tc.task}(k={tc.k}) on {len(data.train)} sentences "
               f"(vocab {data.vocab.size})")
+    vocab_sha256 = data.vocab.sha256()  # probe and ensemble check it
     if tc.task == "MT":
         state = train_multitask(tc, data, progress=_progress)
         paths = {"group1": str(out) + ".g1", "group2": str(out) + ".g2"}
-        save_checkpoint(paths["group1"], state.group1.params, {"task": "MT/group1"})
-        save_checkpoint(paths["group2"], state.group2.params, {"task": "MT/group2"})
+        for name, group in (("group1", state.group1), ("group2", state.group2)):
+            save_checkpoint(paths[name], group.params,
+                            {"task": f"MT/{name}", "vocab_sha256": vocab_sha256})
         summary = {
             "task": "MT", "k": tc.k,
             "member_accs": state.member_accs,
@@ -253,8 +262,8 @@ def cmd_train(config: dict) -> int:
         }
     else:
         state = train_single_task(tc, data, progress=_progress)
-        save_checkpoint(out, state.params,
-                        {"task": tc.task, "k": tc.k, "best_valid": state.best_valid})
+        save_checkpoint(out, state.params, {"task": tc.task, "k": tc.k, "vocab_sha256": vocab_sha256,
+                                            "best_valid": state.best_valid})
         summary = {
             "task": tc.task, "k": tc.k,
             "best_valid": state.best_valid,

@@ -430,9 +430,9 @@ def head_logits(v, head: HeadWeights) -> ad.Var:
     return ad.add(ad.matmul(hidden, head.w2), head.b2)
 
 
-def frozen_head_logits(seqs: list, params: EncoderParams, task: str) -> np.ndarray:
-    """(N, classes) logits of ``task``'s head over frozen encodings of ``seqs``,
-    encoded 256 sentences at a time."""
+def head_probs(seqs: list, params: EncoderParams, task: str) -> np.ndarray:
+    """(N, classes) softmax of ``task``'s head over frozen encodings of
+    ``seqs``, encoded 256 sentences at a time."""
     if task not in params.heads:
         raise DataError(f"checkpoint has no classifier head for task {task!r}")
     head, tape = params.heads[task], ad.Tape(recording=False)
@@ -440,12 +440,7 @@ def frozen_head_logits(seqs: list, params: EncoderParams, task: str) -> np.ndarr
         head_logits(encode_batch(seqs[s : s + 256], params, tape), head).value
         for s in range(0, len(seqs), 256)
     ]
-    return np.concatenate(logits, axis=0)
-
-
-def head_probs(seqs: list, params: EncoderParams, task: str) -> np.ndarray:
-    """(N, classes) softmax of ``task``'s head over frozen encodings of ``seqs``."""
-    return ad.softmax_rows(frozen_head_logits(seqs, params, task))
+    return ad.softmax_rows(np.concatenate(logits, axis=0))
 
 
 # ---------------------------------------------------------------------------

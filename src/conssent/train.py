@@ -1,4 +1,9 @@
-"""Losses, clipped SGD, and the single-task / multitask trainers.
+"""Task scores, the loss, clipped SGD, and the single-task / multitask trainers.
+
+``task_scores`` is the one place head tasks and ranking tasks differ. The
+training loss is the softmax cross-entropy over its scores; validation
+accuracy counts the rows whose target column scores strictly highest, so
+a tie at the top is a miss for every task.
 
 One engine (`_run_training`) drives every configuration: a single binary
 task is a one-task rotation with one classification head, a single ranking
@@ -27,7 +32,6 @@ from .encoder import (
     bind_params,
     copy_params,
     encode_batch,
-    frozen_head_logits,
     head_logits,
     init_params,
     params_view,
@@ -45,6 +49,9 @@ from .perturb import (
 from .rng import EXAMPLES, GRADCHECK, ORDER, VALID, stream
 
 TASKS = SINGLE_TASKS + PAIR_TASKS + ("MT",)
+
+# Head-task validation examples per frozen encode (as ``head_probs`` reads).
+_VALID_CHUNK = 256
 
 # The paper's k sweep range per task; TrainConfig rejects any k outside it.
 K_RANGES = {
@@ -129,7 +136,6 @@ class TrainState:
     params: EncoderParams
     best_valid: float
     best_epoch: int
-    lr: float
     history: list[dict]
     config: TrainConfig
     member_accs: dict = field(default_factory=dict)  # task -> acc at the best epoch
@@ -159,32 +165,38 @@ class MultitaskState:
 # ---------------------------------------------------------------------------
 
 
-def pair_batch_loss(batch: PairBatch, params, tape: ad.Tape) -> ad.Var:
-    """Mean ranking loss over a whole batch via one (B, B) score matrix.
+def task_scores(params, task: str, batch, tape: ad.Tape) -> tuple[ad.Var, np.ndarray]:
+    """The (rows, columns) scores ``task`` gives one batch, and each row's
+    target column; the one place head tasks and ranking tasks differ.
 
-    The minibatch inequality "anchor · true part >= anchor · impostor part"
-    becomes a k-way softmax cross-entropy over dot-product scores, so no
-    parameters are added; at indifference the loss is exactly ln k.
+    D P I R: the task head's logits over a list of ``LabeledExample``s,
+    with the labels as targets. C N: each anchor's dot products with its k
+    candidates, gathered from one (B, B) score matrix over a ``PairBatch``,
+    with the true part's slot as target; ranking adds no parameters.
     """
+    if task in SINGLE_TASKS:
+        enc = encode_batch([list(ex.tokens) for ex in batch], params, tape)
+        labels = np.array([ex.label for ex in batch], dtype=np.int64)
+        return head_logits(enc, params.heads[task]), labels
     left = encode_batch(batch.lefts, params, tape)
     right = encode_batch(batch.rights, params, tape)
     all_scores = ad.matmul(left, ad.transpose(right))  # (B, B) dot products
-    scores = ad.gather_cols(all_scores, batch.cand_idx)  # (B, k)
-    return ad.softmax_xent(scores, np.asarray(batch.targets, dtype=np.int64))
+    return ad.gather_cols(all_scores, batch.cand_idx), np.asarray(batch.targets, dtype=np.int64)
 
 
 def batch_loss(params, task: str, batch, tape: ad.Tape) -> ad.Var:
-    """The loss training minimizes on one batch of ``task``.
-
-    D P I R: head cross-entropy over a list of ``LabeledExample``s;
-    C N: the in-batch ranking loss over a ``PairBatch``.
+    """The loss training minimizes on one batch of ``task``: softmax
+    cross-entropy over its task scores. For a ranking task the minibatch
+    inequality "anchor · true part >= anchor · impostor part" becomes a
+    k-way cross-entropy, which is exactly ln k at indifference.
     """
-    if task not in SINGLE_TASKS:
-        return pair_batch_loss(batch, params, tape)
-    enc = encode_batch([list(ex.tokens) for ex in batch], params, tape)
-    logits = head_logits(enc, params.heads[task])
-    labels = np.array([ex.label for ex in batch], dtype=np.int64)
-    return ad.softmax_xent(logits, labels)
+    return ad.softmax_xent(*task_scores(params, task, batch, tape))
+
+
+def pair_batch_loss(batch: PairBatch, params, tape: ad.Tape) -> ad.Var:
+    """``batch_loss`` on a ``PairBatch``; kept under its own name because
+    the benchmark's training replica and the ranking-loss tests call it."""
+    return batch_loss(params, batch.kind, batch, tape)
 
 
 # ---------------------------------------------------------------------------
@@ -232,45 +244,7 @@ def lr_schedule(
 
 
 # ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-
-def binary_accuracy(params: EncoderParams, task: str, examples: list) -> float:
-    """Fraction of examples whose head argmax matches the label."""
-    if not examples:
-        raise DataError("no validation examples")
-    logits = frozen_head_logits([list(ex.tokens) for ex in examples], params, task)
-    correct = int(np.sum(np.argmax(logits, axis=1) == np.array([ex.label for ex in examples])))
-    return correct / len(examples)
-
-
-def pair_accuracy(params: EncoderParams, batches: list) -> float:
-    """Fraction of candidate sets where the true part wins strictly.
-
-    A tie at the top counts as a miss: the ranking constraint asks for the
-    true dot product to exceed every impostor's.
-    """
-    if not batches:
-        raise DataError("no validation batches")
-    correct = total = 0
-    for batch in batches:
-        tape = ad.Tape(recording=False)
-        left = encode_batch(batch.lefts, params, tape).value
-        right = encode_batch(batch.rights, params, tape).value
-        scores = np.take_along_axis(left @ right.T, batch.cand_idx, axis=1)
-        rows = np.arange(scores.shape[0])
-        targets = np.asarray(batch.targets)
-        target_scores = scores[rows, targets]
-        masked = scores.copy()
-        masked[rows, targets] = -np.inf
-        correct += int(np.sum(target_scores > masked.max(axis=1)))
-        total += scores.shape[0]
-    return correct / total
-
-
-# ---------------------------------------------------------------------------
-# Batch construction (training data is re-sampled every epoch)
+# Batches (training data is re-sampled every epoch) and validation
 # ---------------------------------------------------------------------------
 
 
@@ -296,12 +270,14 @@ def _epoch_batches(train_sents, task, config: TrainConfig, epoch: int, vocab):
 
 
 def _build_validation(data: SplitCorpus, task: str, config: TrainConfig):
-    """Fixed validation data: several independent draws over the valid split.
+    """Fixed validation batches: several independent draws over the valid split.
 
     Each draw uses its own slot of the VALID stream, so enlarging
     ``valid_draws`` extends rather than reshuffles the set. More draws
     shrink the noise on the accuracy estimate, which matters because any
-    dip below the running best permanently cuts the learning rate.
+    dip below the running best permanently cuts the learning rate. Head
+    tasks pool the draws' examples and cut them into ``_VALID_CHUNK``-example
+    batches; ranking tasks keep each draw's ``PairBatch``es.
     """
     out = []
     for d in range(config.valid_draws):
@@ -320,13 +296,25 @@ def _build_validation(data: SplitCorpus, task: str, config: TrainConfig):
             out.extend(b for b, _ in batches)
     if not out:
         raise DataError(f"validation split yields no {task}(k={config.k}) data")
+    if task in SINGLE_TASKS:
+        out = [out[s : s + _VALID_CHUNK] for s in range(0, len(out), _VALID_CHUNK)]
     return out
 
 
 def _validate(params: EncoderParams, task: str, valid_set) -> float:
-    if task in SINGLE_TASKS:
-        return binary_accuracy(params, task, valid_set)
-    return pair_accuracy(params, valid_set)
+    """Share of validation rows whose target column scores strictly above
+    every other column: a tie at the top is a miss, for every task, since
+    each constraint asks the true answer to beat the alternatives."""
+    tape = ad.Tape(recording=False)
+    correct = total = 0
+    for batch in valid_set:
+        scores, targets = task_scores(params, task, batch, tape)
+        rows = np.arange(len(targets))
+        others = scores.value.copy()
+        others[rows, targets] = -np.inf
+        correct += int(np.sum(scores.value[rows, targets] > others.max(axis=1)))
+        total += len(targets)
+    return correct / total
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +412,6 @@ def _run_training(
         params=best_params,
         best_valid=best,
         best_epoch=best_epoch,
-        lr=lr,
         history=history,
         config=config,
         member_accs=best_accs,

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conssent.cli import COMMANDS, CONFIG_DEFAULTS, build_parser, config_sha256, load_run_config, main
-from conssent.corpus import prepare_corpus
+from conssent.corpus import load_corpus_file, prepare_corpus
+from conssent.encoder import init_params, load_checkpoint, save_checkpoint
 from conssent.errors import ConsSentError
 from conssent.toydata import make_toy_corpus
 from conssent.train import TrainConfig, train_multitask
@@ -23,20 +24,21 @@ TINY = ["--hidden-size", "4", "--embed-dim", "8", "--head-dim", "8",
 # sha256 of artifacts written by the commit before the settings, loss and
 # head-probability code was consolidated; that change kept these bytes.
 GEN_R2_SHA256 = "8b8595786b386604e676a25a04e15c75d0b4c8cb0b0f537df37a390acc2d7133"
-TRAIN_D1_SHA256 = "a4cff490c2d493be60b3d0a816921bf64a8400e7039b135c6e0bdb3c67aac454"
 ENSEMBLE_R1_SHA256 = "d2498548a123653a85fdb355f270bc7c41eab0061e5ae425bfd6a0a8ca6370ba"
 
-# Recorded before the batch loss, pair batches, parameter layout and probe
-# grid search each got one definition; that change kept these bytes.
-# (task, k) -> sha256 of each checkpoint a tiny `train` run writes.
+# sha256 of each checkpoint a tiny `train` run writes, keyed by (task, k).
+# Recorded when checkpoint headers gained `vocab_sha256`; the float32
+# payload after each header is byte-identical to the one the batch loss,
+# pair batch, parameter layout and probe grid search consolidation kept.
+TRAIN_D1_SHA256 = "e82ed6135d2aaf94d8bff3c393b137e4ba47f8cec743af18e0982c4016e1ae03"
 TRAIN_SHA256 = {
-    ("P", 2): ["1f4b04f2c791b743c2955c4967ff7aa2d623b44d6e6f7860a6e5d3b3ccf86755"],
-    ("I", 2): ["2c0c04f3064334ee9fdb5f5281518db0631e414ec50176714601bfd6c39e2b66"],
-    ("R", 1): ["974752da996f4492b6c9e6ac4ac30354528ad0719280e1199d2e974d72db05a9"],
-    ("C", 2): ["e1b275d41c950e53924bbe4f114999d566d6b9c36158578918dbe0a77738a16d"],
-    ("N", 3): ["8b2d337774cc83017a459bd8a24125a1e06950eba4b6304b331015629124f596"],
-    ("MT", 2): ["098419834affe9178ec801ff051593fcc47f217be2c14ce2b7f095635308af15",
-                "e0e7231f43bb0fa7aa30681ccc714fc303162b28fe9e3477b59a2b24c01612fd"],
+    ("P", 2): ["9122286b607b686dd380b255aa90d56e08ef7ef8b7eed5c9e89be051b3410e11"],
+    ("I", 2): ["7661b41e4c65ec5d906a1be76502290ec9fdb352e0da6a567896c032677ccfeb"],
+    ("R", 1): ["79549c0804afb846dfa3728f6a9b2e9229a1d7403d14c84840beae5ecea9d8ed"],
+    ("C", 2): ["68b2a51b95aebca77c722051edf8a1edff8135af71d02ed5006926530299f354"],
+    ("N", 3): ["41933fefd60f33d5d521d448ea035267be591f0f4d508b505ed9b1532fbfabf3"],
+    ("MT", 2): ["b563016ca6e64d11b5d7b13a60105f4bde63f1713ac65a2692a6aec230f0cf19",
+                "7721e525ae9bc049370a7ee4309dc4b7db0c1bd0b5f188d2440a7c59cc34a964"],
 }
 # `probe --probe-classifier both --baseline` on SentLen and BigramShift
 PROBE_BOTH_JSON_SHA256 = "1e092a5401924f657d38e489d940adc9dad61c14889cab6020a4ea952f5aef0c"
@@ -339,7 +341,9 @@ def test_train_multitask_writes_two_checkpoints(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
     assert set(summary["member_accs"]) == {"D", "P", "I", "R", "N", "C"}
     assert summary["output_dim"] == 4 * 4   # 2H1 + 2H2 with H=4
-    assert (tmp_path / "mt.ckpt.g1").exists() and (tmp_path / "mt.ckpt.g2").exists()
+    vocab = prepare_corpus(make_toy_corpus(80, seed=0), seed=0).vocab
+    for group in ("g1", "g2"):
+        assert load_checkpoint(tmp_path / f"mt.ckpt.{group}")[1]["vocab_sha256"] == vocab.sha256()
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +400,32 @@ def test_one_config_file_serves_train_and_probe(tmp_path, corpus_file, capsys):
 def test_probe_vocab_mismatch_is_data_error(tmp_path, trained_ckpt):
     assert run("probe", trained_ckpt, "--toy-n", "300", "--seed", "9",
                "--out", tmp_path / "r") == 2
+
+
+def test_probe_and_ensemble_reject_another_vocabulary_of_the_same_size(tmp_path, capsys):
+    """The seed-1 and seed-2 toy corpora both have 154 vocabulary entries,
+    but 142 ids map to different tokens; only the vocabulary hash in the
+    checkpoint header tells them apart."""
+    ckpt = tmp_path / "m.ckpt"
+    assert run("train", "--task", "R", "--k", "1", "--seed", "1", "--toy-n", "2000",
+               *TINY, "--out", ckpt) == 0
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"checkpoints": [str(ckpt)] * 2, "valid_scores": {"R": [0.5, 0.5]}}))
+    capsys.readouterr()
+    other = ("--toy-n", "2000", "--seed", "2")
+    assert run("probe", ckpt, *other, "--probes", "SentLen", "--out", tmp_path / "r") == 2
+    assert run("ensemble", manifest, "--task", "R", "--k", "1", *other) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("data error: ") and "vocab_sha256" in line
+                                 for line in err)
+
+
+def test_probe_rejects_a_checkpoint_without_a_vocabulary_hash(tmp_path, corpus_file, capsys):
+    vocab = prepare_corpus(load_corpus_file(corpus_file)).vocab
+    ckpt = tmp_path / "bare.ckpt"
+    save_checkpoint(ckpt, init_params(vocab.size, 8, 4, seed=0))
+    assert run("probe", ckpt, "--corpus", corpus_file, "--out", tmp_path / "r") == 2
+    assert "vocab_sha256 None" in capsys.readouterr().err
 
 
 def test_probe_missing_checkpoint_exits_one(tmp_path):

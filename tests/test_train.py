@@ -15,7 +15,7 @@ from conssent import train
 from conssent.corpus import prepare_corpus
 from conssent.encoder import bind_params, encode_batch, encode_sentences, head_logits, init_params
 from conssent.errors import DataError, NumericError
-from conssent.perturb import LabeledExample, PairBatch, gen_single_examples
+from conssent.perturb import PairBatch, gen_single_examples
 from conssent.toydata import make_toy_corpus
 from conssent.train import (
     GROUP1,
@@ -298,35 +298,82 @@ def test_post_clip_norm_never_exceeds_limit(scales):
 
 
 # ---------------------------------------------------------------------------
-# Frozen head readout (validation accuracy and ensemble probabilities)
+# Frozen readout: validation accuracy and ensemble probabilities
 # ---------------------------------------------------------------------------
 
 
 def test_frozen_readout_encodes_256_at_a_time_through_the_encoder_module(tiny_data, monkeypatch):
-    """binary_accuracy and head_probs read a head through frozen_head_logits,
-    which looks encode_batch up on the encoder module: a tracer that swaps
-    that attribute sees every frozen encode."""
+    """head_probs looks encode_batch up on the encoder module and validation
+    on the train module, 256 sentences at a time on a non-recording tape: a
+    tracer that swaps those attributes sees every frozen encode."""
     from conssent import encoder
 
     params = init_params(tiny_data.vocab.size, 8, 4, head_tasks=("D",), head_dim=8, seed=1)
     seqs = (tiny_data.train * 3)[:300]
-    examples = [LabeledExample(tuple(s), i % 2, "D", 1) for i, s in enumerate(seqs)]
-    sizes, real_encode_batch = [], encoder.encode_batch
+    sizes = []
 
-    def spy(batch, p, tape):
-        assert not tape.recording
-        sizes.append(len(batch))
-        return real_encode_batch(batch, p, tape)
+    def spy_on(module):
+        real_encode_batch = module.encode_batch
 
-    monkeypatch.setattr(encoder, "encode_batch", spy)
-    logits = encoder.frozen_head_logits(seqs, params, "D")
-    assert logits.shape == (300, 2) and sizes == [256, 44]
-    labels = np.array([ex.label for ex in examples])
-    assert train.binary_accuracy(params, "D", examples) == np.mean(np.argmax(logits, axis=1) == labels)
-    np.testing.assert_array_equal(encoder.head_probs(seqs, params, "D"), ad.softmax_rows(logits))
-    assert sizes == [256, 44] * 3
+        def spy(batch, p, tape):
+            assert not tape.recording
+            sizes.append(len(batch))
+            return real_encode_batch(batch, p, tape)
+
+        monkeypatch.setattr(module, "encode_batch", spy)
+
+    spy_on(encoder)
+    probs = encoder.head_probs(seqs, params, "D")
+    assert probs.shape == (300, 2) and sizes == [256, 44]
     with pytest.raises(DataError):
-        encoder.frozen_head_logits(seqs, params, "R")
+        encoder.head_probs(seqs, params, "R")
+
+    # ten validation draws pool 320 D examples: one full chunk and a tail
+    spy_on(train)
+    sizes.clear()
+    valid_set = train._build_validation(tiny_data, "D", tiny_config("D", k=1, valid_draws=10))
+    acc = train._validate(params, "D", valid_set)
+    assert sizes == [256, 64]
+    quiet = ad.Tape(recording=False)
+    scored = [train.task_scores(params, "D", b, quiet) for b in valid_set]
+    logits = np.concatenate([scores.value for scores, _ in scored])
+    labels = np.concatenate([targets for _, targets in scored])
+    rows = np.arange(len(labels))
+    assert acc == np.mean(logits[rows, labels] > logits[rows, 1 - labels])
+    # head_probs reads the same logits validation scores
+    sents = [list(ex.tokens) for b in valid_set for ex in b]
+    np.testing.assert_array_equal(encoder.head_probs(sents, params, "D"), ad.softmax_rows(logits))
+
+
+def _toy300():
+    return prepare_corpus(make_toy_corpus(300, seed=0), seed=0)
+
+
+def _zero_head_d_validation():
+    """A D model whose head is all zeros, so every logit ties, on D
+    validation data from a 300-sentence toy corpus."""
+    data = _toy300()
+    params = init_params(data.vocab.size, 8, 4, head_tasks=("D",), head_dim=8, seed=0)
+    for arr in vars(params.heads["D"]).values():
+        arr[...] = 0.0
+    config = TrainConfig(task="D", hidden_size=4, embed_dim=8, head_dim=8, valid_draws=2, seed=0)
+    return params, "D", train._build_validation(data, "D", config)
+
+
+def _tied_pair_validation():
+    """A C batch where each anchor's impostor slot names its true right
+    part again, so the two dot products tie exactly."""
+    data = _toy300()
+    params = init_params(data.vocab.size, 8, 4, seed=0)
+    lefts, rights = data.valid[:2], data.valid[2:4]
+    batch = PairBatch(lefts, rights, np.array([[0, 0], [1, 1]]), np.array([0, 1]), "C", 2)
+    return params, "C", [batch]
+
+
+@pytest.mark.parametrize("build", [_zero_head_d_validation, _tied_pair_validation],
+                         ids=["head", "ranking"])
+def test_a_tie_at_the_top_is_a_miss_for_every_task(build):
+    assert train._validate(*build()) == 0.0
 
 
 # ---------------------------------------------------------------------------
