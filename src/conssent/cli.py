@@ -190,9 +190,10 @@ def _train_config(config: dict, **changes) -> TrainConfig:
 
 
 def _load_encoder(path, vocab):
-    """A checkpoint's parameters, admitted only if they embed ``vocab``: the
-    sizes must agree and the header must carry ``vocab``'s hash, since two
-    vocabularies of one size can map the same ids to different tokens."""
+    """A checkpoint's parameters and header, admitted only if they embed
+    ``vocab``: the sizes must agree and the header must carry ``vocab``'s
+    hash, since two vocabularies of one size can map the same ids to
+    different tokens."""
     params, meta = load_checkpoint(path)
     if params.vocab_size != vocab.size:
         raise DataError(
@@ -204,7 +205,7 @@ def _load_encoder(path, vocab):
             f"{path}: checkpoint vocab_sha256 {meta.get('vocab_sha256')} != corpus vocab "
             f"{vocab.sha256()}; use the corpus the model was trained on"
         )
-    return params
+    return params, meta
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +248,13 @@ def cmd_train(config: dict) -> int:
     data = _prepare(config)
     _progress(f"train {tc.task}(k={tc.k}) on {len(data.train)} sentences "
               f"(vocab {data.vocab.size})")
-    vocab_sha256 = data.vocab.sha256()  # probe and ensemble check it
+    # probe and ensemble check the vocabulary, ensemble also the valid split
+    provenance = {"vocab_sha256": data.vocab.sha256(), "valid_sha256": data.valid_sha256()}
     if tc.task == "MT":
         state = train_multitask(tc, data, progress=_progress)
         paths = {"group1": str(out) + ".g1", "group2": str(out) + ".g2"}
         for name, group in (("group1", state.group1), ("group2", state.group2)):
-            save_checkpoint(paths[name], group.params,
-                            {"task": f"MT/{name}", "vocab_sha256": vocab_sha256})
+            save_checkpoint(paths[name], group.params, {"task": f"MT/{name}", **provenance})
         summary = {
             "task": "MT", "k": tc.k,
             "member_accs": state.member_accs,
@@ -262,7 +263,7 @@ def cmd_train(config: dict) -> int:
         }
     else:
         state = train_single_task(tc, data, progress=_progress)
-        save_checkpoint(out, state.params, {"task": tc.task, "k": tc.k, "vocab_sha256": vocab_sha256,
+        save_checkpoint(out, state.params, {"task": tc.task, "k": tc.k, **provenance,
                                             "best_valid": state.best_valid})
         summary = {
             "task": tc.task, "k": tc.k,
@@ -285,7 +286,7 @@ def cmd_probe(config: dict, checkpoint: str) -> int:
         raise UsageError("probe needs --out for the results file stem")
     sentences = _load_sentences(config)
     data = _prepare(config, sentences)
-    params = _load_encoder(checkpoint, data.vocab)
+    params, _meta = _load_encoder(checkpoint, data.vocab)
     seed = config["seed"]
     tasks = pr.build_probe_tasks(config["probes"], sentences, seed)
     pc = pr.ProbeConfig(seed=seed)
@@ -357,9 +358,18 @@ def cmd_ensemble(config: dict, manifest: str) -> int:
         data.valid, tc.task, tc.k, tc.gate_p, data.vocab, tc.seed, purpose=VALID
     )
     labels = np.array([ex.label for ex in examples])
+    valid_sha256 = data.valid_sha256()
     member_probs, member_accs = [], []
     for path in spec.checkpoints:
-        probs = head_probs([ex.tokens for ex in examples], _load_encoder(path, data.vocab), tc.task)
+        params, meta = _load_encoder(path, data.vocab)
+        # a member trained on another split would be scored on sentences it trained on
+        if meta.get("valid_sha256") != valid_sha256:
+            raise DataError(
+                f"{path}: checkpoint valid_sha256 {meta.get('valid_sha256')} != this run's "
+                f"valid split {valid_sha256}; train every member with this corpus, "
+                "--seed and --valid-fraction"
+            )
+        probs = head_probs([ex.tokens for ex in examples], params, tc.task)
         member_probs.append(probs)
         member_accs.append(float(np.mean(np.argmax(probs, axis=1) == labels)))
     weights = spec.weights[tc.task]

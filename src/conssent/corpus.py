@@ -119,6 +119,11 @@ class SplitCorpus:
     valid: list[list[int]]
     all_ids: list[list[int]] = field(default_factory=list)
 
+    def valid_sha256(self) -> str:
+        """Hash of the valid split's id sequences; identifies the split."""
+        blob = "\n".join(" ".join(map(str, s)) for s in self.valid).encode("ascii")
+        return hashlib.sha256(blob).hexdigest()
+
 
 def prepare_corpus(
     sentences: list[list[str]],

@@ -415,13 +415,29 @@ def encode_batch(seqs: list, params: EncoderParams, tape: ad.Tape) -> ad.Var:
 def encode_sentences(
     seqs: list, params: EncoderParams, batch_size: int = 128
 ) -> np.ndarray:
-    """Frozen encodings as a plain (N, 2H) float array; no tape kept."""
-    out = []
-    for start in range(0, len(seqs), batch_size):
-        chunk = seqs[start : start + batch_size]
-        tape = ad.Tape(recording=False)
-        out.append(encode_batch(chunk, params, tape).value)
-    return np.concatenate(out, axis=0)
+    """Frozen encodings as a plain (N, 2H) float array; no tape kept.
+
+    The sentences are sorted by length (a stable sort) and encoded in runs
+    of ``batch_size``, so each batch pads only up to its own longest
+    sentence; each batch's rows are then written back at their input
+    positions, so row i encodes ``seqs[i]``. A row does not depend on which
+    sentences share its batch, except that numpy computes a batch of one
+    with GEMV instead of GEMM, which rounds differently: so a lone last
+    sentence joins the batch before it.
+    """
+    if not seqs:
+        raise ValueError("no sentences to encode")
+    n = len(seqs)
+    order = np.argsort([len(s) for s in seqs], kind="stable")
+    bounds = list(range(0, n, batch_size)) + [n]
+    if n > batch_size and n % batch_size == 1:
+        del bounds[-2]
+    tape = ad.Tape(recording=False)
+    out = np.empty((n, params.output_dim))
+    for lo, hi in zip(bounds, bounds[1:]):
+        batch = order[lo:hi]
+        out[batch] = encode_batch([seqs[i] for i in batch], params, tape).value
+    return out
 
 
 def head_logits(v, head: HeadWeights) -> ad.Var:
@@ -431,16 +447,12 @@ def head_logits(v, head: HeadWeights) -> ad.Var:
 
 
 def head_probs(seqs: list, params: EncoderParams, task: str) -> np.ndarray:
-    """(N, classes) softmax of ``task``'s head over frozen encodings of
+    """(N, classes) softmax of ``task``'s head over the frozen encodings of
     ``seqs``, encoded 256 sentences at a time."""
     if task not in params.heads:
         raise DataError(f"checkpoint has no classifier head for task {task!r}")
-    head, tape = params.heads[task], ad.Tape(recording=False)
-    logits = [
-        head_logits(encode_batch(seqs[s : s + 256], params, tape), head).value
-        for s in range(0, len(seqs), 256)
-    ]
-    return ad.softmax_rows(np.concatenate(logits, axis=0))
+    encodings = ad.Tape(recording=False).leaf(encode_sentences(seqs, params, batch_size=256))
+    return ad.softmax_rows(head_logits(encodings, params.heads[task]).value)
 
 
 # ---------------------------------------------------------------------------

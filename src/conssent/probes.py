@@ -82,10 +82,6 @@ class ProbeTask:
         ):
             raise DataError(f"{self.name}: splits must be disjoint and non-empty")
 
-    def split(self, which: str) -> list:
-        idx = {"train": self.train_idx, "valid": self.valid_idx, "test": self.test_idx}[which]
-        return [self.examples[i] for i in idx]
-
 
 def _split_indices(n: int, name: str, seed: int) -> tuple[tuple, tuple, tuple]:
     order = list(range(n))
@@ -217,13 +213,14 @@ class ProbeEncodings:
 
 
 def encode_probe(task: ProbeTask, params: EncoderParams, vocab: Vocabulary) -> ProbeEncodings:
-    """Encode every split with the frozen BiLSTM-max ``params``, token
-    strings mapped to ids through ``vocab``."""
+    """Encode the task's sentences once with the frozen BiLSTM-max
+    ``params``, token strings mapped to ids through ``vocab``, then take
+    each split's rows in its index order."""
+    encodings = encode_sentences([vocab.encode(list(s)) for s, _ in task.examples], params)
+    labels = np.array([c for _, c in task.examples], dtype=np.int64)
     x, y = {}, {}
-    for split in ("train", "valid", "test"):
-        rows = task.split(split)
-        x[split] = encode_sentences([vocab.encode(list(s)) for s, _ in rows], params)
-        y[split] = np.array([c for _, c in rows], dtype=np.int64)
+    for split, idx in (("train", task.train_idx), ("valid", task.valid_idx), ("test", task.test_idx)):
+        x[split], y[split] = encodings[list(idx)], labels[list(idx)]
     return ProbeEncodings(task.name, task.num_classes, x, y)
 
 

@@ -24,21 +24,25 @@ TINY = ["--hidden-size", "4", "--embed-dim", "8", "--head-dim", "8",
 # sha256 of artifacts written by the commit before the settings, loss and
 # head-probability code was consolidated; that change kept these bytes.
 GEN_R2_SHA256 = "8b8595786b386604e676a25a04e15c75d0b4c8cb0b0f537df37a390acc2d7133"
-ENSEMBLE_R1_SHA256 = "d2498548a123653a85fdb355f270bc7c41eab0061e5ae425bfd6a0a8ca6370ba"
+# The ensemble report of members R(1) and R(2) trained with the seed the
+# ensemble runs at (members of other seeds are refused since checkpoints
+# carry `valid_sha256`); the code before that check wrote the same bytes.
+ENSEMBLE_R1_SHA256 = "81284f9f971e20e4bc6bca5988c9baccf7620644b0d1b3640e0af37df4cf8cd9"
 
 # sha256 of each checkpoint a tiny `train` run writes, keyed by (task, k).
-# Recorded when checkpoint headers gained `vocab_sha256`; the float32
-# payload after each header is byte-identical to the one the batch loss,
-# pair batch, parameter layout and probe grid search consolidation kept.
-TRAIN_D1_SHA256 = "e82ed6135d2aaf94d8bff3c393b137e4ba47f8cec743af18e0982c4016e1ae03"
+# Recorded when checkpoint headers gained `valid_sha256` (after
+# `vocab_sha256`); the float32 payload after each header is byte-identical
+# to the one the batch loss, pair batch, parameter layout and probe grid
+# search consolidation kept.
+TRAIN_D1_SHA256 = "df12b9019b79d6af3473fb895712c3fa0060f1c91fb52a726fdb5517477b2d59"
 TRAIN_SHA256 = {
-    ("P", 2): ["9122286b607b686dd380b255aa90d56e08ef7ef8b7eed5c9e89be051b3410e11"],
-    ("I", 2): ["7661b41e4c65ec5d906a1be76502290ec9fdb352e0da6a567896c032677ccfeb"],
-    ("R", 1): ["79549c0804afb846dfa3728f6a9b2e9229a1d7403d14c84840beae5ecea9d8ed"],
-    ("C", 2): ["68b2a51b95aebca77c722051edf8a1edff8135af71d02ed5006926530299f354"],
-    ("N", 3): ["41933fefd60f33d5d521d448ea035267be591f0f4d508b505ed9b1532fbfabf3"],
-    ("MT", 2): ["b563016ca6e64d11b5d7b13a60105f4bde63f1713ac65a2692a6aec230f0cf19",
-                "7721e525ae9bc049370a7ee4309dc4b7db0c1bd0b5f188d2440a7c59cc34a964"],
+    ("P", 2): ["f80a1c1858eff170c1a60c20ccef7ee57ae4c014afa2f8840b3aec01ceb643a3"],
+    ("I", 2): ["a7677ea37776a09da60f1c89bdaa499e4df16324a95748fe76ad0570ed74f6a4"],
+    ("R", 1): ["14779bd133a6c247732849a8d165809919624957d3ed38a9a1c6addba4183c71"],
+    ("C", 2): ["a1ae892ba3c3eefa22edc68eb011863a0e99b6b572117edf1a7a05dfbc22c1a7"],
+    ("N", 3): ["ab1aa06fe6b541585943adedf439313aff140c289226f7bad232da4dfc58f044"],
+    ("MT", 2): ["6e3ea3e1bba20dda128f164b32a9c01420205678f76f60864ca4b112f073b266",
+                "726ff52d0269b3fb6a78e0ea055f6bb1483088d31e53ddc3af61f832192e025f"],
 }
 # `probe --probe-classifier both --baseline` on SentLen and BigramShift
 PROBE_BOTH_JSON_SHA256 = "1e092a5401924f657d38e489d940adc9dad61c14889cab6020a4ea952f5aef0c"
@@ -341,9 +345,10 @@ def test_train_multitask_writes_two_checkpoints(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
     assert set(summary["member_accs"]) == {"D", "P", "I", "R", "N", "C"}
     assert summary["output_dim"] == 4 * 4   # 2H1 + 2H2 with H=4
-    vocab = prepare_corpus(make_toy_corpus(80, seed=0), seed=0).vocab
+    data = prepare_corpus(make_toy_corpus(80, seed=0), seed=0)
     for group in ("g1", "g2"):
-        assert load_checkpoint(tmp_path / f"mt.ckpt.{group}")[1]["vocab_sha256"] == vocab.sha256()
+        meta = load_checkpoint(tmp_path / f"mt.ckpt.{group}")[1]
+        assert (meta["vocab_sha256"], meta["valid_sha256"]) == (data.vocab.sha256(), data.valid_sha256())
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +493,9 @@ def test_sweep_bad_range_exits_one(tmp_path):
 
 def test_ensemble_cli_round_trip(tmp_path, corpus_file, capsys):
     scores = []
-    for seed in (1, 2):
-        out = tmp_path / f"m{seed}.ckpt"
-        assert run("train", "--task", "R", "--k", "1", "--seed", seed,
+    for k in (1, 2):
+        out = tmp_path / f"m{k}.ckpt"
+        assert run("train", "--task", "R", "--k", k, "--seed", "9",
                    "--corpus", corpus_file, *TINY, "--out", out) == 0
         scores.append(json.loads(capsys.readouterr().out.strip().split("\n")[-1])["best_valid"])
     manifest = tmp_path / "manifest.json"
@@ -504,6 +509,37 @@ def test_ensemble_cli_round_trip(tmp_path, corpus_file, capsys):
     assert report["ensemble"] >= 0.0
     assert sum(report["weights"]) == pytest.approx(1.0)
     assert sha256(out) == ENSEMBLE_R1_SHA256
+
+
+def test_ensemble_rejects_a_member_trained_on_another_split(tmp_path, corpus_file, capsys):
+    """One corpus file gives every seed the same vocabulary, but the seed
+    also draws the train/valid split: a --seed 1 member trained on part of
+    the --seed 0 valid split, and only the valid-split hash shows it."""
+    seed0, seed1 = (prepare_corpus(load_corpus_file(corpus_file), seed=s) for s in (0, 1))
+    assert seed0.vocab == seed1.vocab and any(s in seed1.train for s in seed0.valid)
+    ckpt, bare = tmp_path / "m.ckpt", tmp_path / "bare.ckpt"
+    assert run("train", "--task", "R", "--k", "1", "--seed", "1", "--corpus", corpus_file,
+               *TINY, "--out", ckpt) == 0
+    manifest = tmp_path / "manifest.json"
+
+    def ensemble(member, seed):
+        manifest.write_text(json.dumps({"checkpoints": [str(member)] * 2,
+                                        "valid_scores": {"R": [0.5, 0.5]}}))
+        capsys.readouterr()
+        code = run("ensemble", manifest, "--task", "R", "--k", "1", "--corpus", corpus_file,
+                   "--seed", seed)
+        return code, capsys.readouterr()
+
+    code, captured = ensemble(ckpt, "0")
+    assert code == 2 and not captured.out
+    assert captured.err.startswith("data error: ")
+    assert f"valid_sha256 {seed1.valid_sha256()} != this run's valid split {seed0.valid_sha256()}" in captured.err
+    # a header without the hash is refused the same way; the member's own split passes
+    save_checkpoint(bare, load_checkpoint(ckpt)[0], {"task": "R", "k": 1,
+                                                     "vocab_sha256": seed1.vocab.sha256()})
+    code, captured = ensemble(bare, "1")
+    assert code == 2 and "valid_sha256 None" in captured.err
+    assert ensemble(ckpt, "1")[0] == 0
 
 
 def test_ensemble_rejects_ranking_tasks(tmp_path):

@@ -216,6 +216,53 @@ def test_batching_does_not_change_encodings():
 
 
 # --------------------------------------------------------------------------
+# frozen encoding: length-sorted batches, rows back at their input positions
+# --------------------------------------------------------------------------
+
+RAGGED = [[2, 3, 4, 5, 6], [7], [8, 9, 2], [3, 4], [5, 6, 7, 8], [9, 9], [2, 3, 4]]
+
+
+def _spy_batches(monkeypatch) -> list:
+    """The batches encode_sentences hands to the encoder module's encode_batch."""
+    batches, real_encode_batch = [], encoder.encode_batch
+
+    def spy(seqs, params, tape):
+        assert not tape.recording
+        batches.append([list(s) for s in seqs])
+        return real_encode_batch(seqs, params, tape)
+
+    monkeypatch.setattr(encoder, "encode_batch", spy)
+    return batches
+
+
+def test_frozen_batches_come_in_stable_length_order(monkeypatch):
+    params = init_params(vocab_size=10, embed_dim=3, hidden_size=3, seed=4)
+    batches = _spy_batches(monkeypatch)
+    encode_sentences(RAGGED, params, batch_size=3)
+    assert [s for batch in batches for s in batch] == sorted(RAGGED, key=len)
+
+
+def test_a_lone_last_sentence_joins_the_batch_before_it(monkeypatch):
+    params = init_params(vocab_size=10, embed_dim=3, hidden_size=3, seed=4)
+    batches = _spy_batches(monkeypatch)
+    encode_sentences(RAGGED[:5], params, batch_size=2)
+    assert [len(batch) for batch in batches] == [2, 3]
+
+
+def test_sorted_rows_come_back_in_input_order(monkeypatch):
+    """Bit for bit the rows of contiguous batches of 4 (no batch of one),
+    although sorting put other sentences beside each one."""
+    params = init_params(vocab_size=10, embed_dim=3, hidden_size=3, seed=4)
+    seqs = RAGGED + [[4, 5, 6, 7, 8, 9]]
+    tape = Tape(recording=False)
+    contiguous = np.concatenate([encode_batch(seqs[i : i + 4], params, tape).value for i in (0, 4)])
+    batches = _spy_batches(monkeypatch)
+    got = encode_sentences(seqs, params, batch_size=4)
+    assert batches != [seqs[:4], seqs[4:]]
+    np.testing.assert_array_equal(got, contiguous)
+
+
+# --------------------------------------------------------------------------
 # the fused bilstm_max op against the per-op reference path, bit for bit
 # --------------------------------------------------------------------------
 

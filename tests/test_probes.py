@@ -347,6 +347,25 @@ def test_eval_never_updates_encoder(corpus, tiny_vocab):
     assert _params_checksum(params) == before
 
 
+def test_encode_probe_encodes_the_task_once_and_keeps_split_order(corpus, tiny_vocab, monkeypatch):
+    params = init_params(tiny_vocab.size, 8, 4, seed=0)
+    task = P.gen_probe_sentlen(corpus[:200], P.default_length_bins(corpus[:200]), seed=0)
+    calls, real_encode_sentences = [], P.encode_sentences
+
+    def spy(seqs, *args):
+        calls.append(len(seqs))
+        return real_encode_sentences(seqs, *args)
+
+    monkeypatch.setattr(P, "encode_sentences", spy)
+    enc = P.encode_probe(task, params, tiny_vocab)
+    assert calls == [len(task.examples)]
+    for split, idx in (("train", task.train_idx), ("valid", task.valid_idx), ("test", task.test_idx)):
+        rows = [task.examples[i] for i in idx]
+        want = real_encode_sentences([tiny_vocab.encode(list(s)) for s, _ in rows], params)
+        np.testing.assert_array_equal(enc.x[split], want)
+        assert enc.y[split].tolist() == [c for _, c in rows]
+
+
 def test_untrained_baseline_same_seed_identical_table(corpus, tiny_vocab):
     task = P.gen_probe_sentlen(corpus[:150], P.default_length_bins(corpus[:150]), seed=0)
     tables = [
