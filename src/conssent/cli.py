@@ -34,7 +34,6 @@ from .errors import ConsSentError, DataError, NumericError, UsageError
 from .perturb import (
     PAIR_TASKS,
     SINGLE_TASKS,
-    gen_pair_batches,
     gen_single_examples,
     write_pair_dataset,
     write_single_dataset,
@@ -45,6 +44,7 @@ from .train import (
     K_RANGES,
     TASKS,
     TrainConfig,
+    _epoch_batches,
     run_gradcheck,
     train_multitask,
     train_single_task,
@@ -219,24 +219,19 @@ def cmd_gen(config: dict) -> int:
     if tc.task == "MT":
         raise UsageError("gen writes one task's dataset; pick one of D P I R C N")
     data = _prepare(config)
-    if tc.task in PAIR_TASKS:
-        batches, stats = gen_pair_batches(data.all_ids, tc.task, tc.k, tc.batch_size, tc.seed)
-        groups = []
-        for batch, sources in batches:
-            groups.extend(batch.candidate_sets(sources))
-        write_pair_dataset(out, groups)
-    else:
-        examples, stats = gen_single_examples(
-            data.all_ids, tc.task, tc.k, tc.gate_p, data.vocab, tc.seed
-        )
-        write_single_dataset(out, examples)
+    batches = _epoch_batches(data.train, tc.task, tc, 0, data.vocab)
+    if not batches:
+        raise DataError(f"epoch 0: no training batches for {[tc.task]}")
+    writer = write_pair_dataset if tc.task in PAIR_TASKS else write_single_dataset
+    writer(out, batches)
+    written = sum(len(b) for b in batches)
+    skipped = len(data.train) - written
     vocab_path = str(out) + ".vocab"
     save_vocab_file(data.vocab, vocab_path)
-    write_meta(out, config, written=stats.written,
-               skipped=dict(stats.skipped), vocab=vocab_path)
+    write_meta(out, config, written=written, skipped=skipped, vocab=vocab_path)
     _progress(
-        f"gen {tc.task}({tc.k}): wrote {stats.written} records to {out} "
-        f"({stats.total_skipped} inputs skipped)"
+        f"gen {tc.task}({tc.k}): wrote {written} records to {out} "
+        f"({skipped} train sentences skipped)"
     )
     return 0
 
@@ -357,6 +352,8 @@ def cmd_ensemble(config: dict, manifest: str) -> int:
     examples, _ = gen_single_examples(
         data.valid, tc.task, tc.k, tc.gate_p, data.vocab, tc.seed, purpose=VALID
     )
+    if not examples:
+        raise DataError(f"validation split yields no {tc.task}(k={tc.k}) data")
     labels = np.array([ex.label for ex in examples])
     valid_sha256 = data.valid_sha256()
     member_probs, member_accs = [], []
@@ -421,7 +418,7 @@ def cmd_gradcheck(config: dict, models: int, tolerance: float) -> int:
 _CORPUS_KEYS = ("seed", "corpus", "toy_n", "valid_fraction", "min_freq", "out")
 _TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")  # seed: a corpus key
 COMMANDS = {
-    "gen": (cmd_gen, "write a perturbation dataset",
+    "gen": (cmd_gen, "write epoch 0's training batches (train split, training order)",
             (*_CORPUS_KEYS, "task", "k", "gate_p", "batch_size"), {}),
     "train": (cmd_train, "train an encoder, save checkpoint + metrics",
               (*_CORPUS_KEYS, *_TRAIN_KEYS, "metrics"), {}),

@@ -7,7 +7,7 @@ hold one token per line, where the 0-based line number equals id - 2
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError
@@ -117,7 +117,6 @@ class SplitCorpus:
     vocab: Vocabulary
     train: list[list[int]]
     valid: list[list[int]]
-    all_ids: list[list[int]] = field(default_factory=list)
 
     def valid_sha256(self) -> str:
         """Hash of the valid split's id sequences; identifies the split."""
@@ -135,7 +134,7 @@ def prepare_corpus(
     vocab = build_vocab(sentences, min_freq=min_freq)
     ids = [vocab.encode(s) for s in sentences]
     train, valid = split_corpus(ids, valid_fraction, seed)
-    return SplitCorpus(vocab=vocab, train=train, valid=valid, all_ids=ids)
+    return SplitCorpus(vocab=vocab, train=train, valid=valid)
 
 
 def read_utf8(path: str | Path) -> str:

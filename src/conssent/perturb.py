@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Vocabulary, read_utf8
+from .corpus import Vocabulary
 from .errors import DataError
 from .rng import EXAMPLES, PAIRS, stream
 
@@ -243,22 +243,6 @@ def partition(s: list, kind: str, rng) -> tuple[list, list]:
     raise ValueError(f"unknown pair task {kind!r}")
 
 
-@dataclass(frozen=True)
-class PairCandidateSet:
-    """One ranking example: an anchor and k completion candidates.
-
-    Exactly one candidate (at ``target_index``) is the anchor's true
-    completion; the rest come from other sentences in the same batch.
-    """
-
-    anchor: tuple
-    candidates: tuple
-    target_index: int
-    kind: str
-    k: int
-    source_index: int = 0
-
-
 @dataclass
 class PairBatch:
     """A batch of ranking examples sharing one pool of right parts.
@@ -277,23 +261,6 @@ class PairBatch:
 
     def __len__(self) -> int:
         return len(self.lefts)
-
-    def candidate_sets(self, source_indices=None) -> list[PairCandidateSet]:
-        out = []
-        for b in range(len(self.lefts)):
-            cands = tuple(tuple(self.rights[j]) for j in self.cand_idx[b])
-            src = int(source_indices[b]) if source_indices is not None else b
-            out.append(
-                PairCandidateSet(
-                    tuple(self.lefts[b]),
-                    cands,
-                    int(self.targets[b]),
-                    self.kind,
-                    self.k,
-                    src,
-                )
-            )
-        return out
 
 
 def make_pair_batch(sentences: list, kind: str, k: int, rng) -> PairBatch:
@@ -386,12 +353,12 @@ def gen_pair_batches(
     seed: int,
     epoch: int = 0,
     purpose: int = PAIRS,
-) -> tuple[list[tuple[PairBatch, list[int]]], GenStats]:
+) -> tuple[list[PairBatch], GenStats]:
     """Chunk the corpus into batches and build ranking examples per chunk.
 
-    Returns (batch, source_indices) pairs. Sentences below the task's
-    minimum length are dropped first; chunks that cannot supply k-1
-    distinct impostors per anchor are skipped and counted.
+    Sentences below the task's minimum length are dropped first; chunks
+    that cannot supply k-1 distinct impostors per anchor are skipped and
+    counted.
     """
     if batch_size < k:
         raise ValueError(f"batch_size {batch_size} < k {k} can never rank")
@@ -409,100 +376,51 @@ def gen_pair_batches(
         except BatchTooSmall:
             stats.skipped["batch_too_small"] += len(chunk)
             continue
-        out.append((batch, chunk))
+        out.append(batch)
         stats.written += len(chunk)
     return out, stats
 
 
 # ---------------------------------------------------------------------------
-# Dataset files
+# Dataset files: `gen` writes epoch 0's training batches of the train split
+# through these, in the order training steps through them.
 #
 # Single-sequence records are tab-separated lines
 #     label  kind  k  source_index  tokens
-# and pair records add a `part` column
-#     label  kind  k  source_index  part  tokens
+# where source_index is the sentence's index in the train split. Pair
+# records carry a `part` column in its place
+#     label  kind  k  part  tokens
 # written as one `anchor` line followed by its k `cand` lines, where exactly
-# the true candidate carries label 1. Tokens are space-joined strings.
+# the true candidate carries label 1. Tokens are space-joined strings. The
+# batches follow one another with no marker: consecutive runs of batch_size
+# records (or anchors), the last run possibly shorter.
 # ---------------------------------------------------------------------------
 
 
-def write_single_dataset(path: str | Path, examples: list[LabeledExample]) -> None:
+def write_single_dataset(path: str | Path, batches: list[list[LabeledExample]]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(
-                f"{ex.label}\t{ex.kind}\t{ex.k}\t{ex.source_index}\t"
-                + " ".join(str(t) for t in ex.tokens)
-                + "\n"
-            )
-
-
-def read_single_dataset(path: str | Path) -> list[LabeledExample]:
-    examples = []
-    for lineno, line in enumerate(read_utf8(path).split("\n"), 1):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 5:
-            raise DataError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
-        label, kind, k, src, toks = fields
-        if label not in ("0", "1"):
-            raise DataError(f"{path}:{lineno}: bad label {label!r}")
-        try:
-            k, src = int(k), int(src)
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        examples.append(LabeledExample(tuple(toks.split()), int(label), kind, k, src))
-    return examples
-
-
-def write_pair_dataset(path: str | Path, groups: list[PairCandidateSet]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for g in groups:
-            fh.write(
-                f"1\t{g.kind}\t{g.k}\t{g.source_index}\tanchor\t"
-                + " ".join(str(t) for t in g.anchor)
-                + "\n"
-            )
-            for j, cand in enumerate(g.candidates):
-                lab = 1 if j == g.target_index else 0
+        for batch in batches:
+            for ex in batch:
                 fh.write(
-                    f"{lab}\t{g.kind}\t{g.k}\t{g.source_index}\tcand\t"
-                    + " ".join(str(t) for t in cand)
+                    f"{ex.label}\t{ex.kind}\t{ex.k}\t{ex.source_index}\t"
+                    + " ".join(str(t) for t in ex.tokens)
                     + "\n"
                 )
 
 
-def read_pair_dataset(path: str | Path) -> list[PairCandidateSet]:
-    groups: list[PairCandidateSet] = []
-    lines = [ln for ln in read_utf8(path).split("\n") if ln]
-    pos = 0
-    while pos < len(lines):
-        fields = lines[pos].split("\t")
-        if len(fields) != 6 or fields[4] != "anchor":
-            raise DataError(f"{path}: line {pos + 1}: expected an anchor record")
-        _, kind, k, src, _, toks = fields
-        try:
-            k, src = int(k), int(src)
-        except ValueError as exc:
-            raise DataError(f"{path}: line {pos + 1}: {exc}") from exc
-        if pos + 1 + k > len(lines):
-            raise DataError(f"{path}: truncated group at line {pos + 1}")
-        cands, target = [], None
-        for j in range(k):
-            cf = lines[pos + 1 + j].split("\t")
-            if len(cf) != 6 or cf[4] != "cand":
-                raise DataError(f"{path}: line {pos + 2 + j}: expected a cand record")
-            if cf[0] == "1":
-                if target is not None:
-                    raise DataError(
-                        f"{path}: group at line {pos + 1} has two true candidates"
+def write_pair_dataset(path: str | Path, batches: list[PairBatch]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for batch in batches:
+            for b, left in enumerate(batch.lefts):
+                fh.write(
+                    f"1\t{batch.kind}\t{batch.k}\tanchor\t"
+                    + " ".join(str(t) for t in left)
+                    + "\n"
+                )
+                for j, cand in enumerate(batch.cand_idx[b]):
+                    lab = 1 if j == batch.targets[b] else 0
+                    fh.write(
+                        f"{lab}\t{batch.kind}\t{batch.k}\tcand\t"
+                        + " ".join(str(t) for t in batch.rights[cand])
+                        + "\n"
                     )
-                target = j
-            cands.append(tuple(cf[5].split()))
-        if target is None:
-            raise DataError(f"{path}: group at line {pos + 1} has no true candidate")
-        groups.append(
-            PairCandidateSet(tuple(toks.split()), tuple(cands), target, kind, k, src)
-        )
-        pos += 1 + k
-    return groups

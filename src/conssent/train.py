@@ -266,7 +266,7 @@ def _epoch_batches(train_sents, task, config: TrainConfig, epoch: int, vocab):
     eligible = [s for s in train_sents if len(s) >= need]
     stream(config.seed, ORDER, ch).shuffle(eligible)
     batches, _ = gen_pair_batches(eligible, task, config.k, config.batch_size, config.seed, epoch=ch)
-    return [b for b, _ in batches]
+    return batches
 
 
 def _build_validation(data: SplitCorpus, task: str, config: TrainConfig):
@@ -293,7 +293,7 @@ def _build_validation(data: SplitCorpus, task: str, config: TrainConfig):
                 data.valid, task, config.k, config.batch_size, config.seed,
                 epoch=ch, purpose=VALID,
             )
-            out.extend(b for b, _ in batches)
+            out.extend(batches)
     if not out:
         raise DataError(f"validation split yields no {task}(k={config.k}) data")
     if task in SINGLE_TASKS:

@@ -14,16 +14,18 @@ from conssent.cli import COMMANDS, CONFIG_DEFAULTS, build_parser, config_sha256,
 from conssent.corpus import load_corpus_file, prepare_corpus
 from conssent.encoder import init_params, load_checkpoint, save_checkpoint
 from conssent.errors import ConsSentError
+from conssent.perturb import SINGLE_TASKS
 from conssent.toydata import make_toy_corpus
-from conssent.train import TrainConfig, train_multitask
+from conssent.train import TrainConfig, _epoch_batches, train_multitask
 
 TINY = ["--hidden-size", "4", "--embed-dim", "8", "--head-dim", "8",
         "--batch-size", "16", "--max-epochs", "1", "--valid-draws", "1"]
 
 
-# sha256 of artifacts written by the commit before the settings, loss and
-# head-probability code was consolidated; that change kept these bytes.
-GEN_R2_SHA256 = "8b8595786b386604e676a25a04e15c75d0b4c8cb0b0f537df37a390acc2d7133"
+# `gen --task R --k 2 --seed 7 --toy-n 60`: recorded when `gen` began to
+# write epoch 0's training batches (train split, training order) in place
+# of its own draw over train and valid sentences, which the old pin held.
+GEN_R2_SHA256 = "01b6209829794eaf07b5ea4b4094807cb9daa5ac95921ce0db705163ba829043"
 # The ensemble report of members R(1) and R(2) trained with the seed the
 # ensemble runs at (members of other seeds are refused since checkpoints
 # carry `valid_sha256`); the code before that check wrote the same bytes.
@@ -97,8 +99,57 @@ def test_gen_pair_task_dataset(tmp_path):
                "--toy-n", "60", "--out", out) == 0
     lines = out.read_text().strip().split("\n")
     # each anchor line is followed by k candidate lines
-    assert lines[0].split("\t")[4] == "anchor"
+    assert lines[0].split("\t")[3] == "anchor"
+    assert all(len(line.split("\t")) == 5 for line in lines)
     assert len(lines) % 4 == 0
+
+
+def _ids(field):
+    return tuple(int(t) for t in field.split())
+
+
+@pytest.mark.parametrize("task,k", [("D", 1), ("C", 3)])
+def test_gen_writes_epoch_0s_training_batches(tmp_path, task, k):
+    """The file holds the batches epoch 0 of `train` steps through, in
+    its order, drawn from the train split alone."""
+    out = tmp_path / "ds.tsv"
+    assert run("gen", "--task", task, "--k", k, "--seed", "0", "--toy-n", "300", "--out", out) == 0
+    data = prepare_corpus(make_toy_corpus(300, seed=0), seed=0)
+    batches = _epoch_batches(data.train, task, TrainConfig(task=task, k=k), 0, data.vocab)
+    rows = [line.split("\t") for line in out.read_text().splitlines()]
+    if task in SINGLE_TASKS:
+        got = [(int(label), kind, int(kk), int(src), _ids(toks)) for label, kind, kk, src, toks in rows]
+        want = [(ex.label, ex.kind, ex.k, ex.source_index, ex.tokens) for b in batches for ex in b]
+        kept = [(src, toks) for label, _, _, src, toks in got if label == 1]
+        assert all(data.train[src] == list(toks) for src, toks in kept)  # indexes the train split
+        untouched = [toks for _, toks in kept]
+    else:
+        got = []
+        for a in range(0, len(rows), k + 1):  # an anchor row, then its k candidate rows
+            (label, kind, kk, part, left), *cands = rows[a : a + k + 1]
+            assert (label, kind, kk, part) == ("1", task, str(k), "anchor")
+            assert all(c[1:4] == [task, str(k), "cand"] for c in cands)
+            got.append((_ids(left), [_ids(c[4]) for c in cands], [c[0] for c in cands].index("1")))
+        want = [(tuple(b.lefts[i]), [tuple(b.rights[j]) for j in b.cand_idx[i]], b.targets[i])
+                for b in batches for i in range(len(b))]
+        untouched = [left + cands[t] for left, cands, t in got]  # C splits contiguously
+    assert got == want
+    train = {tuple(s) for s in data.train}
+    valid_only = {tuple(s) for s in data.valid} - train
+    assert valid_only and not valid_only & set(untouched)
+    assert set(untouched) <= train
+    meta = json.loads((tmp_path / "ds.tsv.meta.json").read_text())
+    assert (meta["written"], meta["skipped"]) == (len(want), len(data.train) - len(want))
+
+
+def test_gen_refuses_a_corpus_epoch_0_cannot_train_on(tmp_path, capsys):
+    # two-token sentences cannot have 3 tokens permuted; `train` refuses them too
+    corpus = tmp_path / "short.txt"
+    corpus.write_text("".join(" ".join(s[:2]) + "\n" for s in make_toy_corpus(60, seed=4)))
+    assert run("gen", "--task", "P", "--k", "3", "--corpus", corpus,
+               "--out", tmp_path / "p3.tsv") == 2
+    assert capsys.readouterr().err == "data error: epoch 0: no training batches for ['P']\n"
+    assert not list(tmp_path.glob("p3.tsv*"))
 
 
 def test_gen_meta_records_config_hash(tmp_path):
@@ -546,6 +597,29 @@ def test_ensemble_rejects_ranking_tasks(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"checkpoints": ["a", "b"], "valid_scores": {"C": [0.5, 0.5]}}))
     assert run("ensemble", manifest, "--task", "C", "--k", "2", "--toy-n", "60") == 1
+
+
+def test_ensemble_refuses_a_task_its_valid_split_cannot_supply(tmp_path, monkeypatch, capsys):
+    """Four-token sentences cannot have 5 tokens permuted: bad data,
+    reported before any member is encoded."""
+    corpus = tmp_path / "four.txt"
+    corpus.write_text("".join(" ".join(s[:4]) + "\n" for s in make_toy_corpus(120, seed=4)))
+    ckpt = tmp_path / "p2.ckpt"
+    assert run("train", "--task", "P", "--k", "2", "--seed", "1", "--corpus", corpus,
+               *TINY, "--out", ckpt) == 0
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"checkpoints": [str(ckpt)] * 2,
+                                    "valid_scores": {"P": [0.5, 0.5]}}))
+
+    def never(*_args):
+        raise AssertionError("ensemble encoded a member")
+    monkeypatch.setattr("conssent.cli.head_probs", never)
+    capsys.readouterr()
+    assert run("ensemble", manifest, "--task", "P", "--k", "5", "--corpus", corpus,
+               "--seed", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "data error: validation split yields no P(k=5) data\n"
+    assert not captured.out
 
 
 @pytest.fixture(scope="module")

@@ -125,8 +125,8 @@ def test_prepare_corpus_encodes_and_splits():
     sentences = [["a", "b"], ["b", "c"], ["c", "a"], ["a", "c"]]
     sc = prepare_corpus(sentences, valid_fraction=0.25, seed=0)
     assert len(sc.train) == 3 and len(sc.valid) == 1
-    assert len(sc.all_ids) == 4
-    for ids in sc.all_ids:
+    assert len(sc.train + sc.valid) == 4
+    for ids in sc.train + sc.valid:
         assert all(i >= 2 for i in ids)  # everything in-vocab here
 
 

@@ -5,14 +5,14 @@ import itertools
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from conssent.corpus import build_vocab
-from conssent.errors import ConsSentError
 from conssent.perturb import (
     BatchTooSmall,
     DegenerateSplit,
+    LabeledExample,
     NoCandidates,
     NoValidPerturbation,
     TooShort,
@@ -28,8 +28,6 @@ from conssent.perturb import (
     perturb_insert,
     perturb_permute,
     perturb_replace,
-    read_pair_dataset,
-    read_single_dataset,
     write_pair_dataset,
     write_single_dataset,
 )
@@ -445,16 +443,6 @@ def test_pair_batch_k_too_small():
         make_pair_batch(SENTS, "C", 1, RngStream(0, 0))
 
 
-def test_pair_batch_candidate_sets_view():
-    batch = make_pair_batch(SENTS, "N", 4, stream(3, EXAMPLES))
-    sets = batch.candidate_sets(source_indices=[10, 11, 12, 13, 14, 15])
-    assert len(sets) == len(SENTS)
-    for b, cs in enumerate(sets):
-        assert cs.k == 4 and cs.kind == "N"
-        assert cs.source_index == 10 + b
-        assert cs.candidates[cs.target_index] == tuple(batch.rights[b])
-
-
 # --------------------------------------------------------------------------
 # corpus-level generation
 # --------------------------------------------------------------------------
@@ -505,8 +493,7 @@ def test_gen_pair_batches_deterministic():
     a, stats_a = gen_pair_batches(sents, "N", 3, batch_size=4, seed=1)
     b, _ = gen_pair_batches(sents, "N", 3, batch_size=4, seed=1)
     assert len(a) == len(b) == 2
-    for (ba, ia), (bb, ib) in zip(a, b):
-        assert ia == ib
+    for ba, bb in zip(a, b):
         assert ba.lefts == bb.lefts and ba.rights == bb.rights
         assert (ba.cand_idx == bb.cand_idx).all()
         assert (ba.targets == bb.targets).all()
@@ -535,92 +522,36 @@ def test_gen_pair_batch_size_below_k():
 # --------------------------------------------------------------------------
 
 
+def _records(path):
+    return [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
+
+
 def test_single_dataset_round_trip(tmp_path):
     vocab = build_vocab([[c] for c in "abcdefgh"])
     sents = [list(w) for w in ["abcd", "efgh", "aceg", "bdfh"]]
     examples, _ = gen_single_examples(sents, "P", 2, 0.5, vocab, seed=3)
     path = tmp_path / "data.tsv"
-    write_single_dataset(path, examples)
-    loaded = read_single_dataset(path)
+    write_single_dataset(path, [examples[:3], examples[3:]])
+    loaded = [LabeledExample(tuple(toks.split()), int(label), kind, int(k), int(src))
+              for label, kind, k, src, toks in _records(path)]
     assert loaded == examples
 
 
-def test_single_dataset_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.tsv"
-    path.write_text("1\tD\t2\n")
-    with pytest.raises(Exception) as exc_info:
-        read_single_dataset(path)
-    assert "fields" in str(exc_info.value)
-    path.write_text("7\tD\t2\t0\ta b\n")
-    with pytest.raises(Exception) as exc_info:
-        read_single_dataset(path)
-    assert "label" in str(exc_info.value)
-
-
 def test_pair_dataset_round_trip(tmp_path):
-    sents = [list(w) for w in ["abcd", "efgh", "ijkl", "mnop"]]
+    sents = [list(w) for w in ["abcd", "efgh", "ijkl", "mnop", "qrst", "uvwx", "yzab"]]
     batches, _ = gen_pair_batches(sents, "C", 3, batch_size=4, seed=5)
-    groups = []
-    for batch, idx in batches:
-        groups.extend(batch.candidate_sets(source_indices=idx))
+    assert [len(b) for b in batches] == [4, 3]
     path = tmp_path / "pairs.tsv"
-    write_pair_dataset(path, groups)
-    loaded = read_pair_dataset(path)
-    assert loaded == groups
-
-
-def test_pair_dataset_rejects_bad_groups(tmp_path):
-    path = tmp_path / "bad.tsv"
-    # two true candidates
-    path.write_text(
-        "1\tC\t2\t0\tanchor\ta b\n"
-        "1\tC\t2\t0\tcand\tc d\n"
-        "1\tC\t2\t0\tcand\te f\n"
-    )
-    with pytest.raises(Exception) as exc_info:
-        read_pair_dataset(path)
-    assert "two true" in str(exc_info.value)
-    # no true candidate
-    path.write_text(
-        "1\tC\t2\t0\tanchor\ta b\n"
-        "0\tC\t2\t0\tcand\tc d\n"
-        "0\tC\t2\t0\tcand\te f\n"
-    )
-    with pytest.raises(Exception) as exc_info:
-        read_pair_dataset(path)
-    assert "no true" in str(exc_info.value)
-    # truncated group
-    path.write_text("1\tC\t3\t0\tanchor\ta b\n0\tC\t3\t0\tcand\tc d\n")
-    with pytest.raises(Exception):
-        read_pair_dataset(path)
-
-
-# tab-separated records of plausible and broken fields, plus raw bytes
-_FIELD = st.sampled_from(["0", "1", "2", "-1", "x", "C", "anchor", "cand", "a b", "", "\u0663"])
-_RECORDS = st.one_of(
-    st.binary(max_size=64),
-    st.lists(st.lists(_FIELD, min_size=4, max_size=7).map("\t".join), max_size=6)
-    .map(lambda lines: "\n".join(lines).encode()),
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_RECORDS)
-def test_read_single_dataset_raises_only_package_errors(tmp_path_factory, blob):
-    path = tmp_path_factory.mktemp("single") / "d.tsv"
-    path.write_bytes(blob)
-    try:
-        read_single_dataset(path)
-    except ConsSentError:
-        pass
-
-
-@settings(max_examples=150, deadline=None)
-@given(_RECORDS)
-def test_read_pair_dataset_raises_only_package_errors(tmp_path_factory, blob):
-    path = tmp_path_factory.mktemp("pair") / "d.tsv"
-    path.write_bytes(blob)
-    try:
-        read_pair_dataset(path)
-    except ConsSentError:
-        pass
+    write_pair_dataset(path, batches)
+    rows = _records(path)
+    # each anchor row is followed by its k candidate rows; one is labelled 1
+    loaded = []
+    for a in range(0, len(rows), 4):
+        anchor, *cands = rows[a : a + 4]
+        assert anchor[:4] == ["1", "C", "3", "anchor"]
+        assert all(c[1:4] == ["C", "3", "cand"] for c in cands)
+        labels = [c[0] for c in cands]
+        assert sorted(labels) == ["0", "0", "1"]
+        loaded.append((anchor[4].split(), [c[4].split() for c in cands], labels.index("1")))
+    assert loaded == [(b.lefts[i], [b.rights[j] for j in b.cand_idx[i]], b.targets[i])
+                      for b in batches for i in range(len(b))]
