@@ -253,7 +253,6 @@ def cmd_train(config: dict) -> int:
         summary = {
             "task": "MT", "k": tc.k,
             "member_accs": state.member_accs,
-            "output_dim": state.output_dim,
             "checkpoints": paths,
         }
     else:

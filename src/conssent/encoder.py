@@ -16,12 +16,17 @@ and association, and adds one term per timestep into each parameter's
 gradient in that graph's reverse order, continuing any running sum the
 parameter already holds. Training here is chaotic, so anything looser
 would change trained models.
+
+``param_shapes`` is the one parameter layout: every name and shape in
+checkpoint order. ``init_params`` draws in it, ``load_checkpoint`` reads
+in it, and ``EncoderParams`` is that flat name -> array dict with
+read-only views (``embedding``, ``fwd``, ``bwd``, ``heads``) over it.
 """
 
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,17 +40,15 @@ _FORMAT_VERSION = 1
 _NEG_BIG = 1e30
 
 
-@dataclass
-class LstmWeights:
+class LstmWeights(NamedTuple):
     """One direction's parameters; gate order along columns is i, f, o, g."""
 
-    w_x: object  # (embed_dim, 4H)
-    w_h: object  # (H, 4H)
-    b: object  # (4H,)
+    w_x: object
+    w_h: object
+    b: object
 
 
-@dataclass
-class HeadWeights:
+class HeadWeights(NamedTuple):
     """Two-layer perceptron: in -> tanh(hidden) -> out."""
 
     w1: object
@@ -54,16 +57,61 @@ class HeadWeights:
     b2: object
 
 
-@dataclass
+def param_shapes(vocab_size: int, embed_dim: int, hidden: int, heads: dict) -> dict:
+    """Every parameter's name -> shape in checkpoint order: the one layout.
+
+    ``heads`` maps each task to its head's (hidden, classes) widths; heads
+    follow the encoder in sorted task order. ``init_params`` draws in this
+    order, ``load_checkpoint`` reads in it, and ``EncoderParams`` builds its
+    views from these names.
+    """
+    V, E, H = vocab_size, embed_dim, hidden
+    shapes = {"embedding": (V, E)}
+    for d in ("fwd", "bwd"):
+        shapes |= {f"{d}.w_x": (E, 4 * H), f"{d}.w_h": (H, 4 * H), f"{d}.b": (4 * H,)}
+    for task in sorted(heads):
+        n, k = heads[task]
+        shapes |= {f"head.{task}.w1": (2 * H, n), f"head.{task}.b1": (n,),
+                   f"head.{task}.w2": (n, k), f"head.{task}.b2": (k,)}
+    return shapes
+
+
 class EncoderParams:
-    embedding: object  # (vocab_size, embed_dim)
-    fwd: LstmWeights
-    bwd: LstmWeights
-    heads: dict = field(default_factory=dict)
+    """The parameters as one flat name -> array dict in ``param_shapes``
+    order. Values are arrays, or tape Vars once bound (``bind_params``);
+    ``embedding``, ``fwd``, ``bwd``, ``heads`` and the sizes are read-only
+    views of that dict."""
+
+    __slots__ = ("_arrays",)
+
+    def __init__(self, arrays: dict):
+        self._arrays = arrays
+
+    def named_arrays(self) -> dict:
+        """The flat name -> array dict itself, in checkpoint order."""
+        return self._arrays
+
+    @property
+    def embedding(self):
+        return self._arrays["embedding"]
+
+    @property
+    def fwd(self) -> LstmWeights:
+        return LstmWeights(*(self._arrays[f"fwd.{f}"] for f in LstmWeights._fields))
+
+    @property
+    def bwd(self) -> LstmWeights:
+        return LstmWeights(*(self._arrays[f"bwd.{f}"] for f in LstmWeights._fields))
+
+    @property
+    def heads(self) -> dict:
+        tasks = dict.fromkeys(n.split(".")[1] for n in self._arrays if n.startswith("head."))
+        return {t: HeadWeights(*(self._arrays[f"head.{t}.{f}"] for f in HeadWeights._fields))
+                for t in tasks}
 
     @property
     def hidden_size(self) -> int:
-        return _value_of(self.fwd.w_h).shape[0]
+        return _value_of(self._arrays["fwd.w_h"]).shape[0]
 
     @property
     def embed_dim(self) -> int:
@@ -72,29 +120,6 @@ class EncoderParams:
     @property
     def vocab_size(self) -> int:
         return _value_of(self.embedding).shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return 2 * self.hidden_size
-
-    def named_arrays(self) -> dict:
-        """Flat name -> array view, in the fixed checkpoint order."""
-        out = {
-            "embedding": self.embedding,
-            "fwd.w_x": self.fwd.w_x,
-            "fwd.w_h": self.fwd.w_h,
-            "fwd.b": self.fwd.b,
-            "bwd.w_x": self.bwd.w_x,
-            "bwd.w_h": self.bwd.w_h,
-            "bwd.b": self.bwd.b,
-        }
-        for task in sorted(self.heads):
-            head = self.heads[task]
-            out[f"head.{task}.w1"] = head.w1
-            out[f"head.{task}.b1"] = head.b1
-            out[f"head.{task}.w2"] = head.w2
-            out[f"head.{task}.b2"] = head.b2
-        return out
 
 
 def _value_of(x):
@@ -110,26 +135,6 @@ def _uniform_array(rng: RngStream, shape: tuple, lo: float, hi: float) -> np.nda
     flat *= hi - lo
     flat += lo
     return flat.reshape(shape)
-
-
-def _init_lstm(rng: RngStream, embed_dim: int, hidden: int) -> LstmWeights:
-    r = 1.0 / np.sqrt(hidden)
-    w_x = _uniform_array(rng, (embed_dim, 4 * hidden), -r, r)
-    w_h = _uniform_array(rng, (hidden, 4 * hidden), -r, r)
-    b = np.zeros(4 * hidden)
-    b[hidden : 2 * hidden] = 1.0  # forget gate starts open
-    return LstmWeights(w_x, w_h, b)
-
-
-def _init_head(rng: RngStream, in_dim: int, hidden: int, out_dim: int) -> HeadWeights:
-    r1 = 1.0 / np.sqrt(in_dim)
-    r2 = 1.0 / np.sqrt(hidden)
-    return HeadWeights(
-        w1=_uniform_array(rng, (in_dim, hidden), -r1, r1),
-        b1=np.zeros(hidden),
-        w2=_uniform_array(rng, (hidden, out_dim), -r2, r2),
-        b2=np.zeros(out_dim),
-    )
 
 
 def init_params(
@@ -155,41 +160,20 @@ def init_params(
     multitask run).
     """
     rng = stream(seed, INIT, item=stream_item)
-    embedding = _uniform_array(rng, (vocab_size, embed_dim), -0.1, 0.1)
-    fwd = _init_lstm(rng, embed_dim, hidden_size)
-    bwd = _init_lstm(rng, embed_dim, hidden_size)
-    for w in (fwd, bwd):
-        w.w_x *= init_gain
-        w.w_h *= init_gain
-    heads = {}
-    for task in sorted(head_tasks):
-        head = _init_head(rng, 2 * hidden_size, head_dim, 2)  # binary tasks only
-        head.w1 *= init_gain
-        head.w2 *= init_gain
-        heads[task] = head
-    return EncoderParams(embedding, fwd, bwd, heads)
-
-
-def params_view(leaves: dict) -> EncoderParams:
-    """Reassemble an EncoderParams structure from a flat name -> value dict.
-
-    Head names are recovered from the ``head.<task>.w1`` keys, so the dict
-    alone fully determines the shape of the result. Values may be Vars or
-    plain arrays.
-    """
-    fwd = LstmWeights(leaves["fwd.w_x"], leaves["fwd.w_h"], leaves["fwd.b"])
-    bwd = LstmWeights(leaves["bwd.w_x"], leaves["bwd.w_h"], leaves["bwd.b"])
-    tasks = sorted(n.split(".")[1] for n in leaves if n.startswith("head.") and n.endswith(".w1"))
-    heads = {
-        task: HeadWeights(
-            leaves[f"head.{task}.w1"],
-            leaves[f"head.{task}.b1"],
-            leaves[f"head.{task}.w2"],
-            leaves[f"head.{task}.b2"],
-        )
-        for task in tasks
-    }
-    return EncoderParams(leaves["embedding"], fwd, bwd, heads)
+    arrays = {}
+    heads = dict.fromkeys(head_tasks, (head_dim, 2))  # binary tasks only
+    for name, shape in param_shapes(vocab_size, embed_dim, hidden_size, heads).items():
+        if len(shape) == 1:
+            arrays[name] = np.zeros(shape)
+            if name.endswith(".b"):  # forget gate starts open
+                arrays[name][hidden_size : 2 * hidden_size] = 1.0
+        elif name == "embedding":
+            arrays[name] = _uniform_array(rng, shape, -0.1, 0.1)
+        else:  # an LSTM matrix has fan H, a head matrix its input width
+            r = 1.0 / np.sqrt(hidden_size if name.startswith(("fwd.", "bwd.")) else shape[0])
+            arrays[name] = _uniform_array(rng, shape, -r, r)
+            arrays[name] *= init_gain
+    return EncoderParams(arrays)
 
 
 def bind_params(params: EncoderParams, tape: ad.Tape) -> tuple[EncoderParams, dict]:
@@ -199,7 +183,7 @@ def bind_params(params: EncoderParams, tape: ad.Tape) -> tuple[EncoderParams, di
     gradients out after the backward sweep.
     """
     leaves = {name: tape.leaf(arr) for name, arr in params.named_arrays().items()}
-    return params_view(leaves), leaves
+    return EncoderParams(leaves), leaves
 
 
 class _PairSum:
@@ -356,8 +340,7 @@ def bilstm_max(ids: np.ndarray, mask, emb, fwd: LstmWeights, bwd: LstmWeights, t
     # C order keeps each gathered x[d, k] laid out like a per-step gather.
     steps = np.ascontiguousarray(np.stack([ids.T, ids.T[::-1]]))
     x = _value_of(emb)[steps]  # (2, T, B, E)
-    w_x, w_h, b = (np.stack([_value_of(getattr(fwd, n)), _value_of(getattr(bwd, n))])
-                   for n in ("w_x", "w_h", "b"))
+    w_x, w_h, b = (np.stack([_value_of(p), _value_of(q)]) for p, q in zip(fwd, bwd))
     H = w_h.shape[1]
     m = keep = None
     if mask is not None:
@@ -378,8 +361,7 @@ def bilstm_max(ids: np.ndarray, mask, emb, fwd: LstmWeights, bwd: LstmWeights, t
         pool = np.zeros((T, B, 2 * H), dtype=g.dtype)
         np.put_along_axis(pool, idx[None], g[None], axis=0)
         pool = np.stack([pool[:, :, :H], pool[::-1, :, H:]])
-        sums = [_PairSum((fwd_p, bwd_p)) for fwd_p, bwd_p in
-                ((fwd.w_x, bwd.w_x), (fwd.w_h, bwd.w_h), (fwd.b, bwd.b))]
+        sums = [_PairSum(pair) for pair in zip(fwd, bwd)]  # w_x, w_h, b
         dx = _bptt(pool, x, w_x, w_h, m, keep, cache, sums)
         for leaf_pair in sums:
             leaf_pair.done()
@@ -433,7 +415,7 @@ def encode_sentences(
     if n > batch_size and n % batch_size == 1:
         del bounds[-2]
     tape = ad.Tape(recording=False)
-    out = np.empty((n, params.output_dim))
+    out = np.empty((n, 2 * params.hidden_size))
     for lo, hi in zip(bounds, bounds[1:]):
         batch = order[lo:hi]
         out[batch] = encode_batch([seqs[i] for i in batch], params, tape).value
@@ -457,16 +439,13 @@ def head_probs(seqs: list, params: EncoderParams, task: str) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Checkpoints: magic, version, JSON metadata, then raw little-endian float32
-# arrays in named_arrays() order.
+# arrays in param_shapes() order.
 # ---------------------------------------------------------------------------
 
 
 def save_checkpoint(path, params: EncoderParams, meta: dict | None = None) -> None:
-    arrays = params.named_arrays()
-    head_meta = {}
-    for task in sorted(params.heads):
-        h = params.heads[task]
-        head_meta[task] = {"hidden": h.w1.shape[1], "classes": h.w2.shape[1]}
+    head_meta = {task: {"hidden": h.w1.shape[1], "classes": h.w2.shape[1]}
+                 for task, h in params.heads.items()}
     full_meta = {
         "format_version": _FORMAT_VERSION,
         "vocab_size": params.vocab_size,
@@ -480,7 +459,7 @@ def save_checkpoint(path, params: EncoderParams, meta: dict | None = None) -> No
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _FORMAT_VERSION, len(blob)))
         fh.write(blob)
-        for arr in arrays.values():
+        for arr in params.named_arrays().values():
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
@@ -496,30 +475,18 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict]:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     try:
         meta = json.loads(data[12 : 12 + meta_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep or too long a number
         raise DataError(f"{path}: corrupt metadata: {exc}") from exc
     if not isinstance(meta, dict):
         raise DataError(f"{path}: metadata is not a JSON object")
     try:
-        V, D, H = meta["vocab_size"], meta["embed_dim"], meta["hidden_size"]
-        shapes = {
-            "embedding": (V, D),
-            "fwd.w_x": (D, 4 * H),
-            "fwd.w_h": (H, 4 * H),
-            "fwd.b": (4 * H,),
-            "bwd.w_x": (D, 4 * H),
-            "bwd.w_h": (H, 4 * H),
-            "bwd.b": (4 * H,),
-        }
-        for task in sorted(meta.get("heads", {})):
+        heads = {}
+        for task, hm in meta.get("heads", {}).items():
             if "." in task:  # flat array names are split on "."
                 raise DataError(f"{path}: head name {task!r} contains '.'")
-            hm = meta["heads"][task]
-            shapes[f"head.{task}.w1"] = (2 * H, hm["hidden"])
-            shapes[f"head.{task}.b1"] = (hm["hidden"],)
-            shapes[f"head.{task}.w2"] = (hm["hidden"], hm["classes"])
-            shapes[f"head.{task}.b2"] = (hm["classes"],)
-    except (KeyError, TypeError) as exc:
+            heads[task] = (hm["hidden"], hm["classes"])
+        shapes = param_shapes(meta["vocab_size"], meta["embed_dim"], meta["hidden_size"], heads)
+    except (AttributeError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: metadata lacks or mistypes {exc}") from exc
     if not all(type(n) is int and n >= 0 for shape in shapes.values() for n in shape):
         raise DataError(f"{path}: metadata sizes must be non-negative integers")
@@ -531,17 +498,17 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict]:
         nbytes = 4 * count
         if offset + nbytes > len(data):
             raise DataError(f"{path}: truncated at array {name!r}")
-        arrays[name] = (
-            np.frombuffer(data, dtype="<f4", count=count, offset=offset)
-            .astype(np.float64)
-            .reshape(shape)
-        )
+        flat = np.frombuffer(data, dtype="<f4", count=count, offset=offset).astype(np.float64)
+        try:
+            arrays[name] = flat.reshape(shape)
+        except ValueError as exc:  # an empty array with a dimension numpy cannot hold
+            raise DataError(f"{path}: array {name!r} cannot have shape {shape}: {exc}") from exc
         offset += nbytes
     if offset != len(data):
         raise DataError(f"{path}: {len(data) - offset} trailing bytes")
-    return params_view(arrays), meta
+    return EncoderParams(arrays), meta
 
 
 def copy_params(params: EncoderParams) -> EncoderParams:
     """Deep copy of all arrays (used to snapshot the best validation model)."""
-    return params_view({name: arr.copy() for name, arr in params.named_arrays().items()})
+    return EncoderParams({name: arr.copy() for name, arr in params.named_arrays().items()})

@@ -34,7 +34,6 @@ from .encoder import (
     encode_batch,
     head_logits,
     init_params,
-    params_view,
 )
 from .errors import DataError, NumericError
 from .perturb import (
@@ -146,10 +145,6 @@ class TrainState:
 class MultitaskState:
     group1: TrainState
     group2: TrainState
-
-    @property
-    def output_dim(self) -> int:
-        return self.group1.params.output_dim + self.group2.params.output_dim
 
     @property
     def history(self) -> list[dict]:
@@ -434,9 +429,9 @@ def train_multitask(config: TrainConfig, data: SplitCorpus, progress=None) -> Mu
     minibatches rotate through the member tasks in fixed order, and the
     learning-rate schedule follows the unweighted mean of the members'
     validation accuracies. The groups share no parameters, so they are
-    trained one after the other. The MT representation is both encoders'
-    outputs side by side (``output_dim`` wide); each encoder is saved, and
-    can be probed, on its own.
+    trained one after the other. The paper's MT representation puts both
+    encoders' outputs side by side, but nothing here reads that
+    concatenation: each encoder is saved, and probed, on its own.
     """
     if config.task != "MT":
         raise ValueError(f"train_multitask requires task MT, got {config.task}")
@@ -510,7 +505,7 @@ def run_gradcheck(n_models: int, seed: int, progress=None) -> dict:
             )
 
         def build_loss(tape, leaves, task=task, batch=batch):
-            return batch_loss(params_view(leaves), task, batch, tape)
+            return batch_loss(EncoderParams(leaves), task, batch, tape)
 
         err = ad.finite_diff_check(params.named_arrays(), build_loss)
         worst = max(worst, err)

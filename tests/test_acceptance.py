@@ -19,7 +19,7 @@ from conssent import ensemble as ens
 from conssent import probes as pr
 from conssent.cli import main as cli_main
 from conssent.corpus import build_vocab, prepare_corpus
-from conssent.encoder import head_probs, init_params
+from conssent.encoder import encode_sentences, head_probs, init_params
 from conssent.perturb import (
     gen_single_examples,
     make_single_example,
@@ -250,9 +250,8 @@ def test_criterion_07_multitask(toy_data):
     for task, acc in accs.items():
         chance = 1.0 / 3.0 if task in ("C", "N") else 0.5
         assert acc >= chance + 0.10, f"{task}: {acc:.3f} vs chance {chance:.3f}"
-    assert state.output_dim == 2 * 32 + 2 * 32
-    enc = state.group1.params
-    assert enc.output_dim + state.group2.params.output_dim == state.output_dim
+    for group in (state.group1, state.group2):
+        assert encode_sentences(toy_data.valid[:3], group.params).shape == (3, 2 * 32)
 
 
 # ---------------------------------------------------------------------------

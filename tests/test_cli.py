@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conssent.cli import COMMANDS, CONFIG_DEFAULTS, build_parser, config_sha256, load_run_config, main
 from conssent.corpus import load_corpus_file, prepare_corpus
-from conssent.encoder import init_params, load_checkpoint, save_checkpoint
+from conssent.encoder import encode_sentences, init_params, load_checkpoint, save_checkpoint
 from conssent.errors import ConsSentError
 from conssent.perturb import SINGLE_TASKS
 from conssent.toydata import make_toy_corpus
@@ -395,11 +395,12 @@ def test_train_multitask_writes_two_checkpoints(tmp_path, capsys):
                "--toy-n", "80", *TINY, "--out", out) == 0
     summary = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
     assert set(summary["member_accs"]) == {"D", "P", "I", "R", "N", "C"}
-    assert summary["output_dim"] == 4 * 4   # 2H1 + 2H2 with H=4
+    assert "output_dim" not in summary   # no command reads the two encoders side by side
     data = prepare_corpus(make_toy_corpus(80, seed=0), seed=0)
     for group in ("g1", "g2"):
-        meta = load_checkpoint(tmp_path / f"mt.ckpt.{group}")[1]
+        params, meta = load_checkpoint(tmp_path / f"mt.ckpt.{group}")
         assert (meta["vocab_sha256"], meta["valid_sha256"]) == (data.vocab.sha256(), data.valid_sha256())
+        assert encode_sentences(data.valid[:2], params).shape == (2, 2 * 4)   # H=4
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import struct
 import lstm_reference
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conssent import autodiff as ad
@@ -27,10 +27,10 @@ from conssent.encoder import (
     head_logits,
     init_params,
     load_checkpoint,
-    params_view,
+    param_shapes,
     save_checkpoint,
 )
-from conssent.errors import DataError
+from conssent.errors import ConsSentError, DataError
 from conssent.perturb import PairBatch
 from conssent.rng import INIT, RngStream, stream
 
@@ -101,7 +101,7 @@ def test_init_shapes_and_bounds():
     assert set(p.heads) == {"D", "R"}
     assert p.heads["D"].w1.shape == (10, 7)
     assert p.heads["D"].w2.shape == (7, 2)
-    assert p.output_dim == 10
+    assert encode_sentences([[2, 3]], p).shape == (1, 10)
 
 
 def test_init_deterministic_per_seed():
@@ -380,7 +380,7 @@ def test_fused_matches_reference_longdouble_frozen():
     def run(encode):
         tape = Tape(recording=False)
         leaves = {k: tape.leaf(v.astype(np.longdouble)) for k, v in params.named_arrays().items()}
-        pooled = encode(seqs, params_view(leaves), tape).value
+        pooled = encode(seqs, EncoderParams(leaves), tape).value
         assert pooled.dtype == np.longdouble
         assert len(tape) == 0
         return pooled, {}
@@ -427,17 +427,7 @@ def test_full_model_gradcheck_binary():
     labels = np.array([1, 0])
 
     def build(tape, leaves):
-        from conssent.encoder import HeadWeights, LstmWeights
-
-        bound = EncoderParams(
-            leaves["embedding"],
-            LstmWeights(leaves["fwd.w_x"], leaves["fwd.w_h"], leaves["fwd.b"]),
-            LstmWeights(leaves["bwd.w_x"], leaves["bwd.w_h"], leaves["bwd.b"]),
-            {"D": HeadWeights(
-                leaves["head.D.w1"], leaves["head.D.b1"],
-                leaves["head.D.w2"], leaves["head.D.b2"],
-            )},
-        )
+        bound = EncoderParams(leaves)
         pooled = encode_batch(seqs, bound, tape)
         return ad.softmax_xent(head_logits(pooled, bound.heads["D"]), labels)
 
@@ -454,14 +444,7 @@ def test_full_model_gradcheck_ranking():
     targets = np.array([0, 0, 0])
 
     def build(tape, leaves):
-        from conssent.encoder import LstmWeights
-
-        bound = EncoderParams(
-            leaves["embedding"],
-            LstmWeights(leaves["fwd.w_x"], leaves["fwd.w_h"], leaves["fwd.b"]),
-            LstmWeights(leaves["bwd.w_x"], leaves["bwd.w_h"], leaves["bwd.b"]),
-            {},
-        )
+        bound = EncoderParams(leaves)
         a = encode_batch(lefts, bound, tape)
         r = encode_batch(rights, bound, tape)
         dots = ad.matmul(a, ad.transpose(r))
@@ -581,6 +564,37 @@ def _rewrite_meta(path, changes):
     path.write_bytes(blob[:8] + struct.pack("<I", len(new_meta)) + new_meta + blob[12 + meta_len :])
 
 
+# Sizes that are valid, empty, astronomically large or of the wrong type.
+_META_SIZE = st.sampled_from([0, 1, 2, 3, 2**62, 2**63, 10**30, -1, 2.0, "2", None, True, [2]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries(
+    {"vocab_size": _META_SIZE, "embed_dim": _META_SIZE, "hidden_size": _META_SIZE},
+    optional={"heads": st.one_of(_META_SIZE, st.dictionaries(
+        st.sampled_from(["D", "R", "a.b"]),
+        st.one_of(_META_SIZE, st.dictionaries(st.sampled_from(["hidden", "classes"]), _META_SIZE)),
+        max_size=2))},
+))
+@example({"vocab_size": 0, "embed_dim": 0, "hidden_size": 10**30})  # empty, yet too wide for numpy
+def test_load_checkpoint_raises_only_package_errors(tmp_path_factory, changes):
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    save_checkpoint(path, init_params(6, 2, 2, head_tasks=("D",), head_dim=3, seed=1))
+    _rewrite_meta(path, changes)
+    try:
+        load_checkpoint(path)
+    except ConsSentError:
+        pass
+
+
+@pytest.mark.parametrize("blob", [b"[" * 100_000, b"1" * 5_000], ids=["too_deep", "too_long_a_number"])
+def test_checkpoint_rejects_json_python_cannot_read(tmp_path, blob):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(b"CSNT" + struct.pack("<II", 1, len(blob)) + blob)
+    with pytest.raises(DataError, match="corrupt metadata"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_future_version(tmp_path):
     params = init_params(6, 2, 2, seed=1)
     path = tmp_path / "model.ckpt"
@@ -590,6 +604,30 @@ def test_checkpoint_rejects_future_version(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(DataError):
         load_checkpoint(path)
+
+
+_LAYOUTS = [{}, {"R": (5, 2)}, {"D": (3, 2), "C": (6, 4)}]  # task -> (hidden, classes)
+
+
+@pytest.mark.parametrize("heads", _LAYOUTS, ids=["no_head", "one_head", "two_widths"])
+def test_init_params_builds_param_shapes(heads):
+    for head_dim in (3, 6):
+        params = init_params(9, 3, 4, head_tasks=tuple(heads), head_dim=head_dim, seed=1)
+        want = param_shapes(9, 3, 4, dict.fromkeys(heads, (head_dim, 2)))
+        assert [(n, a.shape) for n, a in params.named_arrays().items()] == list(want.items())
+
+
+@pytest.mark.parametrize("heads", _LAYOUTS, ids=["no_head", "one_head", "two_widths"])
+def test_checkpoints_store_param_shapes(tmp_path, heads):
+    shapes = param_shapes(9, 3, 4, heads)
+    rng = np.random.default_rng(0)
+    params = EncoderParams({name: rng.normal(size=shape) for name, shape in shapes.items()})
+    a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_checkpoint(a, params)
+    loaded, _meta = load_checkpoint(a)
+    assert [(n, x.shape) for n, x in loaded.named_arrays().items()] == list(shapes.items())
+    save_checkpoint(b, loaded)
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_copy_params_is_independent():
