@@ -8,10 +8,12 @@ Three probes whose ground truth is derivable from the raw sentence alone:
 * BigramShift - whether one adjacent token pair was swapped.
 
 Each probe yields a fixed, disjoint 70/15/15 train/valid/test split.
-Encoders are evaluated frozen: sentences are encoded once per split, then
-either a multinomial logistic regression (L2 grid, validation-selected) or
-a one-hidden-layer sigmoid MLP (hidden x dropout grid, validation-selected)
-is fit on the encodings. Classifier internals draw their minibatch order,
+Encoders are evaluated frozen: ``probe_encoder`` encodes each distinct
+sentence across the probes once (float64), then either a multinomial
+logistic regression (L2 grid, validation-selected; float64 under scipy's
+L-BFGS) or a one-hidden-layer sigmoid MLP (hidden x dropout grid,
+validation-selected; trained and scored in float32) is fit on each
+probe's rows. Classifier internals draw their minibatch order,
 init, and dropout masks from numpy generators seeded off this package's
 deterministic streams, so results are reproducible per seed.
 """
@@ -212,16 +214,20 @@ class ProbeEncodings:
     y: dict  # split -> (N,) int64
 
 
-def encode_probe(task: ProbeTask, params: EncoderParams, vocab: Vocabulary) -> ProbeEncodings:
-    """Encode the task's sentences once with the frozen BiLSTM-max
-    ``params``, token strings mapped to ids through ``vocab``, then take
-    each split's rows in its index order."""
-    encodings = encode_sentences([vocab.encode(list(s)) for s, _ in task.examples], params)
+def _split(task: ProbeTask, encodings: np.ndarray) -> ProbeEncodings:
+    """Each split's rows of ``encodings`` (row i encodes example i) and labels."""
     labels = np.array([c for _, c in task.examples], dtype=np.int64)
     x, y = {}, {}
     for split, idx in (("train", task.train_idx), ("valid", task.valid_idx), ("test", task.test_idx)):
         x[split], y[split] = encodings[list(idx)], labels[list(idx)]
     return ProbeEncodings(task.name, task.num_classes, x, y)
+
+
+def encode_probe(task: ProbeTask, params: EncoderParams, vocab: Vocabulary) -> ProbeEncodings:
+    """Encode the task's sentences once with the frozen BiLSTM-max
+    ``params``, token strings mapped to ids through ``vocab``, then take
+    each split's rows in its index order."""
+    return _split(task, encode_sentences([vocab.encode(list(s)) for s, _ in task.examples], params))
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +330,10 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if any(h < 1 for h in self.mlp_hidden) or not self.mlp_hidden:
-            raise UsageError("mlp_hidden must be positive")
+        if not self.mlp_hidden or any(type(h) is not int or h < 1 for h in self.mlp_hidden):
+            raise UsageError("mlp_hidden must be positive integers")
+        if not self.l2_grid or any(not 0 < l2 < np.inf for l2 in self.l2_grid):
+            raise UsageError("l2_grid must be positive and finite")
         if any(not 0 <= p < 1 for p in self.dropout) or not self.dropout:
             raise UsageError("dropout rates must lie in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1 or self.lr <= 0:
@@ -340,46 +348,49 @@ def _np_rng(seed: int, item: int) -> np.random.Generator:
 
 
 def fit_mlp(x, y, num_classes, hidden, dropout, rng, epochs, lr, batch_size):
-    """Minibatch SGD on CE; dropout sits between sigmoid and classifier."""
+    """Minibatch SGD on CE; dropout sits between sigmoid and classifier.
+
+    Trains in float32 but draws from ``rng`` as a float64 fit does (the
+    init is drawn in float64, then rounded); each step subtracts its
+    lr-scaled gradients from the weights in place.
+    """
+    x = np.asarray(x, dtype=np.float32)
     n, d = x.shape
-    w1 = rng.uniform(-1 / np.sqrt(d), 1 / np.sqrt(d), size=(d, hidden))
-    b1 = np.zeros(hidden)
-    w2 = rng.uniform(-1 / np.sqrt(hidden), 1 / np.sqrt(hidden), size=(hidden, num_classes))
-    b2 = np.zeros(num_classes)
+    w1 = rng.uniform(-1 / np.sqrt(d), 1 / np.sqrt(d), size=(d, hidden)).astype(np.float32)
+    b1 = np.zeros(hidden, np.float32)
+    w2 = rng.uniform(-1 / np.sqrt(hidden), 1 / np.sqrt(hidden),
+                     size=(hidden, num_classes)).astype(np.float32)
+    b2 = np.zeros(num_classes, np.float32)
+    g_w1, g_w2 = np.empty_like(w1), np.empty_like(w2)
+    keep = np.float32(1.0 / (1.0 - dropout))
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            xb, yb = x[idx], y[idx]
+            xb = x[idx]
             h = stable_sigmoid(xb @ w1 + b1)
+            hd = h
             if dropout > 0.0:
-                mask = (rng.random(h.shape) >= dropout) / (1.0 - dropout)
+                mask = (rng.random(h.shape) >= dropout) * keep
                 hd = h * mask
-            else:
-                mask = None
-                hd = h
-            probs = softmax_rows(hd @ w2 + b2)
-            delta = probs
-            delta[np.arange(len(idx)), yb] -= 1.0
-            delta /= len(idx)
-            g_w2 = hd.T @ delta
-            g_b2 = delta.sum(axis=0)
+            delta = softmax_rows(hd @ w2 + b2)
+            delta[np.arange(len(idx)), y[idx]] -= 1.0
+            delta *= lr / len(idx)
             g_h = delta @ w2.T
-            if mask is not None:
-                g_h = g_h * mask
-            g_z1 = g_h * h * (1.0 - h)
-            g_w1 = xb.T @ g_z1
-            g_b1 = g_z1.sum(axis=0)
-            w2 -= lr * g_w2
-            b2 -= lr * g_b2
-            w1 -= lr * g_w1
-            b1 -= lr * g_b1
+            if dropout > 0.0:
+                g_h *= mask
+            g_h *= h * (1.0 - h)
+            w2 -= np.matmul(hd.T, delta, out=g_w2)
+            b2 -= delta.sum(axis=0)
+            w1 -= np.matmul(xb.T, g_h, out=g_w1)
+            b1 -= g_h.sum(axis=0)
     return w1, b1, w2, b2
 
 
 def _mlp_logits(model, x):
     w1, b1, w2, b2 = model
-    return stable_sigmoid(x @ w1 + b1) @ w2 + b2  # dropout off at eval time
+    # float32 like the fit; dropout off at eval time
+    return stable_sigmoid(np.asarray(x, dtype=np.float32) @ w1 + b1) @ w2 + b2
 
 
 def eval_mlp_probe(enc: ProbeEncodings, config: ProbeConfig) -> ProbeResult:
@@ -402,8 +413,10 @@ def eval_mlp_probe(enc: ProbeEncodings, config: ProbeConfig) -> ProbeResult:
 
 def probe_encoder(tasks: dict, params: EncoderParams, vocab: Vocabulary,
                   classifiers, config: ProbeConfig) -> dict:
-    """Read out a frozen encoder: encode each task once, then fit each
-    ``logreg`` or ``mlp`` classifier with ``config``'s grids on it.
+    """Read out a frozen encoder: encode each distinct sentence across the
+    tasks once, give each task the rows of its own examples (the same bytes
+    ``encode_probe`` gives it), then fit each ``logreg`` or ``mlp``
+    classifier with ``config``'s grids on them.
 
     Returns {"<probe>/<classifier>": ProbeResult}.
     """
@@ -412,9 +425,15 @@ def probe_encoder(tasks: dict, params: EncoderParams, vocab: Vocabulary,
     unknown = [clf for clf in classifiers if clf not in fits]
     if unknown:
         raise UsageError(f"unknown classifiers {unknown}; choose from logreg, mlp")
+    if not tasks:
+        return {}
+    rows: dict = {}  # distinct id sequence -> its row, across all tasks
+    task_rows = {name: [rows.setdefault(tuple(vocab.encode(list(s))), len(rows))
+                        for s, _ in task.examples] for name, task in tasks.items()}
+    encodings = encode_sentences(list(rows), params)
     results = {}
     for name, task in tasks.items():
-        enc = encode_probe(task, params, vocab)
+        enc = _split(task, encodings[task_rows[name]])
         for clf in classifiers:
             results[f"{name}/{clf}"] = fits[clf](enc)
     return results

@@ -14,6 +14,7 @@ from conssent.encoder import init_params
 from conssent.errors import DataError, UsageError
 from conssent.rng import PROBE, stream
 from conssent.toydata import make_toy_corpus
+from mlp_reference import fit_mlp_float64, mlp_logits_float64
 
 
 @pytest.fixture(scope="module")
@@ -324,6 +325,41 @@ def test_probe_config_validation():
         P.ProbeConfig(epochs=0)
 
 
+@pytest.mark.parametrize("bad", [
+    {"l2_grid": ()},  # eval_logreg would select from no fit
+    {"l2_grid": (-1.0,)},  # a negative penalty makes the fit non-convex
+    {"l2_grid": (0.0,)},
+    {"l2_grid": (float("inf"),)},
+    {"mlp_hidden": (2.5,)},  # numpy refuses a fractional layer width
+    {"mlp_hidden": ()},
+])
+def test_probe_config_rejects_unusable_grids(bad):
+    with pytest.raises(UsageError):
+        P.ProbeConfig(**bad)
+
+
+@pytest.mark.parametrize("num_classes, dropout", [(2, 0.0), (2, 0.2), (5, 0.1)])
+def test_fit_mlp_float32_follows_the_float64_fit(num_classes, dropout):
+    # From one generator state the float32 fit draws the same init, the
+    # same minibatch orders and the same dropout masks as the float64
+    # reference, so after 2 epochs only rounding separates them. Measured
+    # on such data the gap is at most 1e-5 of each array's largest entry;
+    # the bound below leaves a 10x margin and is ~1000 float32 ulps.
+    rng = np.random.default_rng(7)
+    x, y = rng.normal(size=(210, 16)), rng.integers(0, num_classes, 210)
+    rng_got, rng_want = np.random.default_rng(3), np.random.default_rng(3)
+    got = P.fit_mlp(x, y, num_classes, 20, dropout, rng_got, 2, 0.2, 32)
+    want = fit_mlp_float64(x, y, num_classes, 20, dropout, rng_want, 2, 0.2, 32)
+    for g, w in zip(got, want):
+        assert g.dtype == np.float32
+        np.testing.assert_allclose(g, w, rtol=1e-4, atol=1e-4 * np.abs(w).max())
+    assert rng_got.random() == rng_want.random()  # the same draws were used
+    logits = P._mlp_logits(got, x)
+    assert logits.dtype == np.float32
+    np.testing.assert_array_equal(
+        np.argmax(logits, axis=1), np.argmax(mlp_logits_float64(want, x), axis=1))
+
+
 # ---------------------------------------------------------------------------
 # Frozen-encoder discipline
 # ---------------------------------------------------------------------------
@@ -405,19 +441,41 @@ def test_probe_encoder_encodes_once_and_fits_each_classifier(corpus, tiny_vocab,
         enc = P.encode_probe(task, params, tiny_vocab)
         want[f"{name}/logreg"] = P.eval_logreg(enc, config.l2_grid)
         want[f"{name}/mlp"] = P.eval_mlp_probe(enc, config)
-    encoded, real_encode_probe = [], P.encode_probe
+    distinct = {tuple(tiny_vocab.encode(list(s))) for t in tasks.values() for s, _ in t.examples}
+    assert len(distinct) < sum(len(t.examples) for t in tasks.values())
+    encoded, real_encode_sentences = [], P.encode_sentences
 
-    def spy(task, *args):
-        encoded.append(task.name)
-        return real_encode_probe(task, *args)
+    def spy(seqs, *args):
+        encoded.append(len(seqs))
+        return real_encode_sentences(seqs, *args)
 
-    monkeypatch.setattr(P, "encode_probe", spy)
+    monkeypatch.setattr(P, "encode_sentences", spy)
     got = P.probe_encoder(tasks, params, tiny_vocab, ("logreg", "mlp"), config)
-    assert encoded == ["SentLen", "BigramShift"]
+    assert encoded == [len(distinct)]
     assert list(got) == ["SentLen/logreg", "SentLen/mlp", "BigramShift/logreg", "BigramShift/mlp"]
     assert got == want
+    assert P.probe_encoder({}, params, tiny_vocab, ("logreg", "mlp"), config) == {}
     with pytest.raises(UsageError):
         P.probe_encoder(tasks, params, tiny_vocab, ("svm",), config)
+
+
+def test_probe_encoder_shares_rows_with_the_bytes_of_encode_probe(corpus, tiny_vocab, monkeypatch):
+    params = init_params(tiny_vocab.size, 8, 4, seed=2)
+    tasks = P.build_probe_tasks(P.PROBE_NAMES, corpus, seed=2)
+    seen, real_eval_logreg = {}, P.eval_logreg
+
+    def spy(enc, *args):
+        seen[enc.name] = enc
+        return real_eval_logreg(enc, *args)
+
+    monkeypatch.setattr(P, "eval_logreg", spy)
+    P.probe_encoder(tasks, params, tiny_vocab, ("logreg",), P.ProbeConfig(l2_grid=(1.0,)))
+    assert list(seen) == list(tasks)
+    for name, task in tasks.items():
+        alone = P.encode_probe(task, params, tiny_vocab)
+        for split in ("train", "valid", "test"):
+            assert seen[name].x[split].tobytes() == alone.x[split].tobytes()
+            assert seen[name].y[split].tolist() == alone.y[split].tolist()
 
 
 # ---------------------------------------------------------------------------
