@@ -289,8 +289,9 @@ def sum_all(x) -> Var:
     return tape._push(out, back)
 
 
-def finite_diff_check(params: dict, build_loss, step: float = 1e-5) -> float:
-    """Worst relative disagreement between backprop and central differences.
+def finite_diff_check(params: dict, build_loss) -> float:
+    """Worst relative disagreement between backprop and central differences
+    (displacement 1e-5).
 
     ``build_loss(tape, leaves)`` must rebuild the same scalar loss from a
     dict of leaf Vars each time it is called. Arrays in ``params`` are
@@ -303,7 +304,7 @@ def finite_diff_check(params: dict, build_loss, step: float = 1e-5) -> float:
     near-zero gradients in float64 rounding noise; the analytic side stays
     float64, which is what is being validated.
     """
-    high = np.longdouble
+    high, step = np.longdouble, 1e-5
 
     def run_value():
         tape = Tape(recording=False)

@@ -306,11 +306,11 @@ def cmd_probe(config: dict, checkpoint: str) -> int:
 
 def cmd_sweep(config: dict, k_range: str | None) -> int:
     if k_range is None:  # the task's own range; TrainConfig vets the task first
-        ks = list(K_RANGES[_train_config(config).task])
+        ks = K_RANGES[_train_config(config).task]
     else:
         try:
             lo, hi = k_range.split("..")
-            ks = list(range(int(lo), int(hi) + 1))
+            ks = range(int(lo), int(hi) + 1)  # lazy: the first k out of range stops it
         except ValueError as exc:
             raise UsageError(f"--k-range must look like 2..6, got {k_range!r}") from exc
     if not ks:

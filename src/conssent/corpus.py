@@ -55,9 +55,6 @@ class Vocabulary:
         t2i = self.token_to_id
         return [t2i.get(tok, UNK_ID) for tok in tokens]
 
-    def decode(self, ids: list[int]) -> list[str]:
-        return [self.id_to_token[i] for i in ids]
-
     def content_ids(self) -> range:
         """All ids except the UNK/PAD specials."""
         return range(2, self.size)
@@ -163,9 +160,3 @@ def save_vocab_file(vocab: Vocabulary, path: str | Path) -> None:
         for tok in vocab.id_to_token[2:]:
             fh.write(tok + "\n")
 
-
-def load_vocab_file(path: str | Path) -> Vocabulary:
-    tokens = [line for line in read_utf8(path).split("\n") if line]
-    id_to_token = (UNK_TOKEN, PAD_TOKEN, *tokens)
-    token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
-    return Vocabulary(token_to_id, id_to_token)

@@ -10,10 +10,10 @@ Three probes whose ground truth is derivable from the raw sentence alone:
 Each probe yields a fixed, disjoint 70/15/15 train/valid/test split.
 Encoders are evaluated frozen: ``probe_encoder`` encodes each distinct
 sentence across the probes once (float64), then either a multinomial
-logistic regression (L2 grid, validation-selected; float64 under scipy's
-L-BFGS) or a one-hidden-layer sigmoid MLP (hidden x dropout grid,
-validation-selected; trained and scored in float32) is fit on each
-probe's rows. Classifier internals draw their minibatch order,
+logistic regression (float64 under scipy's L-BFGS) or a one-hidden-layer
+sigmoid MLP (trained and scored in float32) is fit on each probe's rows
+at ``ProbeConfig``'s fixed, SentEval-style grids, selected on validation;
+only the seed varies. Classifier internals draw their minibatch order,
 init, and dropout masks from numpy generators seeded off this package's
 deterministic streams, so results are reproducible per seed.
 """
@@ -24,6 +24,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 from scipy.optimize import minimize
@@ -38,9 +39,9 @@ from .rng import PROBE, stream
 PROBE_NAMES = ("SentLen", "WordContent", "BigramShift")
 _PROBE_ITEM = {name: i for i, name in enumerate(PROBE_NAMES)}
 
-DEFAULT_L2_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
-MLP_HIDDEN_GRID = (50, 100, 200)
-MLP_DROPOUT_GRID = (0.0, 0.1, 0.2)
+WORDCONTENT_TARGETS = 6
+WORDCONTENT_SKIP = 8
+WORDCONTENT_MIN_COUNT = 10
 
 
 class UncoveredLength(DataError):
@@ -125,9 +126,10 @@ def default_length_bins(corpus: list) -> tuple:
     return tuple(sorted({len(s) for s in corpus}))
 
 
-def gen_probe_wordcontent(corpus, targets, seed: int = 0, min_count: int = 10) -> ProbeTask:
+def gen_probe_wordcontent(corpus, targets, seed: int = 0) -> ProbeTask:
     """Keep sentences with exactly one occurrence of exactly one target;
-    the class is the target's position in the given (ordered) targets."""
+    the class is the target's position in the given (ordered) targets.
+    Each class needs ``WORDCONTENT_MIN_COUNT`` examples."""
     targets = list(targets)
     if len(targets) < 2:
         raise UsageError("need at least 2 target words")
@@ -140,25 +142,27 @@ def gen_probe_wordcontent(corpus, targets, seed: int = 0, min_count: int = 10) -
         if len(hits) == 1:
             examples.append((tuple(s), hits[0]))
     counts = [sum(1 for _, c in examples if c == i) for i in range(len(targets))]
-    lacking = {targets[i]: c for i, c in enumerate(counts) if c < min_count}
+    lacking = {targets[i]: c for i, c in enumerate(counts) if c < WORDCONTENT_MIN_COUNT}
     if lacking:
         raise InsufficientExamples(
-            f"classes below the minimum of {min_count} examples: {lacking}"
+            f"classes below the minimum of {WORDCONTENT_MIN_COUNT} examples: {lacking}"
         )
     return _make_task("WordContent", examples, len(targets), seed)
 
 
-def default_wordcontent_targets(corpus, n: int = 6, skip: int = 8) -> tuple:
-    """Mid-frequency tokens: skip the top-``skip`` most frequent (closed-class
-    words), then take the next ``n`` by (frequency, token) rank."""
+def default_wordcontent_targets(corpus) -> tuple:
+    """Mid-frequency tokens: skip the ``WORDCONTENT_SKIP`` most frequent
+    (closed-class words), then take the next ``WORDCONTENT_TARGETS`` by
+    (frequency, token) rank."""
+    end = WORDCONTENT_SKIP + WORDCONTENT_TARGETS
     freq: dict = {}
     for s in corpus:
         for tok in s:
             freq[tok] = freq.get(tok, 0) + 1
     ranked = sorted(freq, key=lambda t: (-freq[t], t))
-    if len(ranked) < skip + n:
-        raise UsageError(f"corpus has only {len(ranked)} token types, need {skip + n}")
-    return tuple(ranked[skip : skip + n])
+    if len(ranked) < end:
+        raise UsageError(f"corpus has only {len(ranked)} token types, need {end}")
+    return tuple(ranked[WORDCONTENT_SKIP:end])
 
 
 def gen_probe_bigramshift(corpus, rng, seed: int = 0) -> ProbeTask:
@@ -186,6 +190,8 @@ def build_probe_tasks(names, sentences: list, seed: int) -> dict:
     """Name -> ProbeTask for each named probe over ``sentences``: SentLen and
     WordContent at their default bins and targets, BigramShift swapping from
     the (seed, PROBE, epoch 2, item 0) stream."""
+    if not names:
+        raise UsageError(f"no probes given; choose from {', '.join(PROBE_NAMES)}")
     makers = {
         "SentLen": lambda: gen_probe_sentlen(sentences, default_length_bins(sentences), seed=seed),
         "WordContent": lambda: gen_probe_wordcontent(
@@ -228,6 +234,20 @@ def encode_probe(task: ProbeTask, params: EncoderParams, vocab: Vocabulary) -> P
     ``params``, token strings mapped to ids through ``vocab``, then take
     each split's rows in its index order."""
     return _split(task, encode_sentences([vocab.encode(list(s)) for s, _ in task.examples], params))
+
+
+@dataclass(frozen=True)
+class ProbeConfig:
+    """The fixed probe protocol. Each grid ascends, so a validation tie goes
+    to the smaller L2, or the smaller hidden then dropout; only seed varies."""
+
+    l2_grid: ClassVar[tuple] = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+    mlp_hidden: ClassVar[tuple] = (50, 100, 200)
+    dropout: ClassVar[tuple] = (0.0, 0.1, 0.2)
+    epochs: ClassVar[int] = 40
+    lr: ClassVar[float] = 0.2
+    batch_size: ClassVar[int] = 32
+    seed: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +323,7 @@ def _grid_search(enc: ProbeEncodings, classifier: str, cells: list, fit, logits)
     return ProbeResult(enc.name, classifier, accuracy(model, "test"), valid_acc, cell, table)
 
 
-def eval_logreg(enc: ProbeEncodings, l2_grid=DEFAULT_L2_GRID) -> ProbeResult:
+def eval_logreg(enc: ProbeEncodings, l2_grid=ProbeConfig.l2_grid) -> ProbeResult:
     """Fit one regression per L2 value; select on validation (ties -> the
     smaller L2, i.e. the first maximum in ascending grid order)."""
 
@@ -317,27 +337,6 @@ def eval_logreg(enc: ProbeEncodings, l2_grid=DEFAULT_L2_GRID) -> ProbeResult:
 # ---------------------------------------------------------------------------
 # MLP probe: linear -> sigmoid -> dropout -> classification layer
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    mlp_hidden: tuple = MLP_HIDDEN_GRID
-    dropout: tuple = MLP_DROPOUT_GRID
-    l2_grid: tuple = DEFAULT_L2_GRID
-    epochs: int = 40
-    lr: float = 0.2
-    batch_size: int = 32
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.mlp_hidden or any(type(h) is not int or h < 1 for h in self.mlp_hidden):
-            raise UsageError("mlp_hidden must be positive integers")
-        if not self.l2_grid or any(not 0 < l2 < np.inf for l2 in self.l2_grid):
-            raise UsageError("l2_grid must be positive and finite")
-        if any(not 0 <= p < 1 for p in self.dropout) or not self.dropout:
-            raise UsageError("dropout rates must lie in [0, 1)")
-        if self.epochs < 1 or self.batch_size < 1 or self.lr <= 0:
-            raise UsageError("epochs, batch_size and lr must be positive")
 
 
 def _np_rng(seed: int, item: int) -> np.random.Generator:
@@ -396,11 +395,7 @@ def _mlp_logits(model, x):
 def eval_mlp_probe(enc: ProbeEncodings, config: ProbeConfig) -> ProbeResult:
     """3x3 grid over (hidden, dropout); select on validation accuracy with
     ties resolved toward smaller hidden, then smaller dropout."""
-    cells = [
-        {"hidden": hidden, "dropout": dropout}
-        for hidden in sorted(config.mlp_hidden)
-        for dropout in sorted(config.dropout)
-    ]
+    cells = [{"hidden": h, "dropout": p} for h in config.mlp_hidden for p in config.dropout]
 
     def fit(i, hidden, dropout):
         return fit_mlp(

@@ -494,6 +494,16 @@ def test_probe_requires_out(tmp_path, corpus_file, trained_ckpt):
     assert run("probe", trained_ckpt, "--corpus", corpus_file) == 1
 
 
+def test_probe_refuses_an_empty_probe_list(tmp_path, corpus_file, trained_ckpt, capsys):
+    # `--probes` needs one name; a config file could give none
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"probes": []}))
+    assert run("probe", trained_ckpt, "--config", cfg, "--corpus", corpus_file,
+               "--out", tmp_path / "r") == 1
+    assert "no probes given" in capsys.readouterr().err
+    assert not list(tmp_path.glob("r.*"))
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -533,9 +543,13 @@ def test_sweep_defaults_to_the_tasks_k_range(tmp_path, capsys):
     assert meta["config"]["task"] == "R" and "k" not in meta["config"]
 
 
-def test_sweep_bad_range_exits_one(tmp_path):
+def test_sweep_bad_range_exits_one(tmp_path, capsys):
     assert run("sweep", "--task", "D", "--k-range", "abc", "--toy-n", "60") == 1
     assert run("sweep", "--task", "D", "--k-range", "5..2", "--toy-n", "60") == 1
+    # a bound past sys.maxsize: the range is walked, never sized, up to the first bad k
+    capsys.readouterr()
+    assert run("sweep", "--toy-n", "60", "--k-range", "1..10000000000000000000") == 1
+    assert "task R needs k in 1..5, got 6" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -87,8 +88,8 @@ def test_default_length_bins_cover_exactly(corpus):
 
 
 def test_wordcontent_matches_brute_force_filter(corpus):
-    targets = P.default_wordcontent_targets(corpus, n=4)
-    task = P.gen_probe_wordcontent(corpus, targets, seed=0, min_count=2)
+    targets = P.default_wordcontent_targets(corpus)
+    task = P.gen_probe_wordcontent(corpus, targets, seed=0)
     kept = []
     for s in corpus:
         hits = [t for t in targets if t in s]
@@ -101,11 +102,11 @@ def test_wordcontent_class_is_position_in_given_order():
     corpus = [
         ["maya", "goes", "to", "school", "."],
         ["the", "dog", "sleeps", "."],
-    ] * 5
-    task = P.gen_probe_wordcontent(corpus, ("school", "dog"), seed=0, min_count=1)
-    assert [cls for _, cls in task.examples] == [0, 1] * 5
-    flipped = P.gen_probe_wordcontent(corpus, ("dog", "school"), seed=0, min_count=1)
-    assert [cls for _, cls in flipped.examples] == [1, 0] * 5
+    ] * 10  # each class at the minimum of 10 examples
+    task = P.gen_probe_wordcontent(corpus, ("school", "dog"), seed=0)
+    assert [cls for _, cls in task.examples] == [0, 1] * 10
+    flipped = P.gen_probe_wordcontent(corpus, ("dog", "school"), seed=0)
+    assert [cls for _, cls in flipped.examples] == [1, 0] * 10
 
 
 def test_wordcontent_excludes_multi_target_sentences():
@@ -114,16 +115,17 @@ def test_wordcontent_excludes_multi_target_sentences():
         ["school", "school", "."],    # duplicate occurrences -> dropped
         ["school", "."],
         ["dog", "."],
-    ] * 5
-    task = P.gen_probe_wordcontent(corpus, ("school", "dog"), seed=0, min_count=1)
-    assert len(task.examples) == 10
+    ] * 10
+    task = P.gen_probe_wordcontent(corpus, ("school", "dog"), seed=0)
+    assert len(task.examples) == 20
     assert all(len(tokens) == 2 for tokens, _ in task.examples)
 
 
 def test_wordcontent_insufficient_examples_raises():
-    corpus = [["school", "."], ["dog", "."], ["dog", "run", "."]]
+    corpus = [["school", "."]] * 10 + [["dog", "."]] * 9
     with pytest.raises(P.InsufficientExamples):
-        P.gen_probe_wordcontent(corpus, ("school", "dog"), seed=0, min_count=2)
+        P.gen_probe_wordcontent(corpus, ("school", "dog"), seed=0)
+    P.gen_probe_wordcontent(corpus + [["dog", "run", "."]], ("school", "dog"), seed=0)
 
 
 def test_wordcontent_bad_targets_raise():
@@ -134,7 +136,7 @@ def test_wordcontent_bad_targets_raise():
 
 
 def test_default_targets_skip_function_words(corpus):
-    targets = P.default_wordcontent_targets(corpus, n=6, skip=8)
+    targets = P.default_wordcontent_targets(corpus)
     freq = {}
     for s in corpus:
         for tok in s:
@@ -268,15 +270,17 @@ def test_logreg_convex_init_independent():
 
 def test_logreg_tie_breaks_to_smaller_l2():
     # perfectly separable and easy: several l2 values tie at 1.0; the
-    # selected one must be the smallest such value
-    res = P.eval_logreg(_toy_encodings(separable=True), l2_grid=(1e-3, 1e-2, 1e-4))
+    # selected one must be the smallest such value, whatever the grid order
+    enc = _toy_encodings(separable=True)
+    res = P.eval_logreg(enc)
     ties = [cfg["l2"] for cfg, acc in res.table if acc == res.valid_accuracy]
-    assert res.selected["l2"] == min(ties)
+    assert len(ties) > 1 and res.selected["l2"] == min(ties)
+    assert P.eval_logreg(enc, l2_grid=P.ProbeConfig.l2_grid[::-1]) == res
 
 
 def test_logreg_grid_table_is_complete():
     res = P.eval_logreg(_toy_encodings())
-    assert [cfg["l2"] for cfg, _ in res.table] == sorted(P.DEFAULT_L2_GRID)
+    assert [cfg["l2"] for cfg, _ in res.table] == [1e-4, 1e-3, 1e-2, 1e-1, 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -285,30 +289,28 @@ def test_logreg_grid_table_is_complete():
 
 
 def test_mlp_separable_reaches_one():
-    cfg = P.ProbeConfig(mlp_hidden=(50,), dropout=(0.0,), epochs=20)
-    res = P.eval_mlp_probe(_toy_encodings(separable=True), cfg)
+    res = P.eval_mlp_probe(_toy_encodings(separable=True), P.ProbeConfig())
     assert res.test_accuracy == 1.0
     assert res.selected == {"hidden": 50, "dropout": 0.0}
 
 
 def test_mlp_tie_breaks_smaller_hidden_then_dropout():
     # trivially easy data ensures widespread ties at validation accuracy 1.0
-    cfg = P.ProbeConfig(mlp_hidden=(100, 50), dropout=(0.1, 0.0), epochs=8)
-    res = P.eval_mlp_probe(_toy_encodings(separable=True), cfg)
+    res = P.eval_mlp_probe(_toy_encodings(separable=True), P.ProbeConfig())
     tied = [c for c, acc in res.table if acc == res.valid_accuracy]
+    assert len(tied) > 1
     best = min(tied, key=lambda c: (c["hidden"], c["dropout"]))
     assert res.selected == best
 
 
 def test_mlp_grid_is_exhaustive_and_sorted():
-    cfg = P.ProbeConfig(epochs=1)
-    res = P.eval_mlp_probe(_toy_encodings(n=60), cfg)
+    res = P.eval_mlp_probe(_toy_encodings(n=60), P.ProbeConfig())
     combos = [(c["hidden"], c["dropout"]) for c, _ in res.table]
     assert combos == [(h, d) for h in (50, 100, 200) for d in (0.0, 0.1, 0.2)]
 
 
 def test_mlp_deterministic_per_seed():
-    cfg = P.ProbeConfig(mlp_hidden=(50,), dropout=(0.1,), epochs=5, seed=3)
+    cfg = P.ProbeConfig(seed=3)
     enc = _toy_encodings(n=120)
     a = P.eval_mlp_probe(enc, cfg)
     b = P.eval_mlp_probe(enc, cfg)
@@ -316,25 +318,24 @@ def test_mlp_deterministic_per_seed():
     assert a.table == b.table
 
 
-def test_probe_config_validation():
-    with pytest.raises(UsageError):
-        P.ProbeConfig(dropout=(1.0,))
-    with pytest.raises(UsageError):
-        P.ProbeConfig(mlp_hidden=(0,))
-    with pytest.raises(UsageError):
-        P.ProbeConfig(epochs=0)
+def test_probe_config_fixes_the_protocol():
+    assert [f.name for f in fields(P.ProbeConfig)] == ["seed"]
+    for grid in (P.ProbeConfig.l2_grid, P.ProbeConfig.mlp_hidden, P.ProbeConfig.dropout):
+        assert list(grid) == sorted(set(grid))  # ascending: ties go to the first cell
+    assert P.ProbeConfig(seed=5).l2_grid is P.ProbeConfig.l2_grid
 
 
+# one case per protocol value that was a field: none can be set any more
 @pytest.mark.parametrize("bad", [
-    {"l2_grid": ()},  # eval_logreg would select from no fit
-    {"l2_grid": (-1.0,)},  # a negative penalty makes the fit non-convex
-    {"l2_grid": (0.0,)},
-    {"l2_grid": (float("inf"),)},
-    {"mlp_hidden": (2.5,)},  # numpy refuses a fractional layer width
-    {"mlp_hidden": ()},
+    {"l2_grid": (-1.0,)},
+    {"mlp_hidden": (2.5,)},
+    {"dropout": (1.0,)},
+    {"epochs": 0},
+    {"lr": 0.0},
+    {"batch_size": 0},
 ])
 def test_probe_config_rejects_unusable_grids(bad):
-    with pytest.raises(UsageError):
+    with pytest.raises(TypeError):
         P.ProbeConfig(**bad)
 
 
@@ -379,7 +380,7 @@ def test_eval_never_updates_encoder(corpus, tiny_vocab):
     task = P.gen_probe_sentlen(corpus[:200], P.default_length_bins(corpus[:200]), seed=0)
     enc = P.encode_probe(task, params, tiny_vocab)
     P.eval_logreg(enc)
-    P.eval_mlp_probe(enc, P.ProbeConfig(mlp_hidden=(50,), dropout=(0.1,), epochs=2))
+    P.eval_mlp_probe(enc, P.ProbeConfig())
     assert _params_checksum(params) == before
 
 
@@ -407,7 +408,7 @@ def test_untrained_baseline_same_seed_identical_table(corpus, tiny_vocab):
     tables = [
         P.results_to_table(P.probe_encoder(
             {"SentLen": task}, init_params(tiny_vocab.size, 8, 4, seed=9), tiny_vocab,
-            ("logreg", "mlp"), P.ProbeConfig(epochs=2)))
+            ("logreg", "mlp"), P.ProbeConfig()))
         for _ in range(2)
     ]
     assert tables[0] == tables[1]
@@ -428,14 +429,15 @@ def test_build_probe_tasks_matches_each_generator(corpus):
     assert tasks["BigramShift"] == P.gen_probe_bigramshift(
         corpus, stream(4, PROBE, epoch=2, item=0), seed=4)
     assert list(P.build_probe_tasks(["BigramShift"], corpus, seed=4)) == ["BigramShift"]
-    with pytest.raises(UsageError):
-        P.build_probe_tasks(["SentLen", "Tense"], corpus, seed=4)
+    for names in (["SentLen", "Tense"], []):
+        with pytest.raises(UsageError):
+            P.build_probe_tasks(names, corpus, seed=4)
 
 
 def test_probe_encoder_encodes_once_and_fits_each_classifier(corpus, tiny_vocab, monkeypatch):
     params = init_params(tiny_vocab.size, 8, 4, seed=0)
     tasks = P.build_probe_tasks(["SentLen", "BigramShift"], corpus[:150], seed=0)
-    config = P.ProbeConfig(mlp_hidden=(50,), dropout=(0.0,), epochs=2, l2_grid=(1e-2, 1.0))
+    config = P.ProbeConfig()
     want = {}
     for name, task in tasks.items():
         enc = P.encode_probe(task, params, tiny_vocab)
@@ -469,7 +471,7 @@ def test_probe_encoder_shares_rows_with_the_bytes_of_encode_probe(corpus, tiny_v
         return real_eval_logreg(enc, *args)
 
     monkeypatch.setattr(P, "eval_logreg", spy)
-    P.probe_encoder(tasks, params, tiny_vocab, ("logreg",), P.ProbeConfig(l2_grid=(1.0,)))
+    P.probe_encoder(tasks, params, tiny_vocab, ("logreg",), P.ProbeConfig())
     assert list(seen) == list(tasks)
     for name, task in tasks.items():
         alone = P.encode_probe(task, params, tiny_vocab)
@@ -495,7 +497,7 @@ def test_results_json_and_tsv(tmp_path):
     assert row["selected"] == res["sentlen/logreg"].selected
     lines = tpath.read_text().strip().split("\n")
     assert lines[0].startswith("task\t")
-    assert len(lines) == 1 + len(P.DEFAULT_L2_GRID) + 1
+    assert len(lines) == 1 + len(P.ProbeConfig.l2_grid) + 1
 
 
 def test_results_to_table():
