@@ -13,16 +13,20 @@ sentence across the probes once (float64), then either a multinomial
 logistic regression (float64 under scipy's L-BFGS) or a one-hidden-layer
 sigmoid MLP (trained and scored in float32) is fit on each probe's rows
 at ``ProbeConfig``'s fixed, SentEval-style grids, selected on validation;
-only the seed varies. Classifier internals draw their minibatch order,
-init, and dropout masks from numpy generators seeded off this package's
-deterministic streams, so results are reproducible per seed.
+only the seed varies. A grid's cells are fit across the usable CPUs
+(``parallel.ordered_map``) with the bytes an in-process fit gives.
+Classifier internals draw their minibatch order, init, and dropout masks
+from numpy generators seeded off this package's deterministic streams, so
+results are reproducible per seed.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import ClassVar
 
@@ -33,6 +37,7 @@ from .autodiff import softmax_rows, stable_sigmoid
 from .corpus import Vocabulary
 from .encoder import EncoderParams, encode_sentences
 from .errors import DataError, UsageError
+from .parallel import ordered_map
 from .perturb import TooShort
 from .rng import PROBE, stream
 
@@ -305,32 +310,42 @@ class ProbeResult:
     table: list = field(default_factory=list)  # (config dict, valid accuracy)
 
 
-def _grid_search(enc: ProbeEncodings, classifier: str, cells: list, fit, logits) -> ProbeResult:
-    """Fit ``fit(i, **cell)`` for every cell in the given order, select the
-    first validation maximum, and read test accuracy for that cell only."""
+def _grid_search(enc: ProbeEncodings, classifier: str, cells: list, fit, logits,
+                 cost=None) -> ProbeResult:
+    """Fit ``fit((i, cell))`` for every cell i through ``ordered_map``,
+    submitting larger ``cost(cell)`` first; then, in grid order, select the
+    first validation maximum and read test accuracy for that cell only."""
 
     def accuracy(model, split):
         return float(np.mean(np.argmax(logits(model, enc.x[split]), axis=1) == enc.y[split]))
 
+    order = sorted(range(len(cells)), key=lambda i: -cost(cells[i])) if cost else range(len(cells))
+    models = dict(zip(order, ordered_map(fit, [(i, cells[i]) for i in order])))
     best, table = None, []
     for i, cell in enumerate(cells):
-        model = fit(i, **cell)
-        acc = accuracy(model, "valid")
+        acc = accuracy(models[i], "valid")
         table.append((cell, acc))
         if best is None or acc > best[0]:
-            best = (acc, cell, model)
+            best = (acc, cell, models[i])
     valid_acc, cell, model = best
     return ProbeResult(enc.name, classifier, accuracy(model, "test"), valid_acc, cell, table)
+
+
+def _fit_logreg_cell(x, y, num_classes, item):
+    w, b, _ = fit_logreg(x, y, num_classes, item[1]["l2"])
+    return w, b
 
 
 def eval_logreg(enc: ProbeEncodings, l2_grid=ProbeConfig.l2_grid) -> ProbeResult:
     """Fit one regression per L2 value; select on validation (ties -> the
     smaller L2, i.e. the first maximum in ascending grid order)."""
-
-    def fit(_, l2):
-        w, b, _ = fit_logreg(enc.x["train"], enc.y["train"], enc.num_classes, l2)
-        return w, b
-
+    try:
+        usable = len(l2_grid) > 0 and all(math.isfinite(l2) and l2 > 0 for l2 in l2_grid)
+    except TypeError:
+        usable = False
+    if not usable:
+        raise UsageError(f"l2_grid must hold finite penalties > 0, got {l2_grid!r}")
+    fit = partial(_fit_logreg_cell, enc.x["train"], enc.y["train"], enc.num_classes)
     return _grid_search(enc, "logreg", [{"l2": l2} for l2 in sorted(l2_grid)], fit, _logreg_logits)
 
 
@@ -392,18 +407,19 @@ def _mlp_logits(model, x):
     return stable_sigmoid(np.asarray(x, dtype=np.float32) @ w1 + b1) @ w2 + b2
 
 
+def _fit_mlp_cell(x, y, num_classes, config, item):
+    i, cell = item
+    return fit_mlp(x, y, num_classes, cell["hidden"], cell["dropout"],
+                   _np_rng(config.seed, item=16 + i), config.epochs, config.lr, config.batch_size)
+
+
 def eval_mlp_probe(enc: ProbeEncodings, config: ProbeConfig) -> ProbeResult:
     """3x3 grid over (hidden, dropout); select on validation accuracy with
-    ties resolved toward smaller hidden, then smaller dropout."""
+    ties resolved toward smaller hidden, then smaller dropout. The widest
+    cells are submitted first, since they take longest to fit."""
     cells = [{"hidden": h, "dropout": p} for h in config.mlp_hidden for p in config.dropout]
-
-    def fit(i, hidden, dropout):
-        return fit_mlp(
-            enc.x["train"], enc.y["train"], enc.num_classes, hidden, dropout,
-            _np_rng(config.seed, item=16 + i), config.epochs, config.lr, config.batch_size,
-        )
-
-    return _grid_search(enc, "mlp", cells, fit, _mlp_logits)
+    fit = partial(_fit_mlp_cell, enc.x["train"], enc.y["train"], enc.num_classes, config)
+    return _grid_search(enc, "mlp", cells, fit, _mlp_logits, cost=lambda cell: cell["hidden"])
 
 
 def probe_encoder(tasks: dict, params: EncoderParams, vocab: Vocabulary,

@@ -1,0 +1,133 @@
+"""The ordered process map behind the probe grids: same bytes as in-process
+fits, errors and the BLAS pin carried across, and no worker left behind."""
+
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import conssent
+from conssent import parallel
+from conssent import probes as P
+from conssent.errors import DataError, NumericError
+
+
+def _encodings(n=240, d=12, num_classes=4, seed=0):
+    # noisy classes, so the grid cells disagree and the selection matters
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, num_classes, size=n)
+    x = rng.normal(size=(n, d))
+    x[np.arange(n), y] += 0.8
+    n_tr, n_va = int(n * 0.7), int(n * 0.15)
+    cut = {"train": slice(0, n_tr), "valid": slice(n_tr, n_tr + n_va), "test": slice(n_tr + n_va, n)}
+    return P.ProbeEncodings("toy", num_classes, {k: x[s] for k, s in cut.items()},
+                            {k: y[s] for k, s in cut.items()})
+
+
+def _fit_with(monkeypatch, cpus, evaluate):
+    """(ProbeResult, every fitted array's bytes) with ``cpus`` usable CPUs."""
+    fitted = []
+
+    def recording_map(fn, items):
+        out = parallel.ordered_map(fn, items)
+        fitted.extend(a.tobytes() for model in out for a in model)
+        return out
+
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(P, "ordered_map", recording_map)
+    return evaluate(), fitted
+
+
+@pytest.mark.parametrize("classifier", ["logreg", "mlp"])
+def test_worker_fits_equal_in_process_fits_byte_for_byte(monkeypatch, classifier):
+    enc = _encodings()
+    evaluate = {"logreg": lambda: P.eval_logreg(enc),
+                "mlp": lambda: P.eval_mlp_probe(enc, P.ProbeConfig(seed=4))}[classifier]
+    pooled, pooled_models = _fit_with(monkeypatch, 2, evaluate)
+    alone, alone_models = _fit_with(monkeypatch, 1, evaluate)
+    assert pooled == alone
+    assert len(pooled_models) == len(alone_models) > 0 and pooled_models == alone_models
+    assert len({acc for _, acc in alone.table}) > 1  # the cells do differ
+
+
+def _raise(item):
+    cls, message = item
+    if cls is not None:
+        raise cls(message)
+    return message
+
+
+@pytest.mark.parametrize("cls", [DataError, NumericError])
+def test_worker_error_reaches_the_caller_with_its_class_and_message(monkeypatch, cls):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    with pytest.raises(cls) as caught:
+        parallel.ordered_map(_raise, [(None, "ok"), (cls, "cell 1: bad rows")])
+    assert type(caught.value) is cls and str(caught.value) == "cell 1: bad rows"
+
+
+@pytest.mark.parametrize("before", [None, "4"])
+def test_workers_run_one_blas_thread_and_the_caller_env_is_kept(monkeypatch, before):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
+    if before is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", before)
+    parallel.shutdown()  # the workers start inside this test
+    env = dict(os.environ)
+    assert parallel.ordered_map(os.getenv, ["OPENBLAS_NUM_THREADS"] * 3) == ["1"] * 3
+    assert len(multiprocessing.active_children()) == 3  # one per item, below the CPU count
+    assert dict(os.environ) == env
+    parallel.shutdown()
+
+
+def test_one_usable_cpu_starts_no_process(monkeypatch):
+    parallel.shutdown()
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    assert parallel.ordered_map(_raise, [(None, "a"), (None, "b")]) == ["a", "b"]
+    P.eval_mlp_probe(_encodings(n=60), P.ProbeConfig())
+    assert parallel._pool is None and multiprocessing.active_children() == []
+
+
+def test_one_cell_runs_in_process(monkeypatch):
+    parallel.shutdown()
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    P.eval_logreg(_encodings(n=60), l2_grid=(1e-2,))
+    assert parallel._pool is None and multiprocessing.active_children() == []
+
+
+_PROBE_AND_PRINT_WORKERS = """
+import multiprocessing
+from multiprocessing import resource_tracker
+from conssent import parallel, probes
+from conssent.corpus import prepare_corpus
+from conssent.encoder import init_params
+from conssent.toydata import make_toy_corpus
+
+parallel.usable_cpus = lambda: 2  # workers even on a one-CPU host
+corpus = make_toy_corpus(200, seed=1)
+vocab = prepare_corpus(corpus, valid_fraction=0.2, seed=0, min_freq=1).vocab
+tasks = probes.build_probe_tasks(["BigramShift"], corpus, seed=0)
+probes.probe_encoder(tasks, init_params(vocab.size, 8, 4, seed=0), vocab, ("logreg",),
+                     probes.ProbeConfig())
+workers = [p.pid for p in multiprocessing.active_children()]
+print(*workers, resource_tracker._resource_tracker._pid)  # the tracker spawning started
+"""
+
+
+def test_no_worker_outlives_its_process():
+    # the pids are read after the child has exited: none may still exist,
+    # not even as a zombie left for init to reap
+    src = str(Path(conssent.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _PROBE_AND_PRINT_WORKERS], capture_output=True,
+                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert len(pids) == 3
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)

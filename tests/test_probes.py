@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import multiprocessing
 from dataclasses import fields
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conssent import parallel
 from conssent import probes as P
 from conssent.corpus import prepare_corpus
 from conssent.encoder import init_params
@@ -281,6 +283,17 @@ def test_logreg_tie_breaks_to_smaller_l2():
 def test_logreg_grid_table_is_complete():
     res = P.eval_logreg(_toy_encodings())
     assert [cfg["l2"] for cfg, _ in res.table] == [1e-4, 1e-3, 1e-2, 1e-1, 1.0]
+
+
+@pytest.mark.parametrize("grid", [(), (0.0,), (-1e-3,), (1e-3, math.inf), (math.nan,), ("a",)],
+                         ids=["empty", "zero", "negative", "inf", "nan", "text"])
+def test_logreg_rejects_unusable_l2_grid_before_any_pool(grid):
+    # a zero or negative penalty makes the fit non-convex or unbounded, and
+    # inf/nan make it meaningless; each is refused before a worker starts
+    parallel.shutdown()
+    with pytest.raises(UsageError, match="l2_grid"):
+        P.eval_logreg(_toy_encodings(), l2_grid=grid)
+    assert parallel._pool is None and multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
