@@ -135,18 +135,6 @@ def add(a, b) -> Var:
     return tape._push(out, back)
 
 
-def mul(a, b) -> Var:
-    tape = _tape_of(a, b)
-    va, vb = _value(a), _value(b)
-    out = va * vb
-
-    def back(g):
-        _accum(a, _unbroadcast(g * vb, va.shape))
-        _accum(b, _unbroadcast(g * va, vb.shape))
-
-    return tape._push(out, back)
-
-
 def matmul(a, b) -> Var:
     tape = _tape_of(a, b)
     va, vb = _value(a), _value(b)
@@ -196,16 +184,6 @@ def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(z - m[:, None]).sum(axis=1))
 
 
-def sigmoid(x) -> Var:
-    tape = _tape_of(x)
-    s = stable_sigmoid(_value(x))
-
-    def back(g):
-        _accum(x, g * s * (1.0 - s))
-
-    return tape._push(s, back)
-
-
 def tanh(x) -> Var:
     tape = _tape_of(x)
     t = np.tanh(_value(x))
@@ -214,21 +192,6 @@ def tanh(x) -> Var:
         _accum(x, g * (1.0 - t * t))
 
     return tape._push(t, back)
-
-
-def gather_rows(x, ids) -> Var:
-    """Select rows of a matrix by integer index (embedding lookup)."""
-    tape = _tape_of(x)
-    vx = _value(x)
-    ids = np.asarray(ids, dtype=np.int64)
-    out = vx[ids]
-
-    def back(g):
-        gx = np.zeros_like(vx)
-        np.add.at(gx, ids, g)
-        _accum(x, gx)
-
-    return tape._push(out, back)
 
 
 def gather_cols(x, idx) -> Var:
@@ -263,28 +226,6 @@ def softmax_xent(logits, targets) -> Var:
         p = np.exp(z - lse[:, None])
         p[rows, t] -= 1.0
         _accum(logits, p * (g / z.shape[0]))
-
-    return tape._push(out, back)
-
-
-def mean_all(x) -> Var:
-    tape = _tape_of(x)
-    vx = _value(x)
-    out = np.asarray(vx.mean())
-
-    def back(g):
-        _accum(x, np.full_like(vx, float(g) / vx.size))
-
-    return tape._push(out, back)
-
-
-def sum_all(x) -> Var:
-    tape = _tape_of(x)
-    vx = _value(x)
-    out = np.asarray(vx.sum())
-
-    def back(g):
-        _accum(x, np.full_like(vx, float(g)))
 
     return tape._push(out, back)
 

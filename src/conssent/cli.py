@@ -30,7 +30,7 @@ from . import ensemble as ens
 from . import probes as pr
 from .corpus import load_corpus_file, prepare_corpus, read_utf8, save_vocab_file
 from .encoder import head_probs, init_params, load_checkpoint, save_checkpoint
-from .errors import ConsSentError, DataError, NumericError, UsageError
+from .errors import ConsSentError, DataError, NumericError, UsageError, WorkerPoolError
 from .perturb import (
     PAIR_TASKS,
     SINGLE_TASKS,
@@ -489,6 +489,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    except WorkerPoolError as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
+        return 4
     except ConsSentError as exc:   # pragma: no cover - base-class safety net
         print(f"error: {exc}", file=sys.stderr)
         return 1

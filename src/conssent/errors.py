@@ -1,7 +1,8 @@
 """Shared exception hierarchy.
 
 The CLI maps these to exit codes: UsageError -> 1, DataError -> 2,
-NumericError -> 3. Modules define their specific errors as subclasses.
+NumericError -> 3, WorkerPoolError -> 4. Modules define their specific
+errors as subclasses.
 """
 
 
@@ -19,3 +20,7 @@ class DataError(ConsSentError):
 
 class NumericError(ConsSentError):
     """Numeric failure: non-finite values or a failed gradient check."""
+
+
+class WorkerPoolError(ConsSentError):
+    """A worker process died before a parallel map finished."""

@@ -6,7 +6,10 @@ four column slices, four nonlinearities and the cell update (plus four
 mask ops on a ragged batch), and the pool is a per-position concat, a
 stack and a max over positions, all as separate tape nodes. The fused op
 must reproduce its forward values and every leaf gradient bit for bit.
-The four ops below exist only for this path.
+The nine ops below exist only for this path, and the package's tape does
+not carry them: ``autodiff`` keeps the ops the fused encoder, the heads and
+the losses run. The tests gradcheck these like the package's own ops and
+build their scalar losses from ``mean_all`` and ``sum_all``.
 """
 
 import numpy as np
@@ -16,6 +19,65 @@ from conssent.corpus import PAD_ID
 from conssent.encoder import EncoderParams, bind_params
 
 _NEG_BIG = 1e30
+
+
+def mul(a, b) -> ad.Var:
+    tape = ad._tape_of(a, b)
+    va, vb = ad._value(a), ad._value(b)
+    out = va * vb
+
+    def back(g):
+        ad._accum(a, ad._unbroadcast(g * vb, va.shape))
+        ad._accum(b, ad._unbroadcast(g * va, vb.shape))
+
+    return tape._push(out, back)
+
+
+def sigmoid(x) -> ad.Var:
+    tape = ad._tape_of(x)
+    s = ad.stable_sigmoid(ad._value(x))
+
+    def back(g):
+        ad._accum(x, g * s * (1.0 - s))
+
+    return tape._push(s, back)
+
+
+def gather_rows(x, ids) -> ad.Var:
+    """Select rows of a matrix by integer index (embedding lookup)."""
+    tape = ad._tape_of(x)
+    vx = ad._value(x)
+    ids = np.asarray(ids, dtype=np.int64)
+    out = vx[ids]
+
+    def back(g):
+        gx = np.zeros_like(vx)
+        np.add.at(gx, ids, g)
+        ad._accum(x, gx)
+
+    return tape._push(out, back)
+
+
+def mean_all(x) -> ad.Var:
+    tape = ad._tape_of(x)
+    vx = ad._value(x)
+    out = np.asarray(vx.mean())
+
+    def back(g):
+        ad._accum(x, np.full_like(vx, float(g) / vx.size))
+
+    return tape._push(out, back)
+
+
+def sum_all(x) -> ad.Var:
+    tape = ad._tape_of(x)
+    vx = ad._value(x)
+    out = np.asarray(vx.sum())
+
+    def back(g):
+        ad._accum(x, np.full_like(vx, float(g)))
+
+    return tape._push(out, back)
 
 
 def slice_cols(x, start: int, stop: int) -> ad.Var:
@@ -85,18 +147,18 @@ def _lstm_direction(ids, mask, emb, w, hidden, tape, reverse):
     steps = range(T - 1, -1, -1) if reverse else range(T)
     hs = [None] * T
     for t in steps:
-        x_t = ad.gather_rows(emb, ids[:, t])
+        x_t = gather_rows(emb, ids[:, t])
         z = ad.add(ad.add(ad.matmul(x_t, w.w_x), ad.matmul(h, w.w_h)), w.b)
-        i_g = ad.sigmoid(slice_cols(z, 0, hidden))
-        f_g = ad.sigmoid(slice_cols(z, hidden, 2 * hidden))
-        o_g = ad.sigmoid(slice_cols(z, 2 * hidden, 3 * hidden))
+        i_g = sigmoid(slice_cols(z, 0, hidden))
+        f_g = sigmoid(slice_cols(z, hidden, 2 * hidden))
+        o_g = sigmoid(slice_cols(z, 2 * hidden, 3 * hidden))
         g_g = ad.tanh(slice_cols(z, 3 * hidden, 4 * hidden))
-        c_new = ad.add(ad.mul(f_g, c), ad.mul(i_g, g_g))
-        h_new = ad.mul(o_g, ad.tanh(c_new))
+        c_new = ad.add(mul(f_g, c), mul(i_g, g_g))
+        h_new = mul(o_g, ad.tanh(c_new))
         if padded:
             m = mask[:, t : t + 1]  # (B, 1) constant
-            c = ad.add(ad.mul(c_new, m), ad.mul(c, 1.0 - m))
-            h = ad.add(ad.mul(h_new, m), ad.mul(h, 1.0 - m))
+            c = ad.add(mul(c_new, m), mul(c, 1.0 - m))
+            h = ad.add(mul(h_new, m), mul(h, 1.0 - m))
         else:
             c, h = c_new, h_new
         hs[t] = h

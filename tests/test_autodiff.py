@@ -1,5 +1,6 @@
 """Tape mechanics plus per-op agreement with central finite differences.
 
+``mul``, ``sigmoid``, ``gather_rows``, ``mean_all``, ``sum_all``,
 ``slice_cols``, ``concat_cols``, ``stack_rows`` and ``max_over_rows`` live
 with the per-op reference encoder in ``lstm_reference``; they are checked
 here like the package's own ops because the fused encoder is tested
@@ -10,7 +11,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from lstm_reference import concat_cols, max_over_rows, slice_cols, stack_rows
+from lstm_reference import (
+    concat_cols,
+    gather_rows,
+    max_over_rows,
+    mean_all,
+    mul,
+    sigmoid,
+    slice_cols,
+    stack_rows,
+    sum_all,
+)
 
 from conssent import autodiff as ad
 from conssent.autodiff import DoubleBackward, Tape, finite_diff_check
@@ -32,15 +43,15 @@ def rand(*shape, seed=0, scale=1.0):
 def test_backward_accumulates_over_fanout():
     tape = Tape()
     x = tape.leaf(np.array([2.0, -3.0]))
-    y = ad.add(ad.mul(x, x), x)  # x^2 + x, dy/dx = 2x + 1
-    tape.backward(ad.sum_all(y))
+    y = ad.add(mul(x, x), x)  # x^2 + x, dy/dx = 2x + 1
+    tape.backward(sum_all(y))
     np.testing.assert_allclose(x.grad, np.array([5.0, -5.0]))
 
 
 def test_double_backward_raises():
     tape = Tape()
     x = tape.leaf(np.array([1.0]))
-    loss = ad.sum_all(ad.mul(x, x))
+    loss = sum_all(mul(x, x))
     tape.backward(loss)
     with pytest.raises(DoubleBackward):
         tape.backward(loss)
@@ -49,7 +60,7 @@ def test_double_backward_raises():
 def test_backward_requires_scalar():
     tape = Tape()
     x = tape.leaf(np.ones(3))
-    y = ad.mul(x, 2.0)
+    y = mul(x, 2.0)
     with pytest.raises(ValueError):
         tape.backward(y)
 
@@ -58,7 +69,7 @@ def test_constants_receive_no_grad():
     tape = Tape()
     x = tape.leaf(np.ones(3))
     const = np.array([1.0, 2.0, 3.0])
-    loss = ad.sum_all(ad.mul(x, const))
+    loss = sum_all(mul(x, const))
     tape.backward(loss)
     np.testing.assert_allclose(x.grad, const)
     np.testing.assert_allclose(const, [1.0, 2.0, 3.0])  # untouched
@@ -67,18 +78,18 @@ def test_constants_receive_no_grad():
 def test_non_recording_tape_computes_values_only():
     tape = Tape(recording=False)
     x = tape.leaf(np.array([1.0, 2.0]))
-    y = ad.mul(x, x)
+    y = mul(x, x)
     np.testing.assert_allclose(y.value, [1.0, 4.0])
     assert len(tape) == 0
     with pytest.raises(NumericError):
-        tape.backward(ad.sum_all(y))
+        tape.backward(sum_all(y))
 
 
 def test_dead_branch_is_skipped():
     tape = Tape()
     x = tape.leaf(np.ones(2))
-    _unused = ad.mul(x, 3.0)  # recorded but not part of the loss
-    loss = ad.sum_all(x)
+    _unused = mul(x, 3.0)  # recorded but not part of the loss
+    loss = sum_all(x)
     tape.backward(loss)
     np.testing.assert_allclose(x.grad, [1.0, 1.0])
 
@@ -87,7 +98,7 @@ def test_bias_broadcast_grad_sums_rows():
     tape = Tape()
     x = tape.leaf(np.zeros((3, 4)))
     b = tape.leaf(np.zeros(4))
-    loss = ad.sum_all(ad.add(x, b))
+    loss = sum_all(ad.add(x, b))
     tape.backward(loss)
     np.testing.assert_allclose(b.grad, [3.0, 3.0, 3.0, 3.0])
     assert b.grad.shape == (4,)
@@ -101,7 +112,7 @@ def test_bias_broadcast_grad_sums_rows():
 def test_sigmoid_tanh_values():
     tape = Tape(recording=False)
     x = tape.leaf(np.array([0.0, 100.0, -100.0]))
-    s = ad.sigmoid(x).value
+    s = sigmoid(x).value
     np.testing.assert_allclose(s, [0.5, 1.0, 0.0], atol=1e-12)
     t = ad.tanh(x).value
     np.testing.assert_allclose(t, [0.0, 1.0, -1.0], atol=1e-12)
@@ -168,7 +179,7 @@ def test_max_over_rows_value_and_ties():
     x = tape.leaf(np.array([[1.0, 5.0], [1.0, 2.0], [1.0, 5.0]]))
     m = max_over_rows(x)
     np.testing.assert_allclose(m.value, [1.0, 5.0])
-    tape.backward(ad.sum_all(m))
+    tape.backward(sum_all(m))
     # column 0 is a three-way tie, column 1 ties rows 0 and 2: gradient must
     # land on the lowest row index only
     np.testing.assert_allclose(x.grad, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
@@ -199,7 +210,7 @@ def check(build, **arrays):
 
 def test_grad_add_broadcast():
     check(
-        lambda tape, v: ad.mean_all(ad.add(v["a"], v["b"])),
+        lambda tape, v: mean_all(ad.add(v["a"], v["b"])),
         a=rand(3, 4, seed=1),
         b=rand(4, seed=2),
     )
@@ -207,7 +218,7 @@ def test_grad_add_broadcast():
 
 def test_grad_mul_broadcast():
     check(
-        lambda tape, v: ad.mean_all(ad.mul(v["a"], v["b"])),
+        lambda tape, v: mean_all(mul(v["a"], v["b"])),
         a=rand(3, 4, seed=5),
         b=rand(3, 1, seed=6),
     )
@@ -215,7 +226,7 @@ def test_grad_mul_broadcast():
 
 def test_grad_matmul():
     check(
-        lambda tape, v: ad.mean_all(ad.matmul(v["a"], v["b"])),
+        lambda tape, v: mean_all(ad.matmul(v["a"], v["b"])),
         a=rand(3, 4, seed=7),
         b=rand(4, 2, seed=8),
     )
@@ -223,7 +234,7 @@ def test_grad_matmul():
 
 def test_grad_transpose_reshape():
     check(
-        lambda tape, v: ad.mean_all(ad.matmul(ad.transpose(v["a"]), v["b"])),
+        lambda tape, v: mean_all(ad.matmul(ad.transpose(v["a"]), v["b"])),
         a=rand(3, 4, seed=9),
         b=rand(3, 2, seed=10),
     )
@@ -231,7 +242,7 @@ def test_grad_transpose_reshape():
 
 def test_grad_sigmoid_tanh():
     check(
-        lambda tape, v: ad.mean_all(ad.mul(ad.sigmoid(v["x"]), ad.tanh(v["y"]))),
+        lambda tape, v: mean_all(mul(sigmoid(v["x"]), ad.tanh(v["y"]))),
         x=rand(4, 3, seed=11),
         y=rand(4, 3, seed=12),
     )
@@ -242,7 +253,7 @@ def test_grad_slice_concat():
         left = slice_cols(v["x"], 0, 2)
         right = slice_cols(v["x"], 2, 5)
         cat = concat_cols(ad.tanh(right), left)
-        return ad.mean_all(ad.mul(cat, cat))
+        return mean_all(mul(cat, cat))
 
     check(build, x=rand(3, 5, seed=13))
 
@@ -250,7 +261,7 @@ def test_grad_slice_concat():
 def test_grad_stack_max():
     def build(tape, v):
         stacked = stack_rows([v["a"], v["b"], v["c"]])
-        return ad.mean_all(max_over_rows(stacked))
+        return mean_all(max_over_rows(stacked))
 
     # well-separated values so the argmax is stable under the probe step
     check(build, a=rand(2, 3, seed=14), b=rand(2, 3, seed=15) + 3.0, c=rand(2, 3, seed=16) - 3.0)
@@ -259,7 +270,7 @@ def test_grad_stack_max():
 def test_grad_gather_rows_with_duplicates():
     ids = np.array([0, 2, 0, 1])  # row 0 used twice: grads must accumulate
     check(
-        lambda tape, v: ad.mean_all(ad.tanh(ad.gather_rows(v["emb"], ids))),
+        lambda tape, v: mean_all(ad.tanh(gather_rows(v["emb"], ids))),
         emb=rand(4, 3, seed=17),
     )
 
@@ -267,7 +278,7 @@ def test_grad_gather_rows_with_duplicates():
 def test_grad_gather_cols():
     idx = np.array([[0, 2], [1, 3], [3, 0]])
     check(
-        lambda tape, v: ad.mean_all(ad.mul(ad.gather_cols(v["x"], idx), 2.0)),
+        lambda tape, v: mean_all(mul(ad.gather_cols(v["x"], idx), 2.0)),
         x=rand(3, 4, seed=18),
     )
 
@@ -283,7 +294,7 @@ def test_grad_softmax_xent():
 
 def test_grad_mean_sum():
     check(
-        lambda tape, v: ad.mean_all(ad.mul(ad.sum_all(v["x"]), ad.mean_all(v["x"]))),
+        lambda tape, v: mean_all(mul(sum_all(v["x"]), mean_all(v["x"]))),
         x=rand(3, 3, seed=21),
     )
 

@@ -1,8 +1,11 @@
 """The ordered process map behind the probe grids: same bytes as in-process
-fits, errors and the BLAS pin carried across, and no worker left behind."""
+fits, errors and the BLAS pin carried across, a dead worker reported as a
+package error, and no worker left behind."""
 
+import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +14,10 @@ import numpy as np
 import pytest
 
 import conssent
+from conssent import cli
 from conssent import parallel
 from conssent import probes as P
-from conssent.errors import DataError, NumericError
+from conssent.errors import DataError, NumericError, WorkerPoolError
 
 
 def _encodings(n=240, d=12, num_classes=4, seed=0):
@@ -118,16 +122,75 @@ print(*workers, resource_tracker._resource_tracker._pid)  # the tracker spawning
 """
 
 
+def _python(*args, cwd=None):
+    """Run this interpreter on ``args`` with the package on its path."""
+    src = str(Path(conssent.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=300,
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": path})
+
+
 def test_no_worker_outlives_its_process():
     # the pids are read after the child has exited: none may still exist,
     # not even as a zombie left for init to reap
-    src = str(Path(conssent.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _PROBE_AND_PRINT_WORKERS], capture_output=True,
-                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
+    done = _python("-c", _PROBE_AND_PRINT_WORKERS)
     assert done.returncode == 0, done.stderr
     pids = [int(pid) for pid in done.stdout.split()]
     assert len(pids) == 3
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+def _kill_on(item):
+    if item == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return item
+
+
+def test_a_killed_worker_ends_the_map_and_the_next_map_starts_afresh(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    with pytest.raises(WorkerPoolError, match='if __name__ == "__main__":'):
+        parallel.ordered_map(_kill_on, ["a", "kill", "b"])
+    assert parallel._pool is None and multiprocessing.active_children() == []
+    assert parallel.ordered_map(_kill_on, ["a", "b", "c"]) == ["a", "b", "c"]
+    parallel.shutdown()
+
+
+_UNGUARDED_PROBE = """
+import sys
+from conssent import cli, parallel
+
+parallel.usable_cpus = lambda: 2  # workers even on a one-CPU host
+sys.exit(cli.main(["probe", "enc.ckpt", "--toy-n", "200", "--probes", "BigramShift",
+                   "--probe-classifier", "logreg", "--out", "probed"]))
+"""
+
+
+def test_an_unguarded_probe_script_exits_4_and_names_the_guard(tmp_path):
+    # each spawned worker re-runs the script, tries to start a pool of its
+    # own and dies in multiprocessing's bootstrap check; the parent must
+    # report that once, and no worker's exit may disturb the shared tracker
+    assert cli.main(["train", "--task", "R", "--k", "1", "--toy-n", "200", "--hidden-size", "8",
+                     "--embed-dim", "8", "--head-dim", "16", "--max-epochs", "1",
+                     "--out", str(tmp_path / "enc.ckpt")]) == 0
+    (tmp_path / "unguarded.py").write_text(_UNGUARDED_PROBE)
+    done = _python("unguarded.py", cwd=tmp_path)
+    assert done.returncode == 4, done.stderr
+    reports = [line for line in done.stderr.splitlines() if line.startswith("worker error:")]
+    assert len(reports) == 1 and 'if __name__ == "__main__":' in reports[0]
+    for fault in ("BrokenProcessPool", "_at_exit", "TypeError", "KeyError"):
+        assert fault not in done.stderr
+    # what tracebacks remain are the workers' own bootstrap errors
+    assert done.stderr.count("Traceback") == done.stderr.count("finished its bootstrapping phase") > 0
+    assert not list(tmp_path.glob("probed*"))
+
+
+def test_importing_the_package_or_parallel_loads_no_other_module():
+    show = ("import json, sys, {}; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'conssent')))")
+    for module, loaded in [("conssent", ["conssent"]),
+                           ("conssent.parallel", ["conssent", "conssent.parallel"])]:
+        done = _python("-c", show.format(module))
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == loaded
