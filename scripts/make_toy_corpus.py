@@ -3,11 +3,16 @@
 
 Training ensembles from the command line needs members that share a
 vocabulary, so the corpus must live in a file rather than be regenerated
-from each member's seed:
+from each member's seed. The seed also draws the train/valid split, so
+every member and the ensemble run take one ``--seed``, and the members
+differ in ``k`` (or widths) instead; each score in the manifest is the
+``best_valid`` its member's ``train`` printed:
 
     python3 scripts/make_toy_corpus.py --n 2400 --seed 0 --out toy.txt
-    conssent train --corpus toy.txt --task R --k 1 --seed 1 --out m1.ckpt
-    conssent train --corpus toy.txt --task R --k 1 --seed 2 --out m2.ckpt
+    conssent train --corpus toy.txt --task R --k 1 --seed 9 --out m1.ckpt
+    conssent train --corpus toy.txt --task R --k 2 --seed 9 --out m2.ckpt
+    echo '{"checkpoints": ["m1.ckpt", "m2.ckpt"], "valid_scores": {"R": [0.95, 0.9]}}' > members.json
+    conssent ensemble members.json --corpus toy.txt --task R --k 1 --seed 9
 """
 
 import argparse

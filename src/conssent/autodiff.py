@@ -34,10 +34,6 @@ class Var:
         self._back = back
         self.tape = tape
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def __repr__(self):
         return f"Var(shape={self.value.shape}, grad={'set' if self.grad is not None else 'none'})"
 

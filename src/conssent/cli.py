@@ -246,26 +246,27 @@ def cmd_train(config: dict) -> int:
     # probe and ensemble check the vocabulary, ensemble also the valid split
     provenance = {"vocab_sha256": data.vocab.sha256(), "valid_sha256": data.valid_sha256()}
     if tc.task == "MT":
-        state = train_multitask(tc, data, progress=_progress)
+        g1, g2 = train_multitask(tc, data, progress=_progress)
         paths = {"group1": str(out) + ".g1", "group2": str(out) + ".g2"}
-        for name, group in (("group1", state.group1), ("group2", state.group2)):
+        for name, group in (("group1", g1), ("group2", g2)):
             save_checkpoint(paths[name], group.params, {"task": f"MT/{name}", **provenance})
+        history = g1.history + g2.history
         summary = {
             "task": "MT", "k": tc.k,
-            "member_accs": state.member_accs,
+            "member_accs": {**g1.member_accs, **g2.member_accs},
             "checkpoints": paths,
         }
     else:
         state = train_single_task(tc, data, progress=_progress)
         save_checkpoint(out, state.params, {"task": tc.task, "k": tc.k, **provenance,
                                             "best_valid": state.best_valid})
+        history = state.history
         summary = {
             "task": tc.task, "k": tc.k,
             "best_valid": state.best_valid,
             "best_epoch": state.best_epoch,
             "checkpoint": str(out),
         }
-    history = state.history
     write_metrics_jsonl(metrics_path, history)
     write_meta(out, config, **summary)
     final_losses = [h["train_loss"] for h in history if h["epoch"] == history[-1]["epoch"]]
@@ -323,8 +324,7 @@ def cmd_sweep(config: dict, k_range: str | None) -> int:
         _progress(f"sweep {tc.task}(k={tc.k})")
         if tc.task == "MT":
             # one row per trained encoder, as `train` saves them
-            state = train_multitask(tc, data, progress=_progress)
-            runs = {"MT/group1": state.group1, "MT/group2": state.group2}
+            runs = dict(zip(("MT/group1", "MT/group2"), train_multitask(tc, data, progress=_progress)))
         else:
             runs = {tc.task: train_single_task(tc, data, progress=_progress)}
         for name, st in runs.items():
@@ -344,8 +344,8 @@ def cmd_ensemble(config: dict, manifest: str) -> int:
             "ensemble evaluation averages classifier-head probabilities, "
             "so it applies to the binary tasks D P I R"
         )
-    spec = ens.read_manifest(manifest)
-    if tc.task not in spec.valid_scores:
+    checkpoints, task_weights = ens.read_manifest(manifest)
+    if tc.task not in task_weights:
         raise DataError(f"manifest has no validation scores for task {tc.task!r}")
     data = _prepare(config)
     examples, _ = gen_single_examples(
@@ -356,7 +356,7 @@ def cmd_ensemble(config: dict, manifest: str) -> int:
     labels = np.array([ex.label for ex in examples])
     valid_sha256 = data.valid_sha256()
     member_probs, member_accs = [], []
-    for path in spec.checkpoints:
+    for path in checkpoints:
         params, meta = _load_encoder(path, data.vocab)
         # a member trained on another split would be scored on sentences it trained on
         if meta.get("valid_sha256") != valid_sha256:
@@ -368,7 +368,7 @@ def cmd_ensemble(config: dict, manifest: str) -> int:
         probs = head_probs([ex.tokens for ex in examples], params, tc.task)
         member_probs.append(probs)
         member_accs.append(float(np.mean(np.argmax(probs, axis=1) == labels)))
-    weights = spec.weights[tc.task]
+    weights = task_weights[tc.task]
     acc = ens.ensemble_accuracy(member_probs, weights, labels)
     report = {
         "task": tc.task, "k": tc.k,

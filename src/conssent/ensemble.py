@@ -11,7 +11,7 @@ downstream task.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +22,6 @@ from .errors import DataError, UsageError
 
 class AllZero(UsageError):
     """Every validation score is zero; weights would be undefined."""
-
-
-class ArityMismatch(DataError):
-    """Members disagree on the number of classes."""
 
 
 def normalize_weights(scores) -> tuple:
@@ -41,64 +37,20 @@ def normalize_weights(scores) -> tuple:
     return tuple(s / total for s in scores)
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Checkpoint paths plus per-task validation scores, one per member."""
-
-    checkpoints: tuple            # paths, length >= 2
-    valid_scores: dict            # task name -> tuple of scores, one per member
-
-    def __post_init__(self):
-        if len(self.checkpoints) < 2:
-            raise UsageError("an ensemble needs at least 2 members")
-        for task, scores in self.valid_scores.items():
-            if len(scores) != len(self.checkpoints):
-                raise UsageError(
-                    f"task {task!r} has {len(scores)} scores for "
-                    f"{len(self.checkpoints)} members"
-                )
-            normalize_weights(scores)
-
-    @property
-    def weights(self) -> dict:
-        """Task name -> normalized weights derived from the scores."""
-        return {t: normalize_weights(sc) for t, sc in self.valid_scores.items()}
-
-
-def make_ensemble_spec(checkpoints, valid_scores: dict) -> EnsembleSpec:
-    return EnsembleSpec(
-        checkpoints=tuple(str(p) for p in checkpoints),
-        valid_scores={t: tuple(float(s) for s in sc) for t, sc in valid_scores.items()},
-    )
-
-
-def ensemble_probs(member_probs, weights) -> np.ndarray:
-    """Weighted average of per-member probability vectors (or batches)."""
+def ensemble_accuracy(member_probs, weights, labels) -> float:
+    """Accuracy of the argmax of the members' weighted average probabilities,
+    one (N, classes) batch per member; ties resolve to the lowest class."""
     if len(member_probs) != len(weights):
-        raise UsageError(f"{len(member_probs)} prob vectors, {len(weights)} weights")
+        raise UsageError(f"{len(member_probs)} prob batches, {len(weights)} weights")
     arrays = [np.asarray(p, dtype=np.float64) for p in member_probs]
-    arities = {a.shape[-1] for a in arrays}
-    if len(arities) != 1:
-        raise ArityMismatch(f"members emit different class counts: {sorted(arities)}")
     shapes = {a.shape for a in arrays}
     if len(shapes) != 1:
-        raise ArityMismatch(f"members emit different batch shapes: {sorted(shapes)}")
-    out = np.zeros_like(arrays[0])
+        raise DataError(f"members emit different probability shapes: {sorted(shapes)}")
+    avg = np.zeros_like(arrays[0])
     for w, p in zip(weights, arrays):
-        out += w * p
-    return out
-
-
-def ensemble_predict(member_probs, weights):
-    """Argmax of the weighted average; ties resolve to the lowest class."""
-    avg = ensemble_probs(member_probs, weights)
-    pred = np.argmax(avg, axis=-1)   # np.argmax takes the first maximum
-    return int(pred) if avg.ndim == 1 else pred
-
-
-def ensemble_accuracy(member_prob_batches, weights, labels) -> float:
-    preds = ensemble_predict(member_prob_batches, weights)
-    return float(np.mean(np.asarray(preds) == np.asarray(labels)))
+        avg += w * p
+    # np.argmax takes the first maximum
+    return float(np.mean(np.argmax(avg, axis=-1) == np.asarray(labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +58,13 @@ def ensemble_accuracy(member_prob_batches, weights, labels) -> float:
 # ---------------------------------------------------------------------------
 
 
-def read_manifest(path: str | Path) -> EnsembleSpec:
+def _is_number(x) -> bool:
+    """A JSON number: not a boolean, NaN or an infinity."""
+    return isinstance(x, int) and not isinstance(x, bool) or isinstance(x, float) and math.isfinite(x)
+
+
+def read_manifest(path: str | Path) -> tuple[tuple, dict]:
+    """(checkpoint paths, task -> normalized weights) from a manifest file."""
     try:
         payload = json.loads(read_utf8(path))
     except (ValueError, RecursionError) as exc:  # bad JSON, too deep or too long a number
@@ -116,18 +74,26 @@ def read_manifest(path: str | Path) -> EnsembleSpec:
     missing = {"checkpoints", "valid_scores"} - payload.keys()
     if missing:
         raise DataError(f"{path}: manifest lacks {sorted(missing)}")
+    checkpoints, scores = payload["checkpoints"], payload["valid_scores"]
     stored = {} if payload.get("weights") is None else payload["weights"]
-    if not isinstance(payload["valid_scores"], dict) or not isinstance(stored, dict):
+    if not isinstance(checkpoints, list) or not all(isinstance(p, str) for p in checkpoints):
+        raise DataError(f"{path}: checkpoints must be a list of path strings")
+    if not isinstance(scores, dict) or not isinstance(stored, dict):
         raise DataError(f"{path}: valid_scores and weights must map tasks to lists")
+    if not all(isinstance(sc, list) and all(map(_is_number, sc)) for sc in scores.values()):
+        raise DataError(f"{path}: each task's valid_scores must be a list of numbers")
     try:
-        spec = make_ensemble_spec(payload["checkpoints"], payload["valid_scores"])
-        derived = spec.weights
+        scores = {task: [float(s) for s in sc] for task, sc in scores.items()}
+        if len(checkpoints) < 2:
+            raise UsageError("an ensemble needs at least 2 members")
+        for task, sc in scores.items():
+            if len(sc) != len(checkpoints):
+                raise UsageError(f"task {task!r} has {len(sc)} scores for {len(checkpoints)} members")
+        weights = {task: normalize_weights(sc) for task, sc in scores.items()}
         for task, w in stored.items():
-            want = derived.get(task, ())
+            want = weights.get(task, ())
             if len(w) != len(want) or np.max(np.abs(np.array(w) - np.array(want))) > 1e-9:
-                raise DataError(
-                    f"{path}: stored weights for {task!r} disagree with scores"
-                )
+                raise DataError(f"{path}: stored weights for {task!r} disagree with scores")
     except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed manifest: {exc}") from exc
-    return spec
+    return tuple(checkpoints), weights

@@ -10,8 +10,9 @@ exception a call raises is re-raised here with its class and message.
 must keep that work under ``if __name__ == "__main__":``. A worker that
 dies mid-map, because such a script ran unguarded or because it was
 killed, ends the map in ``errors.WorkerPoolError``, and the next map
-starts a fresh pool. With one usable CPU, or one item, the calls run in
-this process and start none.
+starts a fresh pool; so does a map that finds the pool broken between
+maps. With one usable CPU, or one item, the calls run in this process
+and start none.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ def ordered_map(fn, items) -> list:
     items = list(items)
     if min(usable_cpus(), len(items)) <= 1:
         return list(map(fn, items))
+    if _pool is not None and _pool._broken:  # what submit checks: it broke between maps
+        shutdown()
     if _pool is None:
         _pool = ProcessPoolExecutor(usable_cpus(), mp_context=multiprocessing.get_context("spawn"))
     futures = []

@@ -136,23 +136,8 @@ class TrainState:
     best_valid: float
     best_epoch: int
     history: list[dict]
-    config: TrainConfig
     member_accs: dict = field(default_factory=dict)  # task -> acc at the best epoch
     skipped_steps: int = 0
-
-
-@dataclass
-class MultitaskState:
-    group1: TrainState
-    group2: TrainState
-
-    @property
-    def history(self) -> list[dict]:
-        return self.group1.history + self.group2.history
-
-    @property
-    def member_accs(self) -> dict:
-        return {**self.group1.member_accs, **self.group2.member_accs}
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +393,6 @@ def _run_training(
         best_valid=best,
         best_epoch=best_epoch,
         history=history,
-        config=config,
         member_accs=best_accs,
         skipped_steps=sum(row["skipped_steps"] for row in history),
     )
@@ -421,8 +405,8 @@ def train_single_task(config: TrainConfig, data: SplitCorpus, progress=None) -> 
     return _run_training((config.task,), data, config, init_item=0, progress=progress)
 
 
-def train_multitask(config: TrainConfig, data: SplitCorpus, progress=None) -> MultitaskState:
-    """Round-robin multitask training: two encoders, two task groups.
+def train_multitask(config: TrainConfig, data: SplitCorpus, progress=None) -> tuple[TrainState, TrainState]:
+    """Round-robin multitask training: two encoders, two task groups, a TrainState each.
 
     Encoder 1 serves D, P, I, R through four separate heads; encoder 2
     serves N and C with no heads at all. Within a group, consecutive
@@ -435,9 +419,8 @@ def train_multitask(config: TrainConfig, data: SplitCorpus, progress=None) -> Mu
     """
     if config.task != "MT":
         raise ValueError(f"train_multitask requires task MT, got {config.task}")
-    g1 = _run_training(GROUP1, data, config, init_item=0, progress=progress)
-    g2 = _run_training(GROUP2, data, config, init_item=1, progress=progress)
-    return MultitaskState(group1=g1, group2=g2)
+    return (_run_training(GROUP1, data, config, init_item=0, progress=progress),
+            _run_training(GROUP2, data, config, init_item=1, progress=progress))
 
 
 # ---------------------------------------------------------------------------

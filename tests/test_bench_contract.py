@@ -1,11 +1,12 @@
-"""The benchmark's view of the package: every ``conssent`` name that
-``perfbench/*.py`` imports or reads must exist, every call it makes
-through one must bind to that name's signature, and every attribute it
-reads off a settings object named ``config`` must exist on one.
+"""The benchmark's and the scripts' view of the package: every
+``conssent`` name that ``perfbench/*.py`` or ``scripts/*.py`` imports or
+reads must exist, every call they make through one must bind to that
+name's signature, and every attribute the benchmark reads off a settings
+object named ``config`` must exist on one.
 
-Tier-1 never runs the benchmark, and the benchmark's files change only
-with the benchmark itself, so a rename or a dropped parameter in the
-package would otherwise break it silently.
+Tier-1 runs neither the benchmark nor the scripts, and the benchmark's
+files change only with the benchmark itself, so a rename or a dropped
+parameter in the package would otherwise break them silently.
 """
 
 import ast
@@ -19,7 +20,8 @@ import pytest
 from conssent.probes import ProbeConfig
 from conssent.train import TrainConfig
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH, SCRIPTS = ROOT / "perfbench", ROOT / "scripts"
 
 
 def _uses(tree: ast.Module) -> tuple[set, list]:
@@ -55,14 +57,42 @@ def _uses(tree: ast.Module) -> tuple[set, list]:
     return names, calls
 
 
-NAMES, CALLS, CONFIG_ATTRS = set(), [], set()
-for _path in sorted(PERFBENCH.glob("*.py")):
-    _tree = ast.parse(_path.read_text(encoding="utf-8"))
-    _names, _calls = _uses(_tree)
-    NAMES |= _names
-    CALLS += [(_path.name, *call) for call in _calls]
-    CONFIG_ATTRS |= {node.attr for node in ast.walk(_tree) if isinstance(node, ast.Attribute)
-                     and isinstance(node.value, ast.Name) and node.value.id == "config"}
+def _read(directory: Path) -> tuple[set, list, set]:
+    """What ``_uses`` finds in each ``*.py`` file of ``directory``, the calls
+    tagged with their file, plus every attribute read off a ``config``."""
+    names, calls, config_attrs = set(), [], set()
+    for path in sorted(directory.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        file_names, file_calls = _uses(tree)
+        names |= file_names
+        calls += [(path.name, *call) for call in file_calls]
+        config_attrs |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                         and isinstance(node.value, ast.Name) and node.value.id == "config"}
+    return names, calls, config_attrs
+
+
+def _missing(names) -> list:
+    return [f"{m}.{n}" for m, n in sorted(names) if not hasattr(importlib.import_module(m), n)]
+
+
+def _unbound(calls) -> list:
+    """Each call that does not bind to its target's signature."""
+    failures = []
+    for where, module, name, call in calls:
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+            continue  # argument counts unknown until run time
+        obj = getattr(importlib.import_module(module), name, None)
+        if obj is None or isinstance(obj, type) and issubclass(obj, BaseException):
+            continue  # a missing name fails on its own; exceptions take any arguments
+        try:
+            inspect.signature(obj).bind(*call.args, **{k.arg: None for k in call.keywords})
+        except TypeError as exc:
+            failures.append(f"{where}:{call.lineno} {module}.{name}: {exc}")
+    return failures
+
+
+NAMES, CALLS, CONFIG_ATTRS = _read(PERFBENCH)
+SCRIPT_NAMES, SCRIPT_CALLS, _ = _read(SCRIPTS)
 
 
 def test_benchmark_reads_the_package():
@@ -71,22 +101,33 @@ def test_benchmark_reads_the_package():
 
 @pytest.mark.parametrize("module,name", sorted(NAMES), ids=[f"{m}.{n}" for m, n in sorted(NAMES)])
 def test_every_benchmark_name_resolves(module, name):
-    assert hasattr(importlib.import_module(module), name), f"{module}.{name} is gone"
+    assert not _missing([(module, name)]), f"{module}.{name} is gone"
 
 
 def test_every_benchmark_call_binds():
-    failures = []
-    for where, module, name, call in CALLS:
-        if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
-            continue  # argument counts unknown until run time
-        obj = getattr(importlib.import_module(module), name, None)
-        if obj is None or isinstance(obj, type) and issubclass(obj, BaseException):
-            continue  # a missing name fails above; exceptions take any arguments
-        try:
-            inspect.signature(obj).bind(*call.args, **{k.arg: None for k in call.keywords})
-        except TypeError as exc:
-            failures.append(f"{where}:{call.lineno} {module}.{name}: {exc}")
+    failures = _unbound(CALLS)
     assert not failures, failures
+
+
+@pytest.mark.parametrize("module,name", sorted(SCRIPT_NAMES),
+                         ids=[f"{m}.{n}" for m, n in sorted(SCRIPT_NAMES)])
+def test_every_script_name_resolves(module, name):
+    assert not _missing([(module, name)]), f"{module}.{name} is gone"
+
+
+def test_every_script_call_binds():
+    assert len(SCRIPT_NAMES) >= 5 and SCRIPT_CALLS, "scripts/*.py no longer parse as expected"
+    failures = _unbound(SCRIPT_CALLS)
+    assert not failures, failures
+
+
+def test_the_check_catches_a_deleted_name_and_a_call_that_no_longer_binds():
+    names, calls = _uses(ast.parse("from conssent import ensemble as ens\n"
+                                   "ens.ensemble_predict([], ())\n"
+                                   "ens.ensemble_accuracy([], ())\n"))
+    assert _missing(names) == ["conssent.ensemble.ensemble_predict"]
+    assert [f.split(": ")[0] for f in _unbound([("s.py", *c) for c in calls])] == [
+        "s.py:3 conssent.ensemble.ensemble_accuracy"]
 
 
 def test_every_config_attribute_exists():

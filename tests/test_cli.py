@@ -527,10 +527,10 @@ def test_sweep_prints_one_row_per_mt_group(tmp_path, capsys):
                "--toy-n", "80", *TINY, "--max-epochs", "4", "--out", out) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     data = prepare_corpus(make_toy_corpus(80, seed=2), min_freq=1, valid_fraction=0.1, seed=2)
-    state = train_multitask(TrainConfig(task="MT", k=2, hidden_size=4, embed_dim=8, head_dim=8,
-                                        batch_size=16, max_epochs=4, valid_draws=1, seed=2), data)
+    groups = train_multitask(TrainConfig(task="MT", k=2, hidden_size=4, embed_dim=8, head_dim=8,
+                                         batch_size=16, max_epochs=4, valid_draws=1, seed=2), data)
     want = [{"task": f"MT/{name}", "k": 2, "best_valid": g.best_valid, "best_epoch": g.best_epoch}
-            for name, g in (("group1", state.group1), ("group2", state.group2))]
+            for name, g in zip(("group1", "group2"), groups)]
     assert json.loads(out.read_text()) == want
     assert lines[1:] == [f"{r['task']}\t2\t{r['best_valid']:.4f}\t{r['best_epoch']}" for r in want]
 

@@ -1,4 +1,4 @@
-"""Ensembling: weight normalization, probability averaging, manifests."""
+"""Ensembling: weight normalization, weighted-vote accuracy, manifests."""
 
 import json
 
@@ -52,60 +52,50 @@ def test_normalize_property(scores):
 
 
 # ---------------------------------------------------------------------------
-# ensemble_predict
+# ensemble_accuracy: passing the expected predictions as labels, accuracy
+# is 1.0 exactly when every prediction equals its label
 # ---------------------------------------------------------------------------
 
 
 def test_degenerate_weights_reproduce_single_member():
     rng = np.random.default_rng(0)
     probs = [rng.dirichlet(np.ones(4), size=20) for _ in range(3)]
-    preds = E.ensemble_predict(probs, (1.0, 0.0, 0.0))
-    assert np.array_equal(preds, np.argmax(probs[0], axis=1))
+    assert E.ensemble_accuracy(probs, (1.0, 0.0, 0.0), np.argmax(probs[0], axis=1)) == 1.0
 
 
 def test_agreement_wins():
-    a = np.array([0.1, 0.9])
-    b = np.array([0.2, 0.8])
-    assert E.ensemble_predict([a, b], (0.5, 0.5)) == 1
+    a = np.array([[0.1, 0.9]])
+    b = np.array([[0.2, 0.8]])
+    assert E.ensemble_accuracy([a, b], (0.5, 0.5), [1]) == 1.0
 
 
 def test_tie_breaks_to_lowest_class():
-    a = np.array([0.5, 0.5, 0.0])
-    b = np.array([0.5, 0.5, 0.0])
-    assert E.ensemble_predict([a, b], (0.5, 0.5)) == 0
-    c = np.array([0.0, 0.5, 0.5])
-    assert E.ensemble_predict([c, c], (0.5, 0.5)) == 1
-
-
-def test_weighted_average_is_valid_distribution():
-    rng = np.random.default_rng(1)
-    probs = [rng.dirichlet(np.ones(5), size=30) for _ in range(4)]
-    w = E.normalize_weights((0.9, 0.7, 0.8, 0.6))
-    avg = E.ensemble_probs(probs, w)
-    assert np.all(avg >= 0)
-    assert np.allclose(avg.sum(axis=1), 1.0, atol=1e-12)
+    a = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+    assert E.ensemble_accuracy([a, a], (0.5, 0.5), [0, 1]) == 1.0
 
 
 def test_member_permutation_invariance():
     rng = np.random.default_rng(2)
     probs = [rng.dirichlet(np.ones(3), size=25) for _ in range(3)]
     scores = (0.9, 0.6, 0.75)
-    base = E.ensemble_probs(probs, E.normalize_weights(scores))
+    avg = sum(w * p for w, p in zip(E.normalize_weights(scores), probs))
     perm = [2, 0, 1]
-    permuted = E.ensemble_probs([probs[i] for i in perm],
-                                E.normalize_weights([scores[i] for i in perm]))
-    assert np.allclose(base, permuted, atol=1e-15)
+    acc = E.ensemble_accuracy([probs[i] for i in perm],
+                              E.normalize_weights([scores[i] for i in perm]),
+                              np.argmax(avg, axis=1))
+    assert acc == 1.0
 
 
 def test_arity_mismatch_raises():
-    with pytest.raises(E.ArityMismatch):
-        E.ensemble_predict([np.array([0.5, 0.5]), np.array([0.3, 0.3, 0.4])],
-                           (0.5, 0.5))
+    # a shape mismatch is bad data (exit 2), whether in classes or in rows
+    for other in (np.array([[0.3, 0.3, 0.4]]), np.array([[0.5, 0.5], [0.5, 0.5]])):
+        with pytest.raises(DataError):
+            E.ensemble_accuracy([np.array([[0.5, 0.5]]), other], (0.5, 0.5), [0])
 
 
 def test_weight_count_mismatch_raises():
     with pytest.raises(UsageError):
-        E.ensemble_predict([np.array([0.5, 0.5])], (0.5, 0.5))
+        E.ensemble_accuracy([np.array([[0.5, 0.5]])], (0.5, 0.5), [0])
 
 
 def test_ensemble_accuracy():
@@ -119,65 +109,47 @@ def test_ensemble_accuracy():
     assert acc == float(np.mean(np.argmax(avg, axis=1) == labels))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=2, max_value=5), st.integers(min_value=2, max_value=6),
-       st.integers(min_value=0, max_value=2**31 - 1))
-def test_property_average_stays_simplex(n_members, n_classes, seed):
-    rng = np.random.default_rng(seed)
-    probs = [rng.dirichlet(np.ones(n_classes), size=7) for _ in range(n_members)]
-    w = E.normalize_weights(rng.uniform(0.1, 1.0, size=n_members))
-    avg = E.ensemble_probs(probs, w)
-    assert np.all(avg >= 0) and np.allclose(avg.sum(axis=1), 1.0, atol=1e-9)
-
-
 # ---------------------------------------------------------------------------
-# Spec construction and manifests
+# Manifests
 # ---------------------------------------------------------------------------
 
 
-def test_spec_requires_two_members():
+def _manifest(tmp_path, checkpoints, valid_scores, **extra):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"checkpoints": checkpoints, "valid_scores": valid_scores, **extra}))
+    return path
+
+
+def test_spec_requires_two_members(tmp_path):
     with pytest.raises(UsageError):
-        E.make_ensemble_spec(["only.ckpt"], {"t": (1.0,)})
+        E.read_manifest(_manifest(tmp_path, ["only.ckpt"], {"t": [1.0]}))
 
 
-def test_spec_score_arity_checked():
+def test_spec_score_arity_checked(tmp_path):
     with pytest.raises(UsageError):
-        E.make_ensemble_spec(["a.ckpt", "b.ckpt"], {"t": (1.0, 0.5, 0.2)})
+        E.read_manifest(_manifest(tmp_path, ["a.ckpt", "b.ckpt"], {"t": [1.0, 0.5, 0.2]}))
 
 
-def test_spec_weights_derived_per_task():
-    spec = E.make_ensemble_spec(
-        ["a.ckpt", "b.ckpt"],
-        {"task1": (0.8, 0.6), "task2": (0.5, 0.5)},
-    )
-    assert spec.weights["task1"] == pytest.approx((0.8 / 1.4, 0.6 / 1.4))
-    assert spec.weights["task2"] == (0.5, 0.5)
+def test_spec_weights_derived_per_task(tmp_path):
+    _, weights = E.read_manifest(_manifest(tmp_path, ["a.ckpt", "b.ckpt"],
+                                           {"task1": [0.8, 0.6], "task2": [0.5, 0.5]}))
+    assert weights["task1"] == pytest.approx((0.8 / 1.4, 0.6 / 1.4))
+    assert weights["task2"] == (0.5, 0.5)
 
 
-def test_spec_validates_scores_at_construction():
-    # weights are derived on demand, so bad scores must fail when the spec is made
+def test_spec_validates_scores_at_construction(tmp_path):
     with pytest.raises(E.AllZero):
-        E.EnsembleSpec(("a", "b"), {"t": (0.0, 0.0)})
+        E.read_manifest(_manifest(tmp_path, ["a", "b"], {"t": [0.0, 0.0]}))
     with pytest.raises(UsageError):
-        E.EnsembleSpec(("a", "b"), {"t": (-1.0, 2.0)})
+        E.read_manifest(_manifest(tmp_path, ["a", "b"], {"t": [-1.0, 2.0]}))
 
 
 def test_manifest_round_trip(tmp_path):
-    spec = E.make_ensemble_spec(
-        ["m1.ckpt", "m2.ckpt", "m3.ckpt"],
-        {"probe": (0.9, 0.85, 0.8)},
-    )
-    path = tmp_path / "manifest.json"
-    path.write_text(json.dumps({
-        "checkpoints": list(spec.checkpoints),
-        "valid_scores": {t: list(s) for t, s in spec.valid_scores.items()},
-        "weights": {t: list(w) for t, w in spec.weights.items()},
-    }))
-    back = E.read_manifest(path)
-    assert back.checkpoints == spec.checkpoints
-    assert back.valid_scores == spec.valid_scores
-    assert all(back.weights[t] == pytest.approx(spec.weights[t])
-               for t in spec.weights)
+    checkpoints, scores = ["m1.ckpt", "m2.ckpt", "m3.ckpt"], {"probe": [0.9, 0.85, 0.8]}
+    want = {"probe": E.normalize_weights(scores["probe"])}
+    back = E.read_manifest(_manifest(tmp_path, checkpoints, scores,
+                                     weights={t: list(w) for t, w in want.items()}))
+    assert back == (tuple(checkpoints), want)
 
 
 def test_manifest_rejects_garbage(tmp_path):
@@ -188,6 +160,13 @@ def test_manifest_rejects_garbage(tmp_path):
     path.write_text("{\"checkpoints\": [\"a\", \"b\"]}")
     with pytest.raises(DataError):
         E.read_manifest(path)
+    # checkpoints are a list of strings, and scores lists of finite numbers
+    for checkpoints, scores in [("ab", [1, 2]), (["a", 1], [1, 2]), (["a", "b"], "12"),
+                                (["a", "b"], [True, 1]), (["a", "b"], ["1", 2]),
+                                (["a", "b"], {"1": 0, "2": 0}), (["a", "b"], [float("nan"), 1]),
+                                (["a", "b"], [float("inf"), 1])]:
+        with pytest.raises(DataError):
+            E.read_manifest(_manifest(tmp_path, checkpoints, {"R": scores}))
 
 
 def test_manifest_rejects_inconsistent_weights(tmp_path):

@@ -1,6 +1,6 @@
 """The ordered process map behind the probe grids: same bytes as in-process
 fits, errors and the BLAS pin carried across, a dead worker reported as a
-package error, and no worker left behind."""
+package error, a pool broken between maps replaced, and no worker left behind."""
 
 import json
 import multiprocessing
@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,19 @@ def test_a_killed_worker_ends_the_map_and_the_next_map_starts_afresh(monkeypatch
         parallel.ordered_map(_kill_on, ["a", "kill", "b"])
     assert parallel._pool is None and multiprocessing.active_children() == []
     assert parallel.ordered_map(_kill_on, ["a", "b", "c"]) == ["a", "b", "c"]
+    parallel.shutdown()
+
+
+def test_a_pool_broken_between_maps_is_replaced_before_the_next_map(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    parallel.shutdown()
+    assert parallel.ordered_map(_kill_on, ["a", "b"]) == ["a", "b"]
+    os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+    deadline = time.monotonic() + 60
+    while not parallel._pool._broken:  # the flag submit raises on
+        assert time.monotonic() < deadline, "the pool never noticed its dead worker"
+        time.sleep(0.05)
+    assert parallel.ordered_map(_kill_on, ["c", "d"]) == ["c", "d"]
     parallel.shutdown()
 
 

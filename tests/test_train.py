@@ -560,12 +560,12 @@ def test_skipped_steps_are_counted_and_training_goes_on(tiny_data, monkeypatch):
 
 def test_multitask_state_shapes(tiny_data):
     cfg = tiny_config("MT", k=2, max_epochs=1)
-    state = train_multitask(cfg, tiny_data)
-    assert set(state.member_accs) == set(GROUP1) | set(GROUP2)
-    widths = [encode_sentences(tiny_data.valid[:5], g.params).shape for g in (state.group1, state.group2)]
+    groups = train_multitask(cfg, tiny_data)
+    assert [set(g.member_accs) for g in groups] == [set(GROUP1), set(GROUP2)]
+    widths = [encode_sentences(tiny_data.valid[:5], g.params).shape for g in groups]
     assert widths == [(5, 2 * cfg.hidden_size)] * 2
-    rows = {(r["task"], r["epoch"]) for r in state.history}
-    assert rows == {(t, e) for t in GROUP1 + GROUP2 for e in range(1)}
+    for g, tasks in zip(groups, (GROUP1, GROUP2)):
+        assert {(r["task"], r["epoch"]) for r in g.history} == {(t, 0) for t in tasks}
 
 
 def test_best_snapshot_is_not_last_epoch_params(tiny_data):
