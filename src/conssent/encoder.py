@@ -256,8 +256,8 @@ def _scan(xw, w_h, b, mask, keep, cache):
     _, T, B, _ = xw.shape
     H = w_h.shape[1]
     hs = np.empty((2, T, B, H), dtype=np.result_type(xw, w_h, b))
-    h = np.zeros((2, B, H))
-    c = np.zeros((2, B, H))
+    h = np.zeros((2, B, H), dtype=hs.dtype)
+    c = np.zeros((2, B, H), dtype=hs.dtype)
     for k in range(T):
         z = h @ w_h  # one BLAS call per direction
         z += xw[:, k]
@@ -333,7 +333,9 @@ def bilstm_max(ids: np.ndarray, mask, emb, fwd: LstmWeights, bwd: LstmWeights, t
     batches). The two directions then step together, the direction being a
     leading batch axis, adding ``h @ w_h`` and ``b`` in the per-step order.
     ``mask`` is None for a full batch, else (B, T) with 1 on real tokens.
-    Gates, states and the pool argmax are kept only on a recording tape.
+    Everything runs in the dtype of the parameters given (the mask and the
+    zero start state take it too). Gates, states and the pool argmax are
+    kept only on a recording tape.
     """
     B, T = ids.shape
     # (2, T, B) token ids in step order; direction 1 runs right to left.
@@ -344,7 +346,7 @@ def bilstm_max(ids: np.ndarray, mask, emb, fwd: LstmWeights, bwd: LstmWeights, t
     H = w_h.shape[1]
     m = keep = None
     if mask is not None:
-        m = mask.T[:, :, None]  # (T, B, 1)
+        m = mask.T[:, :, None].astype(x.dtype, copy=False)  # (T, B, 1)
         m = np.stack([m, m[::-1]])
         keep = 1.0 - m
     cache = [] if tape.recording else None
@@ -397,7 +399,7 @@ def encode_batch(seqs: list, params: EncoderParams, tape: ad.Tape) -> ad.Var:
 def encode_sentences(
     seqs: list, params: EncoderParams, batch_size: int = 128
 ) -> np.ndarray:
-    """Frozen encodings as a plain (N, 2H) float array; no tape kept.
+    """Frozen encodings as a plain (N, 2H) float64 array; no tape kept.
 
     The sentences are sorted by length (a stable sort) and encoded in runs
     of ``batch_size``, so each batch pads only up to its own longest
@@ -406,6 +408,9 @@ def encode_sentences(
     sentences share its batch, except that numpy computes a batch of one
     with GEMV instead of GEMM, which rounds differently: so a lone last
     sentence joins the batch before it.
+
+    The encoder runs in the dtype of ``params`` (float32 params give
+    float32 arithmetic); the rows are stored as float64 either way.
     """
     if not seqs:
         raise ValueError("no sentences to encode")

@@ -9,10 +9,12 @@ Three probes whose ground truth is derivable from the raw sentence alone:
 
 Each probe yields a fixed, disjoint 70/15/15 train/valid/test split.
 Encoders are evaluated frozen: ``probe_encoder`` encodes each distinct
-sentence across the probes once (float64), then either a multinomial
-logistic regression (float64 under scipy's L-BFGS) or a one-hidden-layer
-sigmoid MLP (trained and scored in float32) is fit on each probe's rows
-at ``ProbeConfig``'s fixed, SentEval-style grids, selected on validation;
+sentence across the probes once, in float32 (checkpoints store float32
+weights) with the rows stored as float64; training, validation and
+``head_probs`` stay float64. Then either a multinomial logistic
+regression (float64 under scipy's L-BFGS) or a one-hidden-layer sigmoid
+MLP (trained and scored in float32) is fit on each probe's rows at
+``ProbeConfig``'s fixed, SentEval-style grids, selected on validation;
 only the seed varies. A grid's cells are fit across the usable CPUs
 (``parallel.ordered_map``) with the bytes an in-process fit gives.
 Classifier internals draw their minibatch order, init, and dropout masks
@@ -31,7 +33,6 @@ from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .autodiff import softmax_rows, stable_sigmoid
 from .corpus import Vocabulary
@@ -234,11 +235,17 @@ def _split(task: ProbeTask, encodings: np.ndarray) -> ProbeEncodings:
     return ProbeEncodings(task.name, task.num_classes, x, y)
 
 
+def _float32(params: EncoderParams) -> EncoderParams:
+    """The parameters cast to float32, so frozen encodes run in float32."""
+    return EncoderParams({name: a.astype(np.float32) for name, a in params.named_arrays().items()})
+
+
 def encode_probe(task: ProbeTask, params: EncoderParams, vocab: Vocabulary) -> ProbeEncodings:
     """Encode the task's sentences once with the frozen BiLSTM-max
-    ``params``, token strings mapped to ids through ``vocab``, then take
-    each split's rows in its index order."""
-    return _split(task, encode_sentences([vocab.encode(list(s)) for s, _ in task.examples], params))
+    ``params`` in float32, token strings mapped to ids through ``vocab``,
+    then take each split's rows in its index order."""
+    seqs = [vocab.encode(list(s)) for s, _ in task.examples]
+    return _split(task, encode_sentences(seqs, _float32(params)))
 
 
 @dataclass(frozen=True)
@@ -280,6 +287,8 @@ def fit_logreg(x, y, num_classes: int, l2: float, init=None):
 
     Convex, so the optimum is init-independent; returns (W, b, final_loss).
     """
+    from scipy.optimize import minimize  # imported here: it costs ~0.6 s to load
+
     d = x.shape[1]
     wb0 = np.zeros(d * num_classes + num_classes) if init is None else np.asarray(init, float)
     res = minimize(
@@ -441,7 +450,7 @@ def probe_encoder(tasks: dict, params: EncoderParams, vocab: Vocabulary,
     rows: dict = {}  # distinct id sequence -> its row, across all tasks
     task_rows = {name: [rows.setdefault(tuple(vocab.encode(list(s))), len(rows))
                         for s, _ in task.examples] for name, task in tasks.items()}
-    encodings = encode_sentences(list(rows), params)
+    encodings = encode_sentences(list(rows), _float32(params))
     results = {}
     for name, task in tasks.items():
         enc = _split(task, encodings[task_rows[name]])

@@ -141,8 +141,8 @@ def max_over_rows(x) -> ad.Var:
 def _lstm_direction(ids, mask, emb, w, hidden, tape, reverse):
     """Run one direction over (B, T) ids; returns per-position h Vars."""
     B, T = ids.shape
-    h = tape.leaf(np.zeros((B, hidden)))
-    c = tape.leaf(np.zeros((B, hidden)))
+    h = tape.leaf(np.zeros((B, hidden), dtype=emb.value.dtype))
+    c = tape.leaf(np.zeros((B, hidden), dtype=emb.value.dtype))
     padded = mask is not None
     steps = range(T - 1, -1, -1) if reverse else range(T)
     hs = [None] * T
@@ -155,10 +155,10 @@ def _lstm_direction(ids, mask, emb, w, hidden, tape, reverse):
         g_g = ad.tanh(slice_cols(z, 3 * hidden, 4 * hidden))
         c_new = ad.add(mul(f_g, c), mul(i_g, g_g))
         h_new = mul(o_g, ad.tanh(c_new))
-        if padded:
-            m = mask[:, t : t + 1]  # (B, 1) constant
-            c = ad.add(mul(c_new, m), mul(c, 1.0 - m))
-            h = ad.add(mul(h_new, m), mul(h, 1.0 - m))
+        if padded:  # (B, 1) constants, as leaves so they keep the mask's dtype
+            m, keep = tape.leaf(mask[:, t : t + 1]), tape.leaf(1.0 - mask[:, t : t + 1])
+            c = ad.add(mul(c_new, m), mul(c, keep))
+            h = ad.add(mul(h_new, m), mul(h, keep))
         else:
             c, h = c_new, h_new
         hs[t] = h
@@ -172,14 +172,14 @@ def encode_batch(seqs: list, params: EncoderParams, tape: ad.Tape) -> ad.Var:
     ids = np.full((B, T), PAD_ID, dtype=np.int64)
     for b, s in enumerate(seqs):
         ids[b, : len(s)] = s
+    bound = params if isinstance(params.embedding, ad.Var) else bind_params(params, tape)[0]
     ragged = min(lengths) != T
     mask = None
-    if ragged:
-        mask = np.zeros((B, T))
+    if ragged:  # in the params' dtype, like the state
+        mask = np.zeros((B, T), dtype=bound.embedding.value.dtype)
         for b, n in enumerate(lengths):
             mask[b, :n] = 1.0
 
-    bound = params if isinstance(params.embedding, ad.Var) else bind_params(params, tape)[0]
     hidden = bound.hidden_size
     hs_f = _lstm_direction(ids, mask, bound.embedding, bound.fwd, hidden, tape, reverse=False)
     hs_b = _lstm_direction(ids, mask, bound.embedding, bound.bwd, hidden, tape, reverse=True)
@@ -188,6 +188,6 @@ def encode_batch(seqs: list, params: EncoderParams, tape: ad.Tape) -> ad.Var:
     for t in range(T):
         u = concat_cols(hs_f[t], hs_b[t])
         if ragged:
-            u = ad.add(u, (mask[:, t : t + 1] - 1.0) * _NEG_BIG)
+            u = ad.add(u, tape.leaf((mask[:, t : t + 1] - 1.0) * _NEG_BIG))
         per_pos.append(u)
     return max_over_rows(stack_rows(per_pos))

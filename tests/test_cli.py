@@ -46,9 +46,11 @@ TRAIN_SHA256 = {
     ("MT", 2): ["6e3ea3e1bba20dda128f164b32a9c01420205678f76f60864ca4b112f073b266",
                 "726ff52d0269b3fb6a78e0ea055f6bb1483088d31e53ddc3af61f832192e025f"],
 }
-# `probe --probe-classifier both --baseline` on SentLen and BigramShift
-PROBE_BOTH_JSON_SHA256 = "1e092a5401924f657d38e489d940adc9dad61c14889cab6020a4ea952f5aef0c"
-PROBE_BOTH_TSV_SHA256 = "f030477b0413c361d11be612f49e637a1b2ad8f32f06d385d5ee55fffda952d0"
+# `probe --probe-classifier both --baseline` on SentLen and BigramShift; the
+# encodings are computed in float32 (one unselected SentLen/mlp grid cell's
+# validation accuracy differs from a float64 readout)
+PROBE_BOTH_JSON_SHA256 = "21dc2ace45892ce048e94cd365a561f0ba88e55ea642835c2a54f713f5f0852d"
+PROBE_BOTH_TSV_SHA256 = "8312413f5704e58c5b0fbe87d67077bb98b82f245784be1cfd34374b69013c5d"
 PROBE_BOTH_TABLE = {
     "BigramShift": {"logreg": 0.6666666666666666, "mlp": 0.5},
     "SentLen": {"logreg": 0.6111111111111112, "mlp": 0.3888888888888889},

@@ -388,6 +388,63 @@ def test_fused_matches_reference_longdouble_frozen():
     _assert_same_run(run)
 
 
+# --------------------------------------------------------------------------
+# the frozen forward runs in the dtype of its params (probes read out in float32)
+# --------------------------------------------------------------------------
+
+
+def _cast(params, dtype):
+    return EncoderParams({k: v.astype(dtype) for k, v in params.named_arrays().items()})
+
+
+def _ragged_ids(n, vocab_size, seed):
+    """``n`` sentences of 1-24 ids, lengths mixed so most batches are padded."""
+    rng = np.random.default_rng(seed)
+    return [rng.integers(2, vocab_size, size=rng.integers(1, 25)).tolist() for _ in range(n)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_frozen_forward_runs_in_its_params_dtype_bit_for_bit(monkeypatch, dtype):
+    """Every array the recurrence sees, its zero start state included, is
+    in the params' dtype, and the rows equal the per-op reference's."""
+    params = _cast(init_params(40, 32, 32, seed=26), dtype)
+    seqs = _ragged_ids(12, 40, seed=26)
+    seen, real_scan = [], encoder._scan
+
+    def spy(xw, w_h, b, mask, keep, cache):
+        hs = real_scan(xw, w_h, b, mask, keep, cache)
+        seen.append({a.dtype for a in (xw, w_h, b, mask, keep, hs)})
+        return hs
+
+    monkeypatch.setattr(encoder, "_scan", spy)
+
+    def run(encode):
+        return encode(seqs, params, Tape(recording=False)).value, {}
+
+    _assert_same_run(run)
+    assert seen == [{np.dtype(dtype)}]
+
+
+def test_float32_rows_are_within_1e_5_of_the_float64_rows():
+    params = init_params(60, 32, 32, seed=7)
+    seqs = _ragged_ids(300, 60, seed=5)
+    want = encode_sentences(seqs, params)
+    got = encode_sentences(seqs, _cast(params, np.float32))
+    assert got.dtype == np.float64  # stored as float64, computed in float32
+    assert not np.array_equal(got, want)
+    # measured 2.4e-7 of the largest |entry| at this shape
+    assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
+def test_float32_rows_do_not_depend_on_their_batch_mates():
+    params = _cast(init_params(60, 32, 32, seed=7), np.float32)
+    seqs = _ragged_ids(300, 60, seed=5)
+    rows = encode_sentences(seqs, params, batch_size=128)
+    np.testing.assert_array_equal(encode_sentences(seqs, params, batch_size=37), rows)
+    chunks = [encode_sentences(seqs[i : i + 50], params) for i in range(0, len(seqs), 50)]
+    np.testing.assert_array_equal(np.concatenate(chunks), rows)
+
+
 def test_fused_op_is_one_tape_node():
     params = init_params(10, 3, 4, seed=25)
     tape = Tape()

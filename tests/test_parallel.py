@@ -208,3 +208,10 @@ def test_importing_the_package_or_parallel_loads_no_other_module():
         done = _python("-c", show.format(module))
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == loaded
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # scipy.optimize takes most of a start-up; only a logreg fit needs it
+    done = _python("-c", "import sys, conssent.cli; print('scipy.optimize' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]

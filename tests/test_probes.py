@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conssent import parallel
 from conssent import probes as P
 from conssent.corpus import prepare_corpus
-from conssent.encoder import init_params
+from conssent.encoder import EncoderParams, init_params
 from conssent.errors import DataError, UsageError
 from conssent.rng import PROBE, stream
 from conssent.toydata import make_toy_corpus
@@ -409,9 +409,11 @@ def test_encode_probe_encodes_the_task_once_and_keeps_split_order(corpus, tiny_v
     monkeypatch.setattr(P, "encode_sentences", spy)
     enc = P.encode_probe(task, params, tiny_vocab)
     assert calls == [len(task.examples)]
+    # probes read the encoder out in float32
+    params32 = EncoderParams({k: v.astype(np.float32) for k, v in params.named_arrays().items()})
     for split, idx in (("train", task.train_idx), ("valid", task.valid_idx), ("test", task.test_idx)):
         rows = [task.examples[i] for i in idx]
-        want = real_encode_sentences([tiny_vocab.encode(list(s)) for s, _ in rows], params)
+        want = real_encode_sentences([tiny_vocab.encode(list(s)) for s, _ in rows], params32)
         np.testing.assert_array_equal(enc.x[split], want)
         assert enc.y[split].tolist() == [c for _, c in rows]
 
