@@ -92,7 +92,12 @@ class Tape:
 
 
 def _value(x) -> np.ndarray:
-    return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
+    """A Var's value; a float array constant as it is; anything else in float64."""
+    if isinstance(x, Var):
+        return x.value
+    if isinstance(x, np.ndarray) and x.dtype.kind == "f":
+        return x
+    return np.asarray(x, dtype=np.float64)
 
 
 def _tape_of(*xs) -> Tape:

@@ -155,10 +155,10 @@ def _lstm_direction(ids, mask, emb, w, hidden, tape, reverse):
         g_g = ad.tanh(slice_cols(z, 3 * hidden, 4 * hidden))
         c_new = ad.add(mul(f_g, c), mul(i_g, g_g))
         h_new = mul(o_g, ad.tanh(c_new))
-        if padded:  # (B, 1) constants, as leaves so they keep the mask's dtype
-            m, keep = tape.leaf(mask[:, t : t + 1]), tape.leaf(1.0 - mask[:, t : t + 1])
-            c = ad.add(mul(c_new, m), mul(c, keep))
-            h = ad.add(mul(h_new, m), mul(h, keep))
+        if padded:
+            m = mask[:, t : t + 1]  # (B, 1) constant
+            c = ad.add(mul(c_new, m), mul(c, 1.0 - m))
+            h = ad.add(mul(h_new, m), mul(h, 1.0 - m))
         else:
             c, h = c_new, h_new
         hs[t] = h
@@ -188,6 +188,6 @@ def encode_batch(seqs: list, params: EncoderParams, tape: ad.Tape) -> ad.Var:
     for t in range(T):
         u = concat_cols(hs_f[t], hs_b[t])
         if ragged:
-            u = ad.add(u, tape.leaf((mask[:, t : t + 1] - 1.0) * _NEG_BIG))
+            u = ad.add(u, (mask[:, t : t + 1] - 1.0) * _NEG_BIG)
         per_pos.append(u)
     return max_over_rows(stack_rows(per_pos))

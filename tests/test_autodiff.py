@@ -75,6 +75,18 @@ def test_constants_receive_no_grad():
     np.testing.assert_allclose(const, [1.0, 2.0, 3.0])  # untouched
 
 
+@pytest.mark.parametrize("recording", [True, False])
+def test_float32_constants_keep_a_float32_var_in_float32(recording):
+    tape = Tape(recording=recording)
+    x = tape.leaf(np.ones((2, 3), dtype=np.float32))
+    const = np.full((2, 3), 0.5, dtype=np.float32)
+    assert ad.add(x, const).value.dtype == np.float32
+    assert ad.add(const, x).value.dtype == np.float32
+    assert ad.matmul(x, const.T).value.dtype == np.float32
+    assert ad.matmul(const.T, x).value.dtype == np.float32
+    assert ad.add(x, [1, 2, 3]).value.dtype == np.float64  # a non-float constant is float64
+
+
 def test_non_recording_tape_computes_values_only():
     tape = Tape(recording=False)
     x = tape.leaf(np.array([1.0, 2.0]))

@@ -6,6 +6,8 @@ import hashlib
 import json
 import math
 import struct
+import threading
+import tracemalloc
 
 import lstm_reference
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conssent import autodiff as ad
-from conssent import encoder
+from conssent import encoder, parallel
 from conssent import train
 from conssent.autodiff import Tape, finite_diff_check
 from conssent.corpus import PAD_ID
@@ -411,9 +413,9 @@ def test_frozen_forward_runs_in_its_params_dtype_bit_for_bit(monkeypatch, dtype)
     seqs = _ragged_ids(12, 40, seed=26)
     seen, real_scan = [], encoder._scan
 
-    def spy(xw, w_h, b, mask, keep, cache):
-        hs = real_scan(xw, w_h, b, mask, keep, cache)
-        seen.append({a.dtype for a in (xw, w_h, b, mask, keep, hs)})
+    def spy(x, w_x, w_h, b, mask, keep, cache):
+        hs = real_scan(x, w_x, w_h, b, mask, keep, cache)
+        seen.append({a.dtype for a in (x, w_x, w_h, b, mask, keep, hs)})
         return hs
 
     monkeypatch.setattr(encoder, "_scan", spy)
@@ -443,6 +445,71 @@ def test_float32_rows_do_not_depend_on_their_batch_mates():
     np.testing.assert_array_equal(encode_sentences(seqs, params, batch_size=37), rows)
     chunks = [encode_sentences(seqs[i : i + 50], params) for i in range(0, len(seqs), 50)]
     np.testing.assert_array_equal(np.concatenate(chunks), rows)
+
+
+# --------------------------------------------------------------------------
+# frozen batches on a thread per CPU above the work gate; chunked projection
+# --------------------------------------------------------------------------
+
+
+def _spy_threads(monkeypatch, parties: int) -> set:
+    """Pretend two CPUs are usable and record which threads run encode_batch.
+    Each call waits until ``parties`` calls are in encode_batch at once, so
+    two batches on two threads pass, and one thread alone times out."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    barrier = threading.Barrier(parties, timeout=10)
+    threads, real_encode_batch = set(), encoder.encode_batch
+
+    def spy(seqs, params, tape):
+        threads.add(threading.get_ident())
+        barrier.wait()
+        return real_encode_batch(seqs, params, tape)
+
+    monkeypatch.setattr(encoder, "encode_batch", spy)
+    return threads
+
+
+@pytest.mark.parametrize("embed_dim, hidden, threads", [(300, 128, 2), (32, 32, 1)])
+def test_frozen_batches_take_a_thread_per_cpu_only_above_the_work_gate(
+        monkeypatch, embed_dim, hidden, threads):
+    """Two batches of 128: the long-probe shape (E=300, H=128) starts a
+    thread per usable CPU, the toy shape (E=H=32) stays on one thread."""
+    params = _cast(init_params(40, embed_dim, hidden, seed=3), np.float32)
+    seen = _spy_threads(monkeypatch, threads)
+    encode_sentences(_ragged_ids(256, 40, seed=3), params)
+    assert len(seen) == threads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_threaded_rows_equal_a_one_thread_batch_loop_bit_for_bit(monkeypatch, dtype):
+    """257 sentences of 1-24 ids (up to three projection chunks) in batches
+    of 128 and 129, the lone last sentence joining the second."""
+    params = _cast(init_params(40, 300, 128, seed=8), dtype)
+    seqs = _ragged_ids(257, 40, seed=8)
+    order = np.argsort([len(s) for s in seqs], kind="stable")
+    want = np.empty((257, 256))
+    for batch in (order[:128], order[128:]):
+        want[batch] = encode_batch([seqs[i] for i in batch], params, Tape(recording=False)).value
+    seen = _spy_threads(monkeypatch, 2)
+    _assert_bitwise_equal(encode_sentences(seqs, params), want, "rows")
+    assert len(seen) == 2
+
+
+def test_a_frozen_batch_never_holds_the_whole_input_projection():
+    """B=128, T=40, E=300, H=128 in float32: the gathered inputs are held
+    whole, the (2, T, B, 4H) projection only a chunk of steps at a time.
+    Measured 30.2 MB; holding the whole projection took 43.0 MB."""
+    B, T, E, H = 128, 40, 300, 128
+    params = _cast(init_params(50, E, H, seed=9), np.float32)
+    seqs = np.random.default_rng(9).integers(2, 50, size=(B, T)).tolist()
+    inputs, projection = (2 * T * B * w * 4 for w in (E, 4 * H))
+    tracemalloc.start()
+    try:
+        encode_batch(seqs, params, Tape(recording=False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < inputs + projection, (peak, inputs, projection)
 
 
 def test_fused_op_is_one_tape_node():
