@@ -6,22 +6,16 @@ the two hidden states at every position, and taking the elementwise max
 over positions. Classification heads are two-layer perceptrons applied on
 top of (pairs of) these fixed-size vectors.
 
-The whole BiLSTM-max is one tape op, ``bilstm_max``: one gather, a
-recurrence that steps both directions together, projecting its inputs a
-few steps at a time,
-and, on a recording tape only, caches gates, states and the pool argmax
-for a hand-written backpropagation through time. Values and gradients are
-bit-identical to the per-op graph this op replaced (kept in the tests as
-the oracle): the backward forms each intermediate with the same operations
-and association, and adds one term per timestep into each parameter's
-gradient in that graph's reverse order, continuing any running sum the
-parameter already holds. Training here is chaotic, so anything looser
-would change trained models.
-
-``param_shapes`` is the one parameter layout: every name and shape in
-checkpoint order. ``init_params`` draws in it, ``load_checkpoint`` reads
-in it, and ``EncoderParams`` is that flat name -> array dict with
-read-only views (``embedding``, ``fwd``, ``bwd``, ``heads``) over it.
+The whole BiLSTM-max is one tape op, ``bilstm_max``: a table of each
+distinct id's input projection, a recurrence that steps both directions
+together, and, on a recording tape only, caches gates, states and the pool
+argmax for a hand-written backpropagation through time. Values and
+gradients are bit-identical to the per-op graph this op replaced (kept in
+the tests as the oracle): the backward forms each intermediate with the
+same operations and association, and adds one term per timestep into each
+parameter's gradient in that graph's reverse order, continuing any running
+sum the parameter already holds. Training is chaotic: anything looser would
+change trained models. ``param_shapes`` is the one parameter layout.
 """
 
 import json
@@ -41,7 +35,7 @@ from .rng import INIT, RngStream, stream
 _MAGIC = b"CSNT"
 _FORMAT_VERSION = 1
 _NEG_BIG = 1e30
-_CHUNK = 8  # steps whose input projection _scan computes with one matmul
+_CHUNK = 8  # steps whose input projections _scan gathers at once
 _THREAD_WORK = 3_000_000  # per-step multiply-adds from which frozen batches get threads
 
 
@@ -249,30 +243,37 @@ def _scatter_rows(emb, dx: np.ndarray, steps: np.ndarray) -> None:
     emb.grad = total
 
 
-def _scan(x, w_x, w_h, b, mask, keep, cache):
-    """Both directions' recurrences, stepped together.
+def _project(emb: np.ndarray, steps: np.ndarray, w_x: np.ndarray):
+    """The (2*U, 4H) table of each distinct id's projection and the (2, T, B)
+    row of each step in it. An OpenBLAS GEMM row rounds the same for any row
+    count M >= 2, so a table row is a B >= 2 batch's per-step ``x_t @ w_x``
+    row (a lone id goes in twice); at B = 1 a step is a GEMV, so each row is."""
+    u, inv = np.unique(steps, return_inverse=True)
+    if steps.shape[2] == 1:
+        table = emb[u][:, None] @ w_x[:, None]  # (2, U, 1, 4H): one GEMV a row
+    else:
+        table = emb[u if len(u) > 1 else u.repeat(2)] @ w_x  # one GEMM a direction
+    rows = inv.reshape(steps.shape)
+    rows[1] += table.shape[1]  # direction 1's rows follow direction 0's
+    return table.reshape(-1, table.shape[-1]), rows
 
-    Everything is laid out (2, T, B, ...) in step order: direction 0 reads
-    the sentence left to right, direction 1 right to left, so step k of
-    direction 1 is position T-1-k. Returns the hidden states (2, T, B, H).
-    The embeddings ``x`` are projected ``_CHUNK`` steps at a time, so only
-    a chunk's (2, 8, B, 4H) projection is held, never the whole sentence's;
-    numpy issues ``x[:, k:k+8] @ w_x`` as one BLAS call per direction and
-    step, with exactly the operand shapes and layout of a per-step
-    ``x_t @ w_x`` (OpenBLAS picks its kernel by shape, so one (T*B, E) @
-    (E, 8H) GEMM would round differently on small batches). Each step then
-    adds ``h @ w_h``, the projection and ``b`` in the per-op order.
-    When ``cache`` is a list, each step appends what its backward needs:
-    (sigmoid gates, tanh gate, c before, h before, tanh(c after)).
-    """
-    _, T, B, _ = x.shape
+
+def _scan(table, rows, w_h, b, mask, keep, cache):
+    """Both directions' recurrences, stepped together; returns the hidden
+    states (2, T, B, H). Everything is laid out (2, T, B, ...) in step
+    order: direction 1 reads right to left, so its step k is position T-1-k.
+    Each step adds ``h @ w_h``, its ``table`` row and ``b`` in the per-op
+    order, the rows gathered ``_CHUNK`` steps at a time (measured faster
+    than per step). When ``cache`` is a list, each step appends what its
+    backward needs: (sigmoid gates, tanh gate, c before, h, tanh(c after))."""
+    _, T, B = rows.shape
     H = w_h.shape[1]
-    hs = np.empty((2, T, B, H), dtype=np.result_type(x, w_x, w_h, b))
+    hs = np.empty((2, T, B, H), dtype=np.result_type(table, w_h, b))
     h = np.zeros((2, B, H), dtype=hs.dtype)
     c = np.zeros((2, B, H), dtype=hs.dtype)
     for k in range(T):
         if k % _CHUNK == 0:
-            xw = x[:, k : k + _CHUNK] @ w_x[:, None]
+            xw = table[rows[:, k : k + _CHUNK]]
         z = h @ w_h  # one BLAS call per direction
         z += xw[:, k % _CHUNK]
         z += b
@@ -336,45 +337,55 @@ def _bptt(pool, x, w_x, w_h, mask, keep, cache, sums):
     return dx
 
 
+def _max_pool(hcat: np.ndarray) -> np.ndarray:
+    """Max over positions, bit for bit the first argmax's value, without
+    the copy ``argmax`` over the leading axis makes. ``max`` may settle a
+    tie of signed zeros or NaNs differently, so those columns take argmax."""
+    out = hcat.max(axis=0)
+    odd = (out == 0) | np.isnan(out)
+    cols = hcat[:, odd]
+    out[odd] = cols[np.argmax(cols, axis=0), np.arange(cols.shape[1])]
+    return out
+
+
 def bilstm_max(ids: np.ndarray, mask, emb, fwd: LstmWeights, bwd: LstmWeights, tape: ad.Tape) -> ad.Var:
     """Both LSTM directions over padded (B, T) ids, max-pooled: one tape node.
 
-    The embeddings are gathered once, step-major for each direction, and
-    ``_scan`` steps the two directions together, the direction being a
-    leading batch axis, projecting the inputs a few steps at a time.
-    ``mask`` is None for a full batch, else (B, T) with 1 on real tokens.
-    Everything runs in the dtype of the parameters given (the mask and the
-    zero start state take it too). Gates, states and the pool argmax are
-    kept only on a recording tape.
+    ``_project`` tables each distinct id's input projection (a GEMM of two
+    rows at least, a GEMV a row when B = 1), and ``_scan`` steps both
+    directions together. ``mask`` is None for a full batch, else (B, T)
+    with 1 on real tokens. Everything runs in the dtype of the parameters.
+    Only a recording tape keeps gates, states and the pool argmax, and only
+    its backward gathers the (2, T, B, E) embeddings, for ``w_x``'s gradient.
     """
     B, T = ids.shape
     # (2, T, B) token ids in step order; direction 1 runs right to left.
     # C order keeps each gathered x[d, k] laid out like a per-step gather.
     steps = np.ascontiguousarray(np.stack([ids.T, ids.T[::-1]]))
-    x = _value_of(emb)[steps]  # (2, T, B, E)
+    e = _value_of(emb)
     w_x, w_h, b = (np.stack([_value_of(p), _value_of(q)]) for p, q in zip(fwd, bwd))
     H = w_h.shape[1]
     m = keep = None
     if mask is not None:
-        m = mask.T[:, :, None].astype(x.dtype, copy=False)  # (T, B, 1)
+        m = mask.T[:, :, None].astype(e.dtype, copy=False)  # (T, B, 1)
         m = np.stack([m, m[::-1]])
         keep = 1.0 - m
     cache = [] if tape.recording else None
-    hs = _scan(x, w_x, w_h, b[:, None], m, keep, cache)
+    hs = _scan(*_project(e, steps, w_x), w_h, b[:, None], m, keep, cache)
     hcat = np.concatenate([hs[0], hs[1, ::-1]], axis=2)  # (T, B, 2H) by position
     if m is not None:  # padded positions can never win the pool
         hcat += (m[0] - 1.0) * _NEG_BIG
+    if cache is None:
+        return tape._push(_max_pool(hcat), None)
     idx = np.argmax(hcat, axis=0)  # first position wins ties
     out = np.take_along_axis(hcat, idx[None], axis=0)[0]
-    if cache is None:
-        return tape._push(out, None)
 
     def back(g):
         pool = np.zeros((T, B, 2 * H), dtype=g.dtype)
         np.put_along_axis(pool, idx[None], g[None], axis=0)
         pool = np.stack([pool[:, :, :H], pool[::-1, :, H:]])
         sums = [_PairSum(pair) for pair in zip(fwd, bwd)]  # w_x, w_h, b
-        dx = _bptt(pool, x, w_x, w_h, m, keep, cache, sums)
+        dx = _bptt(pool, e[steps], w_x, w_h, m, keep, cache, sums)
         for leaf_pair in sums:
             leaf_pair.done()
         _scatter_rows(emb, dx, steps)
@@ -409,7 +420,8 @@ def encode_batch(seqs: list, params: EncoderParams, tape: ad.Tape) -> ad.Var:
 def encode_sentences(
     seqs: list, params: EncoderParams, batch_size: int = 128
 ) -> np.ndarray:
-    """Frozen encodings as a plain (N, 2H) float64 array; no tape kept.
+    """Frozen encodings as a plain (N, 2H) float64 array; no tape kept. The
+    encoder runs in the dtype of ``params`` (float32 params, float32 math).
 
     The sentences are sorted by length (a stable sort) and encoded in runs
     of ``batch_size``, so each batch pads only up to its own longest
@@ -423,14 +435,7 @@ def encode_sentences(
     when the first batch's per-step multiply-adds, B*(E+H)*4H, reach
     ``_THREAD_WORK``; numpy releases the GIL inside each step's BLAS calls
     and ufuncs. Each batch writes its own rows, so the bytes are the same
-    either way. Measured in float32 on 2 vCPUs with one BLAS thread, 21
-    interleaved runs a shape: threads won 21/21 (1.5-1.7x) at every shape
-    from 3.5M (E=300, H=128, B=16 to 64; E=H=64, B=128), but only 9/21 and
-    10/21 at the toy encoder's 1.05M and 2.1M (E=H=32, B=128 and 256),
-    where the helper thread's malloc arena also added ~5 MB of peak RSS.
-
-    The encoder runs in the dtype of ``params`` (float32 params give
-    float32 arithmetic); the rows are stored as float64 either way.
+    either way.
     """
     if not seqs:
         raise ValueError("no sentences to encode")

@@ -5,9 +5,13 @@ padding neutrality, gradients, and checkpoint round trips."""
 import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import lstm_reference
 import numpy as np
@@ -413,9 +417,9 @@ def test_frozen_forward_runs_in_its_params_dtype_bit_for_bit(monkeypatch, dtype)
     seqs = _ragged_ids(12, 40, seed=26)
     seen, real_scan = [], encoder._scan
 
-    def spy(x, w_x, w_h, b, mask, keep, cache):
-        hs = real_scan(x, w_x, w_h, b, mask, keep, cache)
-        seen.append({a.dtype for a in (x, w_x, w_h, b, mask, keep, hs)})
+    def spy(table, rows, w_h, b, mask, keep, cache):
+        hs = real_scan(table, rows, w_h, b, mask, keep, cache)
+        seen.append({a.dtype for a in (table, w_h, b, mask, keep, hs)})
         return hs
 
     monkeypatch.setattr(encoder, "_scan", spy)
@@ -496,9 +500,10 @@ def test_threaded_rows_equal_a_one_thread_batch_loop_bit_for_bit(monkeypatch, dt
 
 
 def test_a_frozen_batch_never_holds_the_whole_input_projection():
-    """B=128, T=40, E=300, H=128 in float32: the gathered inputs are held
-    whole, the (2, T, B, 4H) projection only a chunk of steps at a time.
-    Measured 30.2 MB; holding the whole projection took 43.0 MB."""
+    """B=128, T=40, E=300, H=128 in float32: the (2, T, B, 4H) projection
+    is gathered only a chunk of steps at a time. Measured 17.3 MB (30.2 MB
+    when the inputs were gathered whole); holding the whole projection
+    took 43.0 MB."""
     B, T, E, H = 128, 40, 300, 128
     params = _cast(init_params(50, E, H, seed=9), np.float32)
     seqs = np.random.default_rng(9).integers(2, 50, size=(B, T)).tolist()
@@ -510,6 +515,114 @@ def test_a_frozen_batch_never_holds_the_whole_input_projection():
     finally:
         tracemalloc.stop()
     assert peak < inputs + projection, (peak, inputs, projection)
+
+
+# --------------------------------------------------------------------------
+# the per-batch projection table and the frozen max pool, bit for bit
+# --------------------------------------------------------------------------
+
+TABLE_CASES = {
+    "one-repeated-id": [[7] * 5, [7] * 5, [7] * 5],  # U = 1, B = 3: no PAD either
+    "one-sentence": [[2, 9, 4, 9, 30, 2, 17, 5, 11, 3]],  # B = 1: a GEMV a row
+    "ragged": [[2, 9, 4, 9], [30, 2], [17, 5, 11, 3, 9, 9, 2, 4, 8, 12, 6]],
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("embed_dim, hidden", [(32, 32), (300, 128), (3, 4)])
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_table_rows_equal_the_reference_bit_for_bit(case, embed_dim, hidden, dtype):
+    params = _cast(init_params(40, embed_dim, hidden, seed=12), dtype)
+
+    def run(encode):
+        return encode(TABLE_CASES[case], params, Tape(recording=False)).value, {}
+
+    _assert_same_run(run)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_table_keeps_recorded_rows_and_gradients_bit_for_bit(case, dtype):
+    params = _cast(init_params(40, 32, 32, seed=13, init_gain=6.0), dtype)
+    seqs = TABLE_CASES[case]
+    weights = np.random.default_rng(13).standard_normal((len(seqs), 64)).astype(dtype)
+    _assert_same_run(_weighted_step(params, seqs, weights))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_frozen_pool_keeps_the_first_signed_zero_and_nan(dtype):
+    """The output gate's bias pins o at +0.0, so h = o * tanh(c) is a zero
+    with the sign of the cell, which the g gate takes from the token: id 2
+    gives +0.0, id 3 gives -0.0 and id 4 (a NaN embedding) gives NaN. The
+    pool's maxima are then zero ties that a plain ``max`` settles as +0.0
+    and NaNs; the rows must be the first-position argmax's, as the
+    reference's, in an unmasked batch."""
+    params = init_params(6, 1, 2, seed=15)
+    arrays = {k: v.astype(dtype) for k, v in params.named_arrays().items()}
+    arrays["embedding"][2:5, 0] = 5.0, -5.0, np.nan
+    for d in ("fwd", "bwd"):
+        arrays[f"{d}.w_h"][:] = 0.0
+        arrays[f"{d}.w_x"][:] = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0]  # g from x alone
+        arrays[f"{d}.b"][:] = [0.0, 0.0, -1e3, -1e3, -1e3, -1e3, 0.0, 0.0]  # f = o = +0.0
+    params = EncoderParams(arrays)
+    seqs = [[3, 2, 2], [2, 3, 3], [3, 4, 2], [2, 2, 3]]
+
+    rows = encode_batch(seqs, params, Tape(recording=False)).value
+    want = lstm_reference.encode_batch(seqs, params, Tape(recording=False)).value
+    assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes()  # NaN != NaN
+    assert np.signbit(rows[0]).all() and not np.signbit(rows[1]).any()
+    assert np.isnan(rows[2]).all() and not np.isnan(rows[3]).any()
+
+
+def test_a_frozen_batch_holds_no_gathered_inputs():
+    """B=128, T=40, E=300, H=128 in float32. Gathering the (2, T, B, E)
+    inputs would hold them beside the states and one chunk of projections
+    (21.7 MB together), and the inputs were held whole until the table
+    replaced them (30.2 MB). Measured 17.3 MB."""
+    B, T, E, H = 128, 40, 300, 128
+    params = _cast(init_params(50, E, H, seed=9), np.float32)
+    seqs = np.random.default_rng(9).integers(2, 50, size=(B, T)).tolist()
+    inputs, states = (2 * T * B * w * 4 for w in (E, H))
+    chunk = 2 * encoder._CHUNK * B * 4 * H * 4
+    tracemalloc.start()
+    try:
+        encode_batch(seqs, params, Tape(recording=False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < inputs + states + chunk, (peak, inputs, states, chunk)
+
+
+_TABLE_ROWS_DIGEST = """
+import hashlib
+import numpy as np
+from conssent import encoder
+from conssent.autodiff import Tape
+params = encoder.init_params(6000, 300, 128, seed=16)
+params = encoder.EncoderParams({k: v.astype(np.float32) for k, v in params.named_arrays().items()})
+ids = np.random.default_rng(16).integers(2, 6000, size=(128, 40))
+steps = np.ascontiguousarray(np.stack([ids.T, ids.T[::-1]]))
+table, _ = encoder._project(params.embedding, steps, np.stack([params.fwd.w_x, params.bwd.w_x]))
+rows = encoder.encode_batch(ids.tolist(), params, Tape(recording=False)).value
+print(len(table) // 2, hashlib.sha256(table.tobytes() + rows.tobytes()).hexdigest())
+"""
+
+
+def test_table_rows_do_not_depend_on_the_blas_thread_count():
+    """The CLI does not pin BLAS threads, and OpenBLAS may split a large
+    GEMM's rows between them: a table of ~3,500 rows per direction, and
+    the batch's rows, must have the same bytes on two threads as on one."""
+    src = str(Path(encoder.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", _TABLE_ROWS_DIGEST], capture_output=True,
+                              text=True, timeout=300, env=env)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.split())
+    assert int(outputs[0][0]) > 3000
+    assert outputs[0] == outputs[1]
 
 
 def test_fused_op_is_one_tape_node():
