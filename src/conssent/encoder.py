@@ -22,6 +22,7 @@ import json
 import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -247,13 +248,19 @@ def _project(emb: np.ndarray, steps: np.ndarray, w_x: np.ndarray):
     """The (2*U, 4H) table of each distinct id's projection and the (2, T, B)
     row of each step in it. An OpenBLAS GEMM row rounds the same for any row
     count M >= 2, so a table row is a B >= 2 batch's per-step ``x_t @ w_x``
-    row (a lone id goes in twice); at B = 1 a step is a GEMV, so each row is."""
-    u, inv = np.unique(steps, return_inverse=True)
+    row (a lone id goes in twice); at B = 1 a step is a GEMV, so each row is.
+    A lookup over the vocabulary finds the sorted distinct ids (``np.unique``
+    sorts, which costs more)."""
+    seen = np.zeros(len(emb), dtype=bool)
+    seen[steps[0]] = True  # direction 1 holds the same ids
+    u = np.flatnonzero(seen)
+    row_of = np.empty(len(emb), dtype=np.intp)
+    row_of[u] = np.arange(len(u))
     if steps.shape[2] == 1:
         table = emb[u][:, None] @ w_x[:, None]  # (2, U, 1, 4H): one GEMV a row
     else:
         table = emb[u if len(u) > 1 else u.repeat(2)] @ w_x  # one GEMM a direction
-    rows = inv.reshape(steps.shape)
+    rows = row_of[steps]
     rows[1] += table.shape[1]  # direction 1's rows follow direction 0's
     return table.reshape(-1, table.shape[-1]), rows
 
@@ -402,18 +409,13 @@ def encode_batch(seqs: list, params: EncoderParams, tape: ad.Tape) -> ad.Var:
     """
     if not seqs:
         raise ValueError("empty batch")
-    lengths = [len(s) for s in seqs]
-    if min(lengths) == 0:
+    lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
+    if lengths.min() == 0:
         raise DataError("cannot encode an empty sentence")
-    B, T = len(seqs), max(lengths)
-    ids = np.full((B, T), PAD_ID, dtype=np.int64)
-    for b, s in enumerate(seqs):
-        ids[b, : len(s)] = s
-    mask = None
-    if min(lengths) != T:
-        mask = np.zeros((B, T))
-        for b, n in enumerate(lengths):
-            mask[b, :n] = 1.0
+    real = np.arange(lengths.max()) < lengths[:, None]  # (B, T)
+    ids = np.full(real.shape, PAD_ID, dtype=np.int64)
+    ids[real] = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=lengths.sum())
+    mask = None if real.all() else real.astype(np.float64)
     return bilstm_max(ids, mask, params.embedding, params.fwd, params.bwd, tape)
 
 
@@ -423,13 +425,15 @@ def encode_sentences(
     """Frozen encodings as a plain (N, 2H) float64 array; no tape kept. The
     encoder runs in the dtype of ``params`` (float32 params, float32 math).
 
-    The sentences are sorted by length (a stable sort) and encoded in runs
-    of ``batch_size``, so each batch pads only up to its own longest
-    sentence; each batch's rows are then written back at their input
-    positions, so row i encodes ``seqs[i]``. A row does not depend on which
-    sentences share its batch, except that numpy computes a batch of one
-    with GEMV instead of GEMM, which rounds differently: so a lone last
-    sentence joins the batch before it.
+    Each distinct id sequence is encoded once (probe tasks and ensembles
+    repeat sentences). The distinct ones are sorted by length (a stable
+    sort) and encoded in runs of ``batch_size``, so each batch pads only up
+    to its own longest sentence; one index then gathers the rows into input
+    order, so row i encodes ``seqs[i]``. The bytes are those of encoding
+    every input, since a row does not depend on which sentences share its
+    batch, except that numpy computes a batch of one with GEMV instead of
+    GEMM, which rounds differently: so a lone last sentence joins the batch
+    before it, and n >= 2 copies of one sentence make a batch of two.
 
     The batches run on one thread per usable CPU (``parallel.usable_cpus``)
     when the first batch's per-step multiply-adds, B*(E+H)*4H, reach
@@ -439,8 +443,13 @@ def encode_sentences(
     """
     if not seqs:
         raise ValueError("no sentences to encode")
-    n = len(seqs)
-    order = np.argsort([len(s) for s in seqs], kind="stable")
+    row_of: dict = {}  # distinct id sequence -> its row
+    inv = [row_of.setdefault(tuple(s), len(row_of)) for s in seqs]
+    distinct = list(row_of)
+    if len(distinct) == 1 < len(seqs):
+        distinct *= 2
+    n = len(distinct)
+    order = np.argsort([len(s) for s in distinct], kind="stable")
     bounds = list(range(0, n, batch_size)) + [n]
     if n > batch_size and n % batch_size == 1:
         del bounds[-2]
@@ -449,7 +458,7 @@ def encode_sentences(
 
     def encode(lo, hi):
         batch = order[lo:hi]
-        out[batch] = encode_batch([seqs[i] for i in batch], params, tape).value
+        out[batch] = encode_batch([distinct[i] for i in batch], params, tape).value
 
     E, H = params.embed_dim, params.hidden_size
     threads = min(parallel.usable_cpus(), len(bounds) - 1)
@@ -459,7 +468,7 @@ def encode_sentences(
     else:
         for lo, hi in zip(bounds, bounds[1:]):
             encode(lo, hi)
-    return out
+    return out if n == len(seqs) else out[inv]  # no repeats: rows already in input order
 
 
 def head_logits(v, head: HeadWeights) -> ad.Var:

@@ -18,6 +18,7 @@ All functions are deterministic given an ``RngStream`` and consume it in a
 fixed documented order, so datasets regenerate byte-identically.
 """
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,16 +55,23 @@ class BatchTooSmall(DataError):
     pass
 
 
-def _candidate_pool(vocab, exclude) -> list:
-    """Tokens that may be inserted: the vocabulary minus the sentence.
+def _candidate_pool(vocab, exclude) -> tuple:
+    """Tokens that may be inserted, the vocabulary minus the sentence, as
+    (their count, a function giving the i-th in sorted order): sorted, so
+    sampling is reproducible however the collection was built.
 
-    ``vocab`` is either a Vocabulary (pool drawn from its non-special ids)
-    or any collection of tokens. The pool is sorted so that sampling from
-    it is reproducible regardless of how the collection was built.
+    ``vocab`` is either a Vocabulary, whose non-special ids are indexed
+    without building the pool (the i-th is the range's start + i plus the
+    excluded ids with at most i pool ids below), or any token collection.
     """
-    universe = vocab.content_ids() if isinstance(vocab, Vocabulary) else vocab
-    excluded = set(exclude)
-    return sorted(t for t in universe if t not in excluded)
+    if not isinstance(vocab, Vocabulary):
+        excluded = set(exclude)
+        pool = sorted(t for t in vocab if t not in excluded)
+        return len(pool), pool.__getitem__
+    ids = vocab.content_ids()
+    skip = sorted({t for t in exclude if ids.start <= t < ids.stop})
+    below = [t - ids.start - j for j, t in enumerate(skip)]  # pool ids below each skipped id
+    return len(ids) - len(skip), lambda i: ids.start + i + bisect_right(below, i)
 
 
 def perturb_delete(s: list, k: int, rng) -> list:
@@ -114,10 +122,10 @@ def perturb_insert(s: list, k: int, vocab, rng) -> list:
     Tokens are drawn without replacement, then placed one at a time at a
     uniformly random gap of the growing sequence (n+1 gaps, then n+2, ...).
     """
-    pool = _candidate_pool(vocab, s)
-    if len(pool) < k:
-        raise NoCandidates(f"pool has {len(pool)} tokens, need {k}")
-    new_tokens = rng.sample(pool, k)
+    size, candidate = _candidate_pool(vocab, s)
+    if size < k:
+        raise NoCandidates(f"pool has {size} tokens, need {k}")
+    new_tokens = [candidate(i) for i in rng.sample(range(size), k)]
     out = list(s)
     for tok in new_tokens:
         gap = rng.randint(len(out) + 1)
@@ -134,11 +142,11 @@ def perturb_replace(s: list, k: int, vocab, rng) -> list:
     n = len(s)
     if n < k:
         raise TooShort(f"cannot pick {k} positions out of {n}")
-    pool = _candidate_pool(vocab, s)
-    if len(pool) < k:
-        raise NoCandidates(f"pool has {len(pool)} tokens, need {k}")
+    size, candidate = _candidate_pool(vocab, s)
+    if size < k:
+        raise NoCandidates(f"pool has {size} tokens, need {k}")
     slots = sorted(rng.sample(range(n), k))
-    new_tokens = rng.sample(pool, k)
+    new_tokens = [candidate(i) for i in rng.sample(range(size), k)]
     out = list(s)
     for slot, tok in zip(slots, new_tokens):
         out[slot] = tok

@@ -8,14 +8,14 @@ Three probes whose ground truth is derivable from the raw sentence alone:
 * BigramShift - whether one adjacent token pair was swapped.
 
 Each probe yields a fixed, disjoint 70/15/15 train/valid/test split.
-Encoders are evaluated frozen: ``probe_encoder`` encodes each distinct
-sentence across the probes once, in float32 (checkpoints store float32
-weights) with the rows stored as float64; training, validation and
-``head_probs`` stay float64. Then either a multinomial logistic
-regression (float64 under scipy's L-BFGS) or a one-hidden-layer sigmoid
-MLP (trained and scored in float32) is fit on each probe's rows at
-``ProbeConfig``'s fixed, SentEval-style grids, selected on validation;
-only the seed varies. A grid's cells are fit across the usable CPUs
+Encoders are evaluated frozen: ``probe_encoder`` encodes the probes'
+sentences in one ``encode_sentences`` call, which encodes each distinct
+sentence once, in float32 (checkpoints store float32 weights) with the rows
+stored as float64; training, validation and ``head_probs`` stay float64.
+Then either a multinomial logistic regression (float64 under scipy's
+L-BFGS) or a one-hidden-layer sigmoid MLP (trained and scored in float32)
+is fit on each probe's rows at ``ProbeConfig``'s fixed, SentEval-style
+grids, selected on validation; only the seed varies. A grid's cells are fit across the usable CPUs
 (``parallel.ordered_map``) with the bytes an in-process fit gives.
 Classifier internals draw their minibatch order, init, and dropout masks
 from numpy generators seeded off this package's deterministic streams, so
@@ -241,9 +241,9 @@ def _float32(params: EncoderParams) -> EncoderParams:
 
 
 def encode_probe(task: ProbeTask, params: EncoderParams, vocab: Vocabulary) -> ProbeEncodings:
-    """Encode the task's sentences once with the frozen BiLSTM-max
-    ``params`` in float32, token strings mapped to ids through ``vocab``,
-    then take each split's rows in its index order."""
+    """Encode the task's sentences (each distinct one once) with the frozen
+    BiLSTM-max ``params`` in float32, token strings mapped to ids through
+    ``vocab``, then take each split's rows in its index order."""
     seqs = [vocab.encode(list(s)) for s, _ in task.examples]
     return _split(task, encode_sentences(seqs, _float32(params)))
 
@@ -282,18 +282,18 @@ def _logreg_value_and_grad(wb, x, y, l2, n_classes):
     return value, np.concatenate([grad_w.ravel(), grad_b])
 
 
-def fit_logreg(x, y, num_classes: int, l2: float, init=None):
+def fit_logreg(x, y, num_classes: int, l2: float):
     """Minimize mean cross-entropy + (l2/2)||W||^2 (bias unregularized).
 
-    Convex, so the optimum is init-independent; returns (W, b, final_loss).
+    Starts from zero; convex, so the optimum does not depend on the start.
+    Returns (W, b, final_loss).
     """
     from scipy.optimize import minimize  # imported here: it costs ~0.6 s to load
 
     d = x.shape[1]
-    wb0 = np.zeros(d * num_classes + num_classes) if init is None else np.asarray(init, float)
     res = minimize(
         _logreg_value_and_grad,
-        wb0,
+        np.zeros(d * num_classes + num_classes),
         args=(x, y, l2, num_classes),
         method="L-BFGS-B",
         jac=True,
@@ -433,9 +433,10 @@ def eval_mlp_probe(enc: ProbeEncodings, config: ProbeConfig) -> ProbeResult:
 
 def probe_encoder(tasks: dict, params: EncoderParams, vocab: Vocabulary,
                   classifiers, config: ProbeConfig) -> dict:
-    """Read out a frozen encoder: encode each distinct sentence across the
-    tasks once, give each task the rows of its own examples (the same bytes
-    ``encode_probe`` gives it), then fit each ``logreg`` or ``mlp``
+    """Read out a frozen encoder: encode every task's sentences in one
+    ``encode_sentences`` call, which encodes each distinct sentence across
+    the tasks once, give each task the rows of its own examples (the same
+    bytes ``encode_probe`` gives it), then fit each ``logreg`` or ``mlp``
     classifier with ``config``'s grids on them.
 
     Returns {"<probe>/<classifier>": ProbeResult}.
@@ -447,13 +448,12 @@ def probe_encoder(tasks: dict, params: EncoderParams, vocab: Vocabulary,
         raise UsageError(f"unknown classifiers {unknown}; choose from logreg, mlp")
     if not tasks:
         return {}
-    rows: dict = {}  # distinct id sequence -> its row, across all tasks
-    task_rows = {name: [rows.setdefault(tuple(vocab.encode(list(s))), len(rows))
-                        for s, _ in task.examples] for name, task in tasks.items()}
-    encodings = encode_sentences(list(rows), _float32(params))
-    results = {}
+    seqs = [vocab.encode(list(s)) for task in tasks.values() for s, _ in task.examples]
+    encodings = encode_sentences(seqs, _float32(params))
+    results, start = {}, 0
     for name, task in tasks.items():
-        enc = _split(task, encodings[task_rows[name]])
+        enc = _split(task, encodings[start : start + len(task.examples)])
+        start += len(task.examples)
         for clf in classifiers:
             results[f"{name}/{clf}"] = fits[clf](enc)
     return results

@@ -127,15 +127,18 @@ class RngStream:
             items[i], items[j] = items[j], items[i]
 
     def sample(self, seq: Sequence[T], k: int) -> list[T]:
-        """k distinct elements, drawn without replacement."""
+        """k distinct elements, drawn without replacement: a Fisher-Yates
+        shuffle of the first k slots that keeps only the slots it swapped."""
         n = len(seq)
         if not 0 <= k <= n:
             raise ValueError(f"cannot sample {k} from {n} items")
-        arr = list(seq)
+        moved: dict = {}  # slot -> index of the element swapped into it
+        out = []
         for i in range(k):
             j = i + self.randint(n - i)
-            arr[i], arr[j] = arr[j], arr[i]
-        return arr[:k]
+            out.append(seq[moved.get(j, j)])
+            moved[j] = moved.get(i, i)
+        return out
 
 
 def stream(seed: int, purpose: int, epoch: int = 0, item: int = 0) -> RngStream:

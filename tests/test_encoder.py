@@ -268,6 +268,40 @@ def test_sorted_rows_come_back_in_input_order(monkeypatch):
     np.testing.assert_array_equal(got, contiguous)
 
 
+def test_repeated_sentences_get_the_bytes_of_their_distinct_rows(monkeypatch):
+    params = init_params(vocab_size=10, embed_dim=3, hidden_size=3, seed=4)
+    pick = [0, 2, 0, 5, 2, 2, 6, 0, 1]
+    seqs = [RAGGED[i] for i in pick]
+    distinct = encode_sentences(RAGGED, params, batch_size=3)
+    batches = _spy_batches(monkeypatch)
+    got = encode_sentences(seqs, params, batch_size=3)
+    assert got.tobytes() == distinct[pick].tobytes()
+    encoded = [s for batch in batches for s in batch]
+    assert sorted(encoded) == sorted(RAGGED[i] for i in set(pick))  # each distinct one once
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_repeated_lone_sentence_keeps_its_batch_bytes(dtype):
+    """``[s, s, s]`` is one distinct sentence, encoded in a batch of two
+    (GEMM) with the bytes ``s`` gets beside another sentence, not as a
+    batch of one (GEMV)."""
+    params = _cast(init_params(40, 32, 32, seed=12), dtype)
+    s, other = TABLE_CASES["one-sentence"][0], [4, 8]
+    beside = encode_sentences([s, other], params)[0]
+    assert encode_sentences([s, s, s], params).tobytes() == np.stack([beside] * 3).tobytes()
+    assert encode_sentences([s, s], params).tobytes() == np.stack([beside] * 2).tobytes()
+
+
+def test_list_and_tuple_inputs_agree_and_empty_sentences_are_refused():
+    params = init_params(vocab_size=10, embed_dim=3, hidden_size=3, seed=4)
+    seqs = RAGGED + RAGGED[:3]
+    want = encode_sentences(seqs, params).tobytes()
+    assert encode_sentences([tuple(s) for s in seqs], params).tobytes() == want
+    assert encode_sentences(tuple(seqs), params).tobytes() == want
+    with pytest.raises(DataError):
+        encode_sentences([[2, 3], [], [2, 3]], params)
+
+
 # --------------------------------------------------------------------------
 # the fused bilstm_max op against the per-op reference path, bit for bit
 # --------------------------------------------------------------------------
@@ -538,6 +572,19 @@ def test_table_rows_equal_the_reference_bit_for_bit(case, embed_dim, hidden, dty
         return encode(TABLE_CASES[case], params, Tape(recording=False)).value, {}
 
     _assert_same_run(run)
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_table_ids_and_rows_are_those_of_np_unique(case):
+    emb, w_x = np.arange(40.0)[:, None].repeat(3, axis=1), np.ones((2, 3, 8))
+    ids = np.array([s + [PAD_ID] * (11 - len(s)) for s in TABLE_CASES[case]])
+    steps = np.ascontiguousarray(np.stack([ids.T, ids.T[::-1]]))
+    u, inv = np.unique(steps, return_inverse=True)
+    table, rows = encoder._project(emb, steps, w_x)
+    half = len(table) // 2
+    table_ids = table[:half, 0] / 3  # id i's embedding row is all i
+    assert np.array_equal(np.unique(table_ids), u) and np.all(np.diff(table_ids) >= 0)
+    assert np.array_equal(rows, inv.reshape(steps.shape) + [[[0]], [[half]]])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

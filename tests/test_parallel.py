@@ -196,7 +196,8 @@ def test_an_unguarded_probe_script_exits_4_and_names_the_guard(tmp_path):
     for fault in ("BrokenProcessPool", "_at_exit", "TypeError", "KeyError"):
         assert fault not in done.stderr
     # what tracebacks remain are the workers' own bootstrap errors
-    assert done.stderr.count("Traceback") == done.stderr.count("finished its bootstrapping phase") > 0
+    assert done.stderr.count("Traceback") == done.stderr.count("finished its bootstrapping phase") > 0, \
+        done.stderr
     assert not list(tmp_path.glob("probed*"))
 
 

@@ -7,7 +7,9 @@ from collections import Counter
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_rng import sample_by_copy
 
+import conssent.perturb as perturb_module
 from conssent.corpus import build_vocab
 from conssent.perturb import (
     BatchTooSmall,
@@ -210,6 +212,54 @@ def test_replace_with_vocabulary_pool():
     out = perturb_replace(s, 2, vocab, RngStream(1, 0))
     changed = {y for x, y in zip(s, out) if x != y}
     assert changed <= set(vocab.content_ids()) - set(s)
+
+
+def _pool_as_sorted_list(vocab, exclude):
+    """``_candidate_pool`` as it was for a Vocabulary: the whole sorted list."""
+    excluded = set(exclude)
+    return sorted(t for t in vocab.content_ids() if t not in excluded)
+
+
+def _insert_as_it_was(s, k, vocab, rng):
+    pool = _pool_as_sorted_list(vocab, s)
+    if len(pool) < k:
+        raise NoCandidates
+    out = list(s)
+    for tok in sample_by_copy(rng, pool, k):
+        out.insert(rng.randint(len(out) + 1), tok)
+    return out
+
+
+def _replace_as_it_was(s, k, vocab, rng):
+    if len(s) < k:
+        raise TooShort
+    pool = _pool_as_sorted_list(vocab, s)
+    if len(pool) < k:
+        raise NoCandidates
+    out = list(s)
+    slots = sorted(sample_by_copy(rng, range(len(s)), k))
+    for slot, tok in zip(slots, sample_by_copy(rng, pool, k)):
+        out[slot] = tok
+    return out
+
+
+def _outcome(op, s, k, vocab, rng):
+    try:
+        return op(s, k, vocab, rng), rng.next_u32()
+    except (NoCandidates, TooShort) as exc:
+        return type(exc), rng.next_u32()
+
+
+@given(st.integers(min_value=3, max_value=40), st.data(), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=1000))
+def test_vocabulary_draws_match_the_sorted_list_drawn_by_copy(size, data, k, seed):
+    vocab = build_vocab([[f"w{i}"] for i in range(size - 2)])
+    s = data.draw(st.lists(st.integers(min_value=0, max_value=size - 1), min_size=1, max_size=12))
+    n, candidate = perturb_module._candidate_pool(vocab, s)
+    assert [candidate(i) for i in range(n)] == _pool_as_sorted_list(vocab, s)
+    for op, oracle in ((perturb_insert, _insert_as_it_was), (perturb_replace, _replace_as_it_was)):
+        assert _outcome(op, s, k, vocab, RngStream(seed, 0)) == \
+            _outcome(oracle, s, k, vocab, RngStream(seed, 0))
 
 
 @given(st.lists(st.sampled_from("abcde"), min_size=3, max_size=9), st.integers(min_value=0, max_value=1000))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conssent import parallel
+from conssent import encoder, parallel
 from conssent import probes as P
 from conssent.corpus import prepare_corpus
 from conssent.encoder import EncoderParams, init_params
@@ -266,7 +266,12 @@ def test_logreg_convex_init_independent():
     x = rng.normal(size=(150, 6))
     y = rng.integers(0, 3, size=150)
     _, _, f_zero = P.fit_logreg(x, y, 3, l2=1e-2)
-    _, _, f_rand = P.fit_logreg(x, y, 3, l2=1e-2, init=rng.normal(size=6 * 3 + 3))
+    # the same objective minimized from a random start reaches the same optimum
+    from scipy.optimize import minimize
+
+    f_rand = minimize(P._logreg_value_and_grad, rng.normal(size=6 * 3 + 3), args=(x, y, 1e-2, 3),
+                      method="L-BFGS-B", jac=True,
+                      options={"maxiter": 500, "ftol": 1e-12, "gtol": 1e-9}).fun
     assert abs(f_zero - f_rand) < 1e-6
 
 
@@ -460,15 +465,15 @@ def test_probe_encoder_encodes_once_and_fits_each_classifier(corpus, tiny_vocab,
         want[f"{name}/mlp"] = P.eval_mlp_probe(enc, config)
     distinct = {tuple(tiny_vocab.encode(list(s))) for t in tasks.values() for s, _ in t.examples}
     assert len(distinct) < sum(len(t.examples) for t in tasks.values())
-    encoded, real_encode_sentences = [], P.encode_sentences
+    encoded, real_encode_batch = [], encoder.encode_batch
 
     def spy(seqs, *args):
-        encoded.append(len(seqs))
-        return real_encode_sentences(seqs, *args)
+        encoded.extend(tuple(s) for s in seqs)
+        return real_encode_batch(seqs, *args)
 
-    monkeypatch.setattr(P, "encode_sentences", spy)
+    monkeypatch.setattr(encoder, "encode_batch", spy)
     got = P.probe_encoder(tasks, params, tiny_vocab, ("logreg", "mlp"), config)
-    assert encoded == [len(distinct)]
+    assert len(encoded) == len(distinct) and set(encoded) == distinct
     assert list(got) == ["SentLen/logreg", "SentLen/mlp", "BigramShift/logreg", "BigramShift/mlp"]
     assert got == want
     assert P.probe_encoder({}, params, tiny_vocab, ("logreg", "mlp"), config) == {}

@@ -165,6 +165,25 @@ def test_sample_without_replacement(seed, k):
     assert set(got) <= set(seq)
 
 
+def sample_by_copy(rng, seq, k):
+    """``RngStream.sample`` as it was: a Fisher-Yates over a full copy."""
+    arr = list(seq)
+    for i in range(k):
+        j = i + rng.randint(len(arr) - i)
+        arr[i], arr[j] = arr[j], arr[i]
+    return arr[:k]
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=60), st.data())
+def test_sample_draws_what_a_full_copy_shuffle_draws(seed, n, data):
+    k = data.draw(st.integers(min_value=0, max_value=n))
+    seq = [f"t{i}" for i in range(n)]
+    rng, oracle = RngStream(seed, 4), RngStream(seed, 4)
+    assert rng.sample(seq, k) == sample_by_copy(oracle, seq, k)
+    assert rng.sample(range(n), k) == sample_by_copy(oracle, range(n), k)
+    assert rng.next_u32() == oracle.next_u32()  # the same draws were taken
+
+
 def test_sample_bad_k():
     rng = RngStream(0, 0)
     with pytest.raises(ValueError):

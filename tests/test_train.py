@@ -309,7 +309,7 @@ def test_frozen_readout_encodes_256_at_a_time_through_the_encoder_module(tiny_da
     from conssent import encoder
 
     params = init_params(tiny_data.vocab.size, 8, 4, head_tasks=("D",), head_dim=8, seed=1)
-    seqs = (tiny_data.train * 3)[:300]
+    seqs = [[2 + i % 20, 2 + i // 20] for i in range(300)]  # distinct: each is encoded once
     sizes = []
 
     def spy_on(module):
