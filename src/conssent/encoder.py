@@ -249,8 +249,7 @@ def _project(emb: np.ndarray, steps: np.ndarray, w_x: np.ndarray):
     row of each step in it. An OpenBLAS GEMM row rounds the same for any row
     count M >= 2, so a table row is a B >= 2 batch's per-step ``x_t @ w_x``
     row (a lone id goes in twice); at B = 1 a step is a GEMV, so each row is.
-    A lookup over the vocabulary finds the sorted distinct ids (``np.unique``
-    sorts, which costs more)."""
+    A vocabulary lookup finds the sorted distinct ids (``np.unique`` sorts)."""
     seen = np.zeros(len(emb), dtype=bool)
     seen[steps[0]] = True  # direction 1 holds the same ids
     u = np.flatnonzero(seen)
@@ -425,8 +424,8 @@ def encode_sentences(
     """Frozen encodings as a plain (N, 2H) float64 array; no tape kept. The
     encoder runs in the dtype of ``params`` (float32 params, float32 math).
 
-    Each distinct id sequence is encoded once (probe tasks and ensembles
-    repeat sentences). The distinct ones are sorted by length (a stable
+    Each distinct id sequence is encoded once (the probe tasks share many
+    sentences; toy corpora repeat some). The distinct ones are sorted by length (a stable
     sort) and encoded in runs of ``batch_size``, so each batch pads only up
     to its own longest sentence; one index then gathers the rows into input
     order, so row i encodes ``seqs[i]``. The bytes are those of encoding

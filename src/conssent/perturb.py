@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Vocabulary
 from .errors import DataError
 from .rng import EXAMPLES, PAIRS, stream
 
@@ -56,18 +55,10 @@ class BatchTooSmall(DataError):
 
 
 def _candidate_pool(vocab, exclude) -> tuple:
-    """Tokens that may be inserted, the vocabulary minus the sentence, as
-    (their count, a function giving the i-th in sorted order): sorted, so
-    sampling is reproducible however the collection was built.
-
-    ``vocab`` is either a Vocabulary, whose non-special ids are indexed
-    without building the pool (the i-th is the range's start + i plus the
-    excluded ids with at most i pool ids below), or any token collection.
-    """
-    if not isinstance(vocab, Vocabulary):
-        excluded = set(exclude)
-        pool = sorted(t for t in vocab if t not in excluded)
-        return len(pool), pool.__getitem__
+    """Tokens that may be inserted, the Vocabulary's non-special ids minus
+    the sentence, as (their count, a function giving the i-th in id order).
+    The pool is indexed without being built: the i-th is the range's start
+    + i plus the excluded ids with at most i pool ids below."""
     ids = vocab.content_ids()
     skip = sorted({t for t in exclude if ids.start <= t < ids.stop})
     below = [t - ids.start - j for j, t in enumerate(skip)]  # pool ids below each skipped id

@@ -185,8 +185,8 @@ def test_criterion_04_enumeration_distributions():
                    oracles.enumerate_deletions(s3, 2), seed=301)
     _check_uniform(lambda rng: tuple(perturb_permute(s3, 3, rng)),
                    oracles.enumerate_permutations(s3, 3), seed=302)
-    s2, pool = ["a", "b"], ["x", "y"]
-    _check_uniform(lambda rng: tuple(perturb_insert(s2, 1, pool, rng)),
+    vocab, s2, pool = oracles.vocab_pool(["a", "b"], ["x", "y"])
+    _check_uniform(lambda rng: tuple(perturb_insert(s2, 1, vocab, rng)),
                    oracles.enumerate_insertions(s2, pool), seed=303)
     s4 = ["a", "b", "c", "d"]
     _check_uniform(lambda rng: tuple(map(tuple, partition_noncontiguous(s4, rng))),

@@ -83,6 +83,13 @@ def enumerate_permutations(s, k):
     return outcomes
 
 
+def vocab_pool(s, pool):
+    """A Vocabulary of the sentence's and the pool's tokens, with the
+    sentence and the pool as its ids: insert and replace draw from it."""
+    vocab = build_vocab([s + pool])
+    return vocab, vocab.encode(s), vocab.encode(pool)
+
+
 def enumerate_insertions(s, pool):
     outcomes = set()
     for tok in pool:
@@ -168,8 +175,8 @@ def test_permute_duplicates_still_succeeds_when_possible():
 
 @given(tokens_strategy, st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=1000))
 def test_insert_invariants(s, k, seed):
-    pool = [f"new{i}" for i in range(6)]
-    out = perturb_insert(s, k, pool, RngStream(seed, 0))
+    vocab, s, pool = vocab_pool(s, [f"new{i}" for i in range(6)])
+    out = perturb_insert(s, k, vocab, RngStream(seed, 0))
     assert len(out) == len(s) + k
     assert is_subsequence(s, out)
     added = Counter(out) - Counter(s)
@@ -179,25 +186,26 @@ def test_insert_invariants(s, k, seed):
 
 
 def test_insert_pool_excludes_sentence_tokens():
-    s = ["a", "b"]
-    out = perturb_insert(s, 1, ["a", "b", "c"], RngStream(3, 0))
+    vocab, s, _ = vocab_pool(["a", "b"], ["c"])
+    out = perturb_insert(s, 1, vocab, RngStream(3, 0))
     added = (Counter(out) - Counter(s)).keys()
-    assert set(added) == {"c"}
+    assert set(added) == set(vocab.encode(["c"]))
 
 
 def test_insert_pool_too_small():
     with pytest.raises(NoCandidates):
-        perturb_insert(["a"], 2, ["b"], RngStream(0, 0))
+        vocab, s, _ = vocab_pool(["a"], ["b"])
+        perturb_insert(s, 2, vocab, RngStream(0, 0))
 
 
 @given(distinct_tokens_strategy, st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=1000))
 def test_replace_invariants(s, k, seed):
-    pool = [f"new{i}" for i in range(8)]
+    vocab, s, pool = vocab_pool(s, [f"new{i}" for i in range(8)])
     if len(s) < k:
         with pytest.raises(TooShort):
-            perturb_replace(s, k, pool, RngStream(seed, 0))
+            perturb_replace(s, k, vocab, RngStream(seed, 0))
         return
-    out = perturb_replace(s, k, pool, RngStream(seed, 0))
+    out = perturb_replace(s, k, vocab, RngStream(seed, 0))
     assert len(out) == len(s)
     changed = [i for i, (x, y) in enumerate(zip(s, out)) if x != y]
     assert len(changed) == k
@@ -347,11 +355,10 @@ def test_permute_distribution_matches_enumeration():
 
 
 def test_insert_distribution_matches_enumeration():
-    s = ["a", "b"]
-    pool = ["x", "y"]
+    vocab, s, pool = vocab_pool(["a", "b"], ["x", "y"])
     oracle = enumerate_insertions(s, pool)
     assert len(oracle) == 6  # 2 tokens x 3 gaps
-    freqs = empirical(lambda rng: tuple(perturb_insert(s, 1, pool, rng)))
+    freqs = empirical(lambda rng: tuple(perturb_insert(s, 1, vocab, rng)))
     assert set(freqs) == oracle
     for outcome in oracle:
         assert 0.14 <= freqs[outcome] <= 0.20
