@@ -18,10 +18,6 @@ import numpy as np
 from .errors import NumericError
 
 
-class DoubleBackward(NumericError):
-    """A tape's backward sweep was run twice."""
-
-
 class Var:
     """A value on the tape plus its accumulated gradient."""
 
@@ -70,7 +66,7 @@ class Tape:
     def backward(self, loss: Var) -> None:
         """Accumulate d(loss)/d(node) into every node's ``grad``."""
         if self._used:
-            raise DoubleBackward("tape already swept; build a new tape per pass")
+            raise NumericError("tape already swept; build a new tape per pass")
         self._used = True
         if not self.recording:
             raise NumericError("cannot backward a non-recording tape")

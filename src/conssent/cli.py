@@ -133,6 +133,8 @@ def resolve_config(args: dict, keys) -> dict:
     if seed is None:
         seed, source = os.environ.get("CONSSENT_SEED", 0), "CONSSENT_SEED"
     try:
+        if type(seed) not in (int, str):  # int() would truncate a float or a bool
+            raise TypeError
         config["seed"] = int(seed)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{source}={seed!r} is not an integer") from exc
@@ -168,25 +170,19 @@ def _load_sentences(config: dict) -> list:
 def _prepare(config: dict, sentences: list | None = None):
     if sentences is None:
         sentences = _load_sentences(config)
-    try:
-        return prepare_corpus(
-            sentences,
-            min_freq=config["min_freq"],
-            valid_fraction=config["valid_fraction"],
-            seed=config["seed"],
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return prepare_corpus(
+        sentences,
+        min_freq=config["min_freq"],
+        valid_fraction=config["valid_fraction"],
+        seed=config["seed"],
+    )
 
 
 def _train_config(config: dict, **changes) -> TrainConfig:
     """The resolved config's TrainConfig, with ``changes`` applied; the
     fields a command does not read keep TrainConfig's defaults."""
-    try:
-        return TrainConfig(**{f.name: config[f.name] for f in fields(TrainConfig)
-                              if f.name in config} | changes)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return TrainConfig(**{f.name: config[f.name] for f in fields(TrainConfig)
+                          if f.name in config} | changes)
 
 
 def _load_encoder(path, vocab):
@@ -441,7 +437,7 @@ _FLAG_OPTIONS = {
     "seed": {"type": int, "help": "master seed (beats config and env)"},
     "corpus": {"help": "text corpus, one sentence per line"},
     "toy_n": {"help": "toy corpus size when --corpus is absent"},
-    "out": {"help": "output path"},
+    "out": {"help": "output path (for probe: the stem of the .json and .tsv results)"},
     "metrics": {"help": "metrics JSONL path"},
     "probes": {"nargs": "+", "choices": pr.PROBE_NAMES},
     "probe_classifier": {"choices": ("logreg", "mlp", "both")},

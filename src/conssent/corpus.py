@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, UsageError
 from .rng import SPLIT, stream
 
 UNK_ID = 0
@@ -19,23 +19,11 @@ UNK_TOKEN = "<unk>"
 PAD_TOKEN = "<pad>"
 
 
-class EmptyText(DataError):
-    pass
-
-
-class EmptyCorpus(DataError):
-    pass
-
-
-class TooSmall(DataError):
-    pass
-
-
 def tokenize(text: str) -> list[str]:
-    """Whitespace-split and lowercase; raises EmptyText if nothing remains."""
+    """Whitespace-split and lowercase; raises DataError if nothing remains."""
     tokens = text.lower().split()
     if not tokens:
-        raise EmptyText(f"no tokens in {text!r}")
+        raise DataError(f"no tokens in {text!r}")
     return tokens
 
 
@@ -72,9 +60,9 @@ def build_vocab(corpus: list[list[str]], min_freq: int = 1) -> Vocabulary:
     mapping is deterministic for a given corpus.
     """
     if not corpus:
-        raise EmptyCorpus("cannot build a vocabulary from an empty corpus")
+        raise DataError("cannot build a vocabulary from an empty corpus")
     if min_freq < 1:
-        raise ValueError(f"min_freq must be >= 1, got {min_freq}")
+        raise UsageError(f"min_freq must be >= 1, got {min_freq}")
     counts = Counter()
     for sent in corpus:
         counts.update(sent)
@@ -92,11 +80,11 @@ def split_corpus(
 ) -> tuple[list, list]:
     """Deterministic disjoint train/valid split preserving corpus order."""
     if not 0.0 < valid_fraction < 1.0:
-        raise ValueError(f"valid_fraction must be in (0, 1), got {valid_fraction}")
+        raise UsageError(f"valid_fraction must be in (0, 1), got {valid_fraction}")
     n = len(corpus)
     n_valid = int(round(n * valid_fraction))
     if n_valid == 0 or n_valid == n:
-        raise TooSmall(
+        raise DataError(
             f"{n} sentences at valid_fraction={valid_fraction} leaves an empty split"
         )
     idx = list(range(n))
@@ -151,7 +139,7 @@ def load_corpus_file(path: str | Path) -> list[list[str]]:
         if line:
             sentences.append(tokenize(line))
     if not sentences:
-        raise EmptyCorpus(f"no sentences in {path}")
+        raise DataError(f"no sentences in {path}")
     return sentences
 
 

@@ -20,10 +20,6 @@ from .corpus import read_utf8
 from .errors import DataError, UsageError
 
 
-class AllZero(UsageError):
-    """Every validation score is zero; weights would be undefined."""
-
-
 def normalize_weights(scores) -> tuple:
     """Proportional weights w_i = s_i / sum(s); scores must be >= 0."""
     scores = [float(s) for s in scores]
@@ -33,7 +29,7 @@ def normalize_weights(scores) -> tuple:
         raise UsageError(f"negative validation score in {scores}")
     total = sum(scores)
     if total == 0.0:
-        raise AllZero("all validation scores are zero")
+        raise UsageError("all validation scores are zero")
     return tuple(s / total for s in scores)
 
 

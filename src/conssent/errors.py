@@ -1,8 +1,9 @@
 """Shared exception hierarchy.
 
 The CLI maps these to exit codes: UsageError -> 1, DataError -> 2,
-NumericError -> 3, WorkerPoolError -> 4. Modules define their specific
-errors as subclasses.
+NumericError -> 3, WorkerPoolError -> 4. A module defines a subclass
+only for an error that some code catches by that class; everything else
+is raised as one of these five.
 """
 
 

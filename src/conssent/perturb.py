@@ -34,19 +34,11 @@ PAIR_TASKS = ("C", "N")
 _MAX_RETRIES = 64
 
 
-class TooShort(DataError):
-    pass
-
-
 class NoCandidates(DataError):
     pass
 
 
 class NoValidPerturbation(DataError):
-    pass
-
-
-class DegenerateSplit(DataError):
     pass
 
 
@@ -69,7 +61,7 @@ def perturb_delete(s: list, k: int, rng) -> list:
     """Remove k tokens at uniformly chosen distinct positions."""
     n = len(s)
     if n < k + 1:
-        raise TooShort(f"deleting {k} of {n} tokens leaves nothing")
+        raise DataError(f"deleting {k} of {n} tokens leaves nothing")
     drop = set(rng.sample(range(n), k))
     return [tok for i, tok in enumerate(s) if i not in drop]
 
@@ -87,7 +79,7 @@ def perturb_permute(s: list, k: int, rng) -> list:
     if k < 2:
         raise ValueError(f"permuting {k} token(s) cannot change the sequence")
     if n < k:
-        raise TooShort(f"cannot pick {k} positions out of {n}")
+        raise DataError(f"cannot pick {k} positions out of {n}")
     s = list(s)
     for _ in range(_MAX_RETRIES):
         slots = sorted(rng.sample(range(n), k))
@@ -132,7 +124,7 @@ def perturb_replace(s: list, k: int, vocab, rng) -> list:
     """
     n = len(s)
     if n < k:
-        raise TooShort(f"cannot pick {k} positions out of {n}")
+        raise DataError(f"cannot pick {k} positions out of {n}")
     size, candidate = _candidate_pool(vocab, s)
     if size < k:
         raise NoCandidates(f"pool has {size} tokens, need {k}")
@@ -209,7 +201,7 @@ def partition_contiguous(s: list, rng) -> tuple[list, list]:
     """
     n = len(s)
     if n < 3:
-        raise TooShort(f"contiguous split needs >= 3 tokens, got {n}")
+        raise DataError(f"contiguous split needs >= 3 tokens, got {n}")
     i = 2 + rng.randint(n - 2)
     return list(s[: i - 1]), list(s[i - 1 :])
 
@@ -218,20 +210,20 @@ def partition_noncontiguous(s: list, rng) -> tuple[list, list]:
     """Assign each token to one side with p = 0.5, keeping relative order.
 
     Assignments leaving either side empty are redrawn wholesale; after
-    ``_MAX_RETRIES`` single-sided draws DegenerateSplit is raised (with a
+    ``_MAX_RETRIES`` single-sided draws DataError is raised (with a
     fair coin this has probability 2^-64 per retry budget, so it only
     triggers under a pathological rng).
     """
     n = len(s)
     if n < 2:
-        raise TooShort(f"two-sided split needs >= 2 tokens, got {n}")
+        raise DataError(f"two-sided split needs >= 2 tokens, got {n}")
     for _ in range(_MAX_RETRIES):
         side = [rng.random() < 0.5 for _ in range(n)]
         left = [tok for tok, go_left in zip(s, side) if go_left]
         right = [tok for tok, go_left in zip(s, side) if not go_left]
         if left and right:
             return left, right
-    raise DegenerateSplit(f"no two-sided assignment in {_MAX_RETRIES} draws")
+    raise DataError(f"no two-sided assignment in {_MAX_RETRIES} draws")
 
 
 def partition(s: list, kind: str, rng) -> tuple[list, list]:

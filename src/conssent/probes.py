@@ -39,7 +39,6 @@ from .corpus import Vocabulary
 from .encoder import EncoderParams, encode_sentences
 from .errors import DataError, UsageError
 from .parallel import ordered_map
-from .perturb import TooShort
 from .rng import PROBE, stream
 
 PROBE_NAMES = ("SentLen", "WordContent", "BigramShift")
@@ -48,14 +47,6 @@ _PROBE_ITEM = {name: i for i, name in enumerate(PROBE_NAMES)}
 WORDCONTENT_TARGETS = 6
 WORDCONTENT_SKIP = 8
 WORDCONTENT_MIN_COUNT = 10
-
-
-class UncoveredLength(DataError):
-    """A sentence length falls outside the given bins."""
-
-
-class InsufficientExamples(DataError):
-    """Some probe class ended up below the minimum example count."""
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +69,7 @@ class ProbeTask:
         seen = [cls for _, cls in self.examples]
         missing = [c for c in range(self.num_classes) if c not in seen]
         if self.num_classes < 2 or missing:
-            raise InsufficientExamples(
+            raise DataError(
                 f"{self.name}: classes {missing or 'n/a'} have no examples "
                 f"(num_classes={self.num_classes})"
             )
@@ -114,7 +105,7 @@ def _make_task(name, examples, num_classes, seed) -> ProbeTask:
 def length_class(n: int, edges: tuple) -> int:
     """Index of the first bin whose inclusive upper edge covers ``n``."""
     if n > edges[-1]:
-        raise UncoveredLength(f"length {n} exceeds the last bin edge {edges[-1]}")
+        raise DataError(f"length {n} exceeds the last bin edge {edges[-1]}")
     return bisect_left(edges, n)
 
 
@@ -150,7 +141,7 @@ def gen_probe_wordcontent(corpus, targets, seed: int = 0) -> ProbeTask:
     counts = [sum(1 for _, c in examples if c == i) for i in range(len(targets))]
     lacking = {targets[i]: c for i, c in enumerate(counts) if c < WORDCONTENT_MIN_COUNT}
     if lacking:
-        raise InsufficientExamples(
+        raise DataError(
             f"classes below the minimum of {WORDCONTENT_MIN_COUNT} examples: {lacking}"
         )
     return _make_task("WordContent", examples, len(targets), seed)
@@ -181,7 +172,7 @@ def gen_probe_bigramshift(corpus, rng, seed: int = 0) -> ProbeTask:
     for s in corpus:
         n = len(s)
         if n < 3:
-            raise TooShort(f"sentence of length {n} cannot host an informative swap")
+            raise DataError(f"sentence of length {n} cannot host an informative swap")
         if rng.random() < 0.5:
             pos = rng.randint(n - 1)
             swapped = list(s)

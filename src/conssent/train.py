@@ -35,7 +35,7 @@ from .encoder import (
     head_logits,
     init_params,
 )
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, UsageError
 from .perturb import (
     PAIR_TASKS,
     SINGLE_TASKS,
@@ -110,22 +110,22 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}; expected one of {TASKS}")
+            raise UsageError(f"unknown task {self.task!r}; expected one of {TASKS}")
         r = K_RANGES[self.task]
         if self.k not in r:
-            raise ValueError(f"task {self.task} needs k in {r.start}..{r.stop - 1}, got {self.k}")
+            raise UsageError(f"task {self.task} needs k in {r.start}..{r.stop - 1}, got {self.k}")
         if self.task not in SINGLE_TASKS and self.batch_size < self.k:
-            raise ValueError(
+            raise UsageError(
                 f"batch_size {self.batch_size} < k {self.k}: the minibatch is the "
                 "candidate pool for ranking tasks"
             )
         for name in ("hidden_size", "embed_dim", "head_dim", "batch_size", "max_epochs", "valid_draws"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise UsageError(f"{name} must be >= 1")
         if self.lr0 <= 0 or self.init_gain <= 0:
-            raise ValueError("lr0 and init_gain must be positive")
+            raise UsageError("lr0 and init_gain must be positive")
         if not 0 <= self.gate_p <= 1:
-            raise ValueError(f"gate_p must be in [0, 1], got {self.gate_p}")
+            raise UsageError(f"gate_p must be in [0, 1], got {self.gate_p}")
 
 
 @dataclass

@@ -24,7 +24,7 @@ from lstm_reference import (
 )
 
 from conssent import autodiff as ad
-from conssent.autodiff import DoubleBackward, Tape, finite_diff_check
+from conssent.autodiff import Tape, finite_diff_check
 from conssent.errors import NumericError
 
 TOL = 1e-7
@@ -53,7 +53,7 @@ def test_double_backward_raises():
     x = tape.leaf(np.array([1.0]))
     loss = sum_all(mul(x, x))
     tape.backward(loss)
-    with pytest.raises(DoubleBackward):
+    with pytest.raises(NumericError, match="tape already swept; build a new tape per pass"):
         tape.backward(loss)
 
 

@@ -211,6 +211,8 @@ def test_unknown_config_key_rejected(tmp_path):
     {"clip_norm": 5.0},
     {"epoch_decay": 0.99},
     {"probe_epochs": 40},
+    {"seed": 1.9},
+    {"seed": True},
 ])
 def test_mistyped_or_removed_config_value_is_usage_error(tmp_path, capsys, entry):
     cfg = tmp_path / "cfg.json"

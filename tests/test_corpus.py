@@ -9,9 +9,6 @@ from conssent.corpus import (
     PAD_TOKEN,
     UNK_ID,
     UNK_TOKEN,
-    EmptyCorpus,
-    EmptyText,
-    TooSmall,
     build_vocab,
     load_corpus_file,
     prepare_corpus,
@@ -19,7 +16,7 @@ from conssent.corpus import (
     split_corpus,
     tokenize,
 )
-from conssent.errors import ConsSentError
+from conssent.errors import ConsSentError, DataError, UsageError
 
 CORPUS = [
     ["the", "cat", "sat"],
@@ -33,7 +30,7 @@ def test_tokenize_lowercases_and_splits():
 
 
 def test_tokenize_empty_raises():
-    with pytest.raises(EmptyText):
+    with pytest.raises(DataError, match="no tokens in"):
         tokenize("   \t  ")
 
 
@@ -58,7 +55,7 @@ def test_min_freq_filters():
 
 
 def test_empty_corpus_raises():
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(DataError, match="cannot build a vocabulary from an empty corpus"):
         build_vocab([])
 
 
@@ -107,16 +104,16 @@ def test_split_deterministic_and_seed_sensitive():
 
 
 def test_split_too_small():
-    with pytest.raises(TooSmall):
+    with pytest.raises(DataError, match="1 sentences at valid_fraction=0.1 leaves an empty split"):
         split_corpus([[1]], 0.1, seed=0)
-    with pytest.raises(TooSmall):
+    with pytest.raises(DataError, match="2 sentences at valid_fraction=0.95 leaves an empty split"):
         split_corpus([[1], [2]], 0.95, seed=0)
 
 
 def test_split_bad_fraction():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match=r"valid_fraction must be in \(0, 1\), got 0\.0"):
         split_corpus([[1], [2]], 0.0, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match=r"valid_fraction must be in \(0, 1\), got 1\.0"):
         split_corpus([[1], [2]], 1.0, seed=0)
 
 

@@ -34,7 +34,7 @@ def test_normalize_sums_to_one():
 
 
 def test_normalize_rejects_bad_input():
-    with pytest.raises(E.AllZero):
+    with pytest.raises(UsageError, match="all validation scores are zero"):
         E.normalize_weights((0.0, 0.0))
     with pytest.raises(UsageError):
         E.normalize_weights((-0.1, 0.5))
@@ -138,7 +138,7 @@ def test_spec_weights_derived_per_task(tmp_path):
 
 
 def test_spec_validates_scores_at_construction(tmp_path):
-    with pytest.raises(E.AllZero):
+    with pytest.raises(UsageError, match="all validation scores are zero"):
         E.read_manifest(_manifest(tmp_path, ["a", "b"], {"t": [0.0, 0.0]}))
     with pytest.raises(UsageError):
         E.read_manifest(_manifest(tmp_path, ["a", "b"], {"t": [-1.0, 2.0]}))

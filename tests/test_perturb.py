@@ -11,13 +11,12 @@ from test_rng import sample_by_copy
 
 import conssent.perturb as perturb_module
 from conssent.corpus import build_vocab
+from conssent.errors import DataError
 from conssent.perturb import (
     BatchTooSmall,
-    DegenerateSplit,
     LabeledExample,
     NoCandidates,
     NoValidPerturbation,
-    TooShort,
     gen_pair_batches,
     gen_single_examples,
     make_pair_batch,
@@ -135,7 +134,7 @@ distinct_tokens_strategy = st.lists(
 @given(tokens_strategy, st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=1000))
 def test_delete_invariants(s, k, seed):
     if len(s) < k + 1:
-        with pytest.raises(TooShort):
+        with pytest.raises(DataError, match=f"deleting {k} of {len(s)} tokens leaves nothing"):
             perturb_delete(s, k, RngStream(seed, 0))
         return
     out = perturb_delete(s, k, RngStream(seed, 0))
@@ -146,7 +145,7 @@ def test_delete_invariants(s, k, seed):
 @given(distinct_tokens_strategy, st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=1000))
 def test_permute_invariants(s, k, seed):
     if len(s) < k:
-        with pytest.raises(TooShort):
+        with pytest.raises(DataError, match=f"cannot pick {k} positions out of {len(s)}"):
             perturb_permute(s, k, RngStream(seed, 0))
         return
     out = perturb_permute(s, k, RngStream(seed, 0))
@@ -202,7 +201,7 @@ def test_insert_pool_too_small():
 def test_replace_invariants(s, k, seed):
     vocab, s, pool = vocab_pool(s, [f"new{i}" for i in range(8)])
     if len(s) < k:
-        with pytest.raises(TooShort):
+        with pytest.raises(DataError, match=f"cannot pick {k} positions out of {len(s)}"):
             perturb_replace(s, k, vocab, RngStream(seed, 0))
         return
     out = perturb_replace(s, k, vocab, RngStream(seed, 0))
@@ -240,7 +239,7 @@ def _insert_as_it_was(s, k, vocab, rng):
 
 def _replace_as_it_was(s, k, vocab, rng):
     if len(s) < k:
-        raise TooShort
+        raise DataError
     pool = _pool_as_sorted_list(vocab, s)
     if len(pool) < k:
         raise NoCandidates
@@ -254,7 +253,7 @@ def _replace_as_it_was(s, k, vocab, rng):
 def _outcome(op, s, k, vocab, rng):
     try:
         return op(s, k, vocab, rng), rng.next_u32()
-    except (NoCandidates, TooShort) as exc:
+    except DataError as exc:  # NoCandidates or a too-short sentence
         return type(exc), rng.next_u32()
 
 
@@ -279,7 +278,7 @@ def test_contiguous_partition_invariants(s, seed):
 
 
 def test_contiguous_too_short():
-    with pytest.raises(TooShort):
+    with pytest.raises(DataError, match="contiguous split needs >= 3 tokens, got 2"):
         partition_contiguous(["a", "b"], RngStream(0, 0))
 
 
@@ -291,7 +290,7 @@ def test_noncontiguous_partition_invariants(s, seed):
 
 
 def test_noncontiguous_too_short():
-    with pytest.raises(TooShort):
+    with pytest.raises(DataError, match="two-sided split needs >= 2 tokens, got 1"):
         partition_noncontiguous(["a"], RngStream(0, 0))
 
 
@@ -300,7 +299,7 @@ def test_noncontiguous_degenerate_rng():
         def random(self):
             return 0.0
 
-    with pytest.raises(DegenerateSplit):
+    with pytest.raises(DataError, match="no two-sided assignment in 64 draws"):
         partition_noncontiguous(["a", "b", "c"], AllLeft())
 
 

@@ -64,9 +64,9 @@ def test_sentlen_binning_examples():
 
 
 def test_sentlen_uncovered_length_raises():
-    with pytest.raises(P.UncoveredLength):
+    with pytest.raises(DataError, match="length 13 exceeds the last bin edge 12"):
         P.length_class(13, (4, 8, 12))
-    with pytest.raises(P.UncoveredLength):
+    with pytest.raises(DataError, match="length 13 exceeds the last bin edge 12"):
         P.gen_probe_sentlen([["w"] * 13, ["w"] * 2, ["w"] * 5], (4, 8, 12), seed=0)
 
 
@@ -125,7 +125,7 @@ def test_wordcontent_excludes_multi_target_sentences():
 
 def test_wordcontent_insufficient_examples_raises():
     corpus = [["school", "."]] * 10 + [["dog", "."]] * 9
-    with pytest.raises(P.InsufficientExamples):
+    with pytest.raises(DataError, match=r"classes below the minimum of 10 examples: \{'dog': 9\}"):
         P.gen_probe_wordcontent(corpus, ("school", "dog"), seed=0)
     P.gen_probe_wordcontent(corpus + [["dog", "run", "."]], ("school", "dog"), seed=0)
 
@@ -181,7 +181,7 @@ def test_bigramshift_balance_over_10k():
 
 
 def test_bigramshift_too_short_raises():
-    with pytest.raises(P.TooShort):
+    with pytest.raises(DataError, match="sentence of length 2 cannot host an informative swap"):
         P.gen_probe_bigramshift([["a", "b"]], stream(0, PROBE), seed=0)
 
 
@@ -211,7 +211,7 @@ def test_split_proportions(corpus):
 
 
 def test_empty_class_rejected():
-    with pytest.raises(P.InsufficientExamples):
+    with pytest.raises(DataError, match=r"x: classes \[1\] have no examples \(num_classes=2\)"):
         P.ProbeTask("x", ((("a",), 0), (("b",), 0)), 2, (0,), (1,), ())
 
 

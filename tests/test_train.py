@@ -14,7 +14,7 @@ from conssent import autodiff as ad
 from conssent import train
 from conssent.corpus import prepare_corpus
 from conssent.encoder import bind_params, encode_batch, encode_sentences, head_logits, init_params
-from conssent.errors import DataError, NumericError
+from conssent.errors import DataError, NumericError, UsageError
 from conssent.perturb import PairBatch, gen_single_examples
 from conssent.toydata import make_toy_corpus
 from conssent.train import (
@@ -424,7 +424,7 @@ def test_lr_schedule_strictly_decreasing_and_powerlaw_on_improvement(accs):
 
 
 def test_config_rejects_unknown_task():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match="unknown task 'X'"):
         TrainConfig(task="X")
 
 
@@ -437,26 +437,26 @@ def test_config_default_k_ranges():
 
 
 def test_config_enforces_k_range_unless_overridden():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match=r"task D needs k in 1\.\.5, got 6"):
         TrainConfig(task="D", k=6)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match=r"task P needs k in 2\.\.6, got 1"):
         TrainConfig(task="P", k=1)
 
 
 def test_config_requires_batch_at_least_k_for_ranking():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match="batch_size 3 < k 4"):
         TrainConfig(task="C", k=4, batch_size=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match="batch_size 3 < k 4"):
         TrainConfig(task="MT", k=4, batch_size=3)
     TrainConfig(task="D", k=4, batch_size=3)  # binary tasks unconstrained
 
 
 def test_config_rejects_bad_scalars():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match="lr0 and init_gain must be positive"):
         TrainConfig(task="D", k=1, lr0=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match="valid_draws must be >= 1"):
         TrainConfig(task="D", k=1, valid_draws=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match=r"gate_p must be in \[0, 1\], got 1\.5"):
         TrainConfig(task="D", k=1, gate_p=1.5)
 
 
