@@ -20,6 +20,7 @@ change trained models. ``param_shapes`` is the one parameter layout.
 
 import json
 import math
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
@@ -38,6 +39,7 @@ _FORMAT_VERSION = 1
 _NEG_BIG = 1e30
 _CHUNK = 8  # steps whose input projections _scan gathers at once
 _THREAD_WORK = 3_000_000  # per-step multiply-adds from which frozen batches get threads
+_batch_pool: ThreadPoolExecutor | None = None  # frozen batches' threads, kept across calls
 
 
 class LstmWeights(NamedTuple):
@@ -438,7 +440,7 @@ def encode_sentences(
     when the first batch's per-step multiply-adds, B*(E+H)*4H, reach
     ``_THREAD_WORK``; numpy releases the GIL inside each step's BLAS calls
     and ufuncs. Each batch writes its own rows, so the bytes are the same
-    either way.
+    either way. The threads persist across calls, as do their malloc arenas.
     """
     if not seqs:
         raise ValueError("no sentences to encode")
@@ -462,8 +464,10 @@ def encode_sentences(
     E, H = params.embed_dim, params.hidden_size
     threads = min(parallel.usable_cpus(), len(bounds) - 1)
     if threads > 1 and bounds[1] * (E + H) * 4 * H >= _THREAD_WORK:
-        with ThreadPoolExecutor(threads) as pool:
-            list(pool.map(encode, bounds, bounds[1:]))
+        global _batch_pool
+        if _batch_pool is None or _batch_pool._max_workers != parallel.usable_cpus():
+            _batch_pool = ThreadPoolExecutor(parallel.usable_cpus())  # a dropped pool's threads exit
+        list(_batch_pool.map(encode, bounds, bounds[1:]))
     else:
         for lo, hi in zip(bounds, bounds[1:]):
             encode(lo, hi)
@@ -477,10 +481,11 @@ def head_logits(v, head: HeadWeights) -> ad.Var:
 
 
 def head_probs(seqs: list, params: EncoderParams, task: str) -> np.ndarray:
-    """(N, classes) softmax of ``task``'s head over the frozen encodings of
-    ``seqs``, encoded 256 sentences at a time."""
+    """(N, classes) softmax of ``task``'s head over the float64 frozen encodings
+    of ``seqs`` (float32 parameters are upcast once), 256 sentences at a time."""
     if task not in params.heads:
         raise DataError(f"checkpoint has no classifier head for task {task!r}")
+    params = EncoderParams({n: a.astype(np.float64, copy=False) for n, a in params.named_arrays().items()})
     encodings = ad.Tape(recording=False).leaf(encode_sentences(seqs, params, batch_size=256))
     return ad.softmax_rows(head_logits(encodings, params.heads[task]).value)
 
@@ -492,6 +497,8 @@ def head_probs(seqs: list, params: EncoderParams, task: str) -> np.ndarray:
 
 
 def save_checkpoint(path, params: EncoderParams, meta: dict | None = None) -> None:
+    """Write each array from its own float32 buffer to a file beside ``path``
+    that then replaces it: a save that fails part-way leaves ``path`` as it was."""
     head_meta = {task: {"hidden": h.w1.shape[1], "classes": h.w2.shape[1]}
                  for task, h in params.heads.items()}
     full_meta = {
@@ -503,57 +510,65 @@ def save_checkpoint(path, params: EncoderParams, meta: dict | None = None) -> No
         **(meta or {}),
     }
     blob = json.dumps(full_meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _FORMAT_VERSION, len(blob)))
-        fh.write(blob)
-        for arr in params.named_arrays().values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<II", _FORMAT_VERSION, len(blob)))
+            fh.write(blob)
+            for arr in params.named_arrays().values():
+                fh.write(np.ascontiguousarray(arr, dtype="<f4"))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> tuple[EncoderParams, dict]:
+    """A checkpoint's float32 arrays, each read in place once all extents fit the file, and its meta."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != _MAGIC:
-        raise DataError(f"{path}: not a checkpoint (bad magic {data[:4]!r})")
-    if len(data) < 12:
-        raise DataError(f"{path}: truncated header ({len(data)} bytes)")
-    version, meta_len = struct.unpack_from("<II", data, 4)
-    if version != _FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {version}")
-    try:
-        meta = json.loads(data[12 : 12 + meta_len].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep or too long a number
-        raise DataError(f"{path}: corrupt metadata: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise DataError(f"{path}: metadata is not a JSON object")
-    try:
-        heads = {}
-        for task, hm in meta.get("heads", {}).items():
-            if "." in task:  # flat array names are split on "."
-                raise DataError(f"{path}: head name {task!r} contains '.'")
-            heads[task] = (hm["hidden"], hm["classes"])
-        shapes = param_shapes(meta["vocab_size"], meta["embed_dim"], meta["hidden_size"], heads)
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise DataError(f"{path}: metadata lacks or mistypes {exc}") from exc
-    if not all(type(n) is int and n >= 0 for shape in shapes.values() for n in shape):
-        raise DataError(f"{path}: metadata sizes must be non-negative integers")
-
-    offset = 12 + meta_len
-    arrays = {}
-    for name, shape in shapes.items():
-        count = math.prod(shape)
-        nbytes = 4 * count
-        if offset + nbytes > len(data):
-            raise DataError(f"{path}: truncated at array {name!r}")
-        flat = np.frombuffer(data, dtype="<f4", count=count, offset=offset).astype(np.float64)
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if head[:4] != _MAGIC:
+            raise DataError(f"{path}: not a checkpoint (bad magic {head[:4]!r})")
+        if len(head) < 12:
+            raise DataError(f"{path}: truncated header ({len(head)} bytes)")
+        version, meta_len = struct.unpack_from("<II", head, 4)
+        if version != _FORMAT_VERSION:
+            raise DataError(f"{path}: unsupported checkpoint version {version}")
         try:
-            arrays[name] = flat.reshape(shape)
-        except ValueError as exc:  # an empty array with a dimension numpy cannot hold
-            raise DataError(f"{path}: array {name!r} cannot have shape {shape}: {exc}") from exc
-        offset += nbytes
-    if offset != len(data):
-        raise DataError(f"{path}: {len(data) - offset} trailing bytes")
+            meta = json.loads(fh.read(min(meta_len, size - 12)).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep or too long a number
+            raise DataError(f"{path}: corrupt metadata: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise DataError(f"{path}: metadata is not a JSON object")
+        try:
+            heads = {}
+            for task, hm in meta.get("heads", {}).items():
+                if "." in task:  # flat array names are split on "."
+                    raise DataError(f"{path}: head name {task!r} contains '.'")
+                heads[task] = (hm["hidden"], hm["classes"])
+            shapes = param_shapes(meta["vocab_size"], meta["embed_dim"], meta["hidden_size"], heads)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise DataError(f"{path}: metadata lacks or mistypes {exc}") from exc
+        if not all(type(n) is int and n >= 0 for shape in shapes.values() for n in shape):
+            raise DataError(f"{path}: metadata sizes must be non-negative integers")
+
+        end = 12 + meta_len
+        for name, shape in shapes.items():
+            end += 4 * math.prod(shape)
+            if end > size:
+                raise DataError(f"{path}: truncated at array {name!r}")
+            try:  # only an empty array can have a dimension numpy cannot hold; it takes no memory
+                math.prod(shape) or np.empty(shape, dtype="<f4")
+            except ValueError as exc:
+                raise DataError(f"{path}: array {name!r} cannot have shape {shape}: {exc}") from exc
+        if end != size:
+            raise DataError(f"{path}: {size - end} trailing bytes")
+        arrays = {name: np.empty(shape, dtype="<f4") for name, shape in shapes.items()}
+        for name, arr in arrays.items():
+            if fh.readinto(arr) != arr.nbytes:  # the file shrank after its size was read
+                raise DataError(f"{path}: truncated at array {name!r}")
     return EncoderParams(arrays), meta
 
 

@@ -10,8 +10,8 @@ Three probes whose ground truth is derivable from the raw sentence alone:
 Each probe yields a fixed, disjoint 70/15/15 train/valid/test split.
 Encoders are evaluated frozen: ``probe_encoder`` encodes the probes'
 sentences in one ``encode_sentences`` call, which encodes each distinct
-sentence once, in float32 (checkpoints store float32 weights) with the rows
-stored as float64; training, validation and ``head_probs`` stay float64.
+sentence once, in float32 (a loaded checkpoint's arrays as they are stored)
+with float64 rows; training, validation and ``head_probs`` stay float64.
 Then either a multinomial logistic regression (float64 under scipy's
 L-BFGS) or a one-hidden-layer sigmoid MLP (trained and scored in float32)
 is fit on each probe's rows at ``ProbeConfig``'s fixed, SentEval-style
@@ -227,8 +227,8 @@ def _split(task: ProbeTask, encodings: np.ndarray) -> ProbeEncodings:
 
 
 def _float32(params: EncoderParams) -> EncoderParams:
-    """The parameters cast to float32, so frozen encodes run in float32."""
-    return EncoderParams({name: a.astype(np.float32) for name, a in params.named_arrays().items()})
+    """The parameters in float32 for frozen encodes; float32 arrays are not copied."""
+    return EncoderParams({n: a.astype(np.float32, copy=False) for n, a in params.named_arrays().items()})
 
 
 def encode_probe(task: ProbeTask, params: EncoderParams, vocab: Vocabulary) -> ProbeEncodings:

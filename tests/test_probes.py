@@ -392,6 +392,16 @@ def _params_checksum(params) -> str:
     return h.hexdigest()
 
 
+def test_float32_readout_takes_a_loaded_checkpoint_as_it_is(tmp_path):
+    """A checkpoint loads as float32, and the frozen readout reads those
+    arrays themselves: no per-call copy."""
+    path = tmp_path / "m.ckpt"
+    encoder.save_checkpoint(path, init_params(20, 8, 4, seed=0))
+    loaded, _meta = encoder.load_checkpoint(path)
+    cast = P._float32(loaded).named_arrays()
+    assert all(cast[name] is arr for name, arr in loaded.named_arrays().items())
+
+
 def test_eval_never_updates_encoder(corpus, tiny_vocab):
     params = init_params(tiny_vocab.size, 8, 4, seed=0)
     before = _params_checksum(params)
