@@ -8,9 +8,9 @@ value feeding several ops) is handled for free.
 
 Only the operations the encoder and losses need are provided. Operands may
 be ``Var`` or plain arrays/scalars; plain operands are treated as constants
-and receive no gradient. With ``Tape(recording=False)`` the same op
-functions run as straight numpy with no closures allocated, which is what
-inference and finite-difference probing use.
+and receive no gradient. Inference and finite-difference probing use
+``Tape(recording=False)``: it records nothing, but each op still builds its
+backward closure for ``_push`` to drop; only ``encoder.bilstm_max`` does not.
 """
 
 import numpy as np

@@ -482,11 +482,11 @@ def head_logits(v, head: HeadWeights) -> ad.Var:
 
 def head_probs(seqs: list, params: EncoderParams, task: str) -> np.ndarray:
     """(N, classes) softmax of ``task``'s head over the float64 frozen encodings
-    of ``seqs`` (float32 parameters are upcast once), 256 sentences at a time."""
+    of ``seqs`` (float32 parameters are upcast once), as validation reads them."""
     if task not in params.heads:
         raise DataError(f"checkpoint has no classifier head for task {task!r}")
     params = EncoderParams({n: a.astype(np.float64, copy=False) for n, a in params.named_arrays().items()})
-    encodings = ad.Tape(recording=False).leaf(encode_sentences(seqs, params, batch_size=256))
+    encodings = ad.Tape(recording=False).leaf(encode_sentences(seqs, params))
     return ad.softmax_rows(head_logits(encodings, params.heads[task]).value)
 
 

@@ -85,7 +85,7 @@ class ProbeTask:
 
 def _split_indices(n: int, name: str, seed: int) -> tuple[tuple, tuple, tuple]:
     order = list(range(n))
-    stream(seed, PROBE, epoch=0, item=_PROBE_ITEM.get(name, 7)).shuffle(order)
+    stream(seed, PROBE, epoch=0, item=_PROBE_ITEM[name]).shuffle(order)
     n_train = int(n * 0.70)
     n_valid = int(n * 0.15)
     # membership is random; storing each split sorted keeps within-split
@@ -166,13 +166,14 @@ def gen_probe_bigramshift(corpus, rng, seed: int = 0) -> ProbeTask:
     """With probability 1/2 swap one uniformly chosen adjacent pair.
 
     Class 1 marks swapped provenance (a swap of equal tokens still counts).
-    ``rng`` drives the gates and positions; ``seed`` fixes the split.
+    ``rng`` drives the gates and positions; ``seed`` fixes the split. Sentences
+    under 3 tokens cannot host an informative swap and are dropped before any draw.
     """
     examples = []
     for s in corpus:
         n = len(s)
         if n < 3:
-            raise DataError(f"sentence of length {n} cannot host an informative swap")
+            continue
         if rng.random() < 0.5:
             pos = rng.randint(n - 1)
             swapped = list(s)

@@ -1,9 +1,10 @@
 """Task scores, the loss, clipped SGD, and the single-task / multitask trainers.
 
 ``task_scores`` is the one place head tasks and ranking tasks differ. The
-training loss is the softmax cross-entropy over its scores; validation
-accuracy counts the rows whose target column scores strictly highest, so
-a tie at the top is a miss for every task.
+training loss is the softmax cross-entropy over its scores on rows from
+``encode_batch``; validation reads frozen rows from ``encode_sentences``
+and counts the rows whose target column scores strictly highest, so a tie
+at the top is a miss for every task.
 
 One engine (`_run_training`) drives every configuration: a single binary
 task is a one-task rotation with one classification head, a single ranking
@@ -32,6 +33,7 @@ from .encoder import (
     bind_params,
     copy_params,
     encode_batch,
+    encode_sentences,
     head_logits,
     init_params,
 )
@@ -48,9 +50,6 @@ from .perturb import (
 from .rng import EXAMPLES, GRADCHECK, ORDER, VALID, stream
 
 TASKS = SINGLE_TASKS + PAIR_TASKS + ("MT",)
-
-# Head-task validation examples per frozen encode (as ``head_probs`` reads).
-_VALID_CHUNK = 256
 
 # The paper's k sweep range per task; TrainConfig rejects any k outside it.
 K_RANGES = {
@@ -145,9 +144,9 @@ class TrainState:
 # ---------------------------------------------------------------------------
 
 
-def task_scores(params, task: str, batch, tape: ad.Tape) -> tuple[ad.Var, np.ndarray]:
-    """The (rows, columns) scores ``task`` gives one batch, and each row's
-    target column; the one place head tasks and ranking tasks differ.
+def task_scores(params, task: str, batch, encode) -> tuple[ad.Var, np.ndarray]:
+    """The (rows, columns) scores ``task`` gives one batch, and each row's target
+    column, over the rows ``encode`` makes of a list of id sequences (a Var).
 
     D P I R: the task head's logits over a list of ``LabeledExample``s,
     with the labels as targets. C N: each anchor's dot products with its k
@@ -155,22 +154,21 @@ def task_scores(params, task: str, batch, tape: ad.Tape) -> tuple[ad.Var, np.nda
     with the true part's slot as target; ranking adds no parameters.
     """
     if task in SINGLE_TASKS:
-        enc = encode_batch([list(ex.tokens) for ex in batch], params, tape)
+        enc = encode([list(ex.tokens) for ex in batch])
         labels = np.array([ex.label for ex in batch], dtype=np.int64)
         return head_logits(enc, params.heads[task]), labels
-    left = encode_batch(batch.lefts, params, tape)
-    right = encode_batch(batch.rights, params, tape)
+    left, right = encode(batch.lefts), encode(batch.rights)
     all_scores = ad.matmul(left, ad.transpose(right))  # (B, B) dot products
     return ad.gather_cols(all_scores, batch.cand_idx), np.asarray(batch.targets, dtype=np.int64)
 
 
 def batch_loss(params, task: str, batch, tape: ad.Tape) -> ad.Var:
-    """The loss training minimizes on one batch of ``task``: softmax
-    cross-entropy over its task scores. For a ranking task the minibatch
-    inequality "anchor · true part >= anchor · impostor part" becomes a
-    k-way cross-entropy, which is exactly ln k at indifference.
+    """The loss training minimizes on one batch of ``task``: softmax cross-entropy
+    over its task scores on ``encode_batch``'s rows. For a ranking task the
+    minibatch inequality "anchor · true part >= anchor · impostor part"
+    becomes a k-way cross-entropy, which is exactly ln k at indifference.
     """
-    return ad.softmax_xent(*task_scores(params, task, batch, tape))
+    return ad.softmax_xent(*task_scores(params, task, batch, lambda s: encode_batch(s, params, tape)))
 
 
 def pair_batch_loss(batch: PairBatch, params, tape: ad.Tape) -> ad.Var:
@@ -256,8 +254,8 @@ def _build_validation(data: SplitCorpus, task: str, config: TrainConfig):
     ``valid_draws`` extends rather than reshuffles the set. More draws
     shrink the noise on the accuracy estimate, which matters because any
     dip below the running best permanently cuts the learning rate. Head
-    tasks pool the draws' examples and cut them into ``_VALID_CHUNK``-example
-    batches; ranking tasks keep each draw's ``PairBatch``es.
+    tasks pool the draws' examples into one batch; ranking tasks keep each
+    draw's ``PairBatch``es.
     """
     out = []
     for d in range(config.valid_draws):
@@ -276,19 +274,19 @@ def _build_validation(data: SplitCorpus, task: str, config: TrainConfig):
             out.extend(batches)
     if not out:
         raise DataError(f"validation split yields no {task}(k={config.k}) data")
-    if task in SINGLE_TASKS:
-        out = [out[s : s + _VALID_CHUNK] for s in range(0, len(out), _VALID_CHUNK)]
-    return out
+    return [out] if task in SINGLE_TASKS else out
 
 
 def _validate(params: EncoderParams, task: str, valid_set) -> float:
     """Share of validation rows whose target column scores strictly above
     every other column: a tie at the top is a miss, for every task, since
-    each constraint asks the true answer to beat the alternatives."""
+    each constraint asks the true answer to beat the alternatives. Rows are
+    read frozen from ``encode_sentences``; a head task's one batch holds its
+    distinct sentences' rows and the head's (N, head_dim) temporaries at once."""
     tape = ad.Tape(recording=False)
     correct = total = 0
     for batch in valid_set:
-        scores, targets = task_scores(params, task, batch, tape)
+        scores, targets = task_scores(params, task, batch, lambda s: tape.leaf(encode_sentences(s, params)))
         rows = np.arange(len(targets))
         others = scores.value.copy()
         others[rows, targets] = -np.inf

@@ -4,15 +4,21 @@ reads must exist, every call they make through one must bind to that
 name's signature, and every attribute the benchmark reads off a settings
 object named ``config`` must exist on one.
 
-Tier-1 runs neither the benchmark nor the scripts, and the benchmark's
-files change only with the benchmark itself, so a rename or a dropped
-parameter in the package would otherwise break them silently.
+Tier-1 does not run the benchmark, and the benchmark's files change only
+with the benchmark itself, so a rename or a dropped parameter in the
+package would otherwise break it silently. Of the scripts, tier-1 runs the
+walkthrough, ``end_to_end.py --fast``, in a fresh process; that covers
+training with validation, ``probe_encoder`` and ``head_probs`` end to end.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -136,3 +142,13 @@ def test_every_config_attribute_exists():
     settings = (TrainConfig(task="R", k=1), ProbeConfig())
     missing = sorted(a for a in CONFIG_ATTRS if not any(hasattr(s, a) for s in settings))
     assert not missing, missing
+
+
+def test_the_walkthrough_runs_and_prints_its_report():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(SCRIPTS / "end_to_end.py"), "--fast"],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert re.search(r"^BigramShift  trained P\(2\): \d\.\d{3}   untrained: \d\.\d{3}", done.stdout, re.M)
+    assert re.search(r"^R\(1\) members: (\d\.\d{3} ){3}  ensemble: \d\.\d{3}$", done.stdout, re.M)

@@ -440,6 +440,16 @@ def test_probe_writes_results(tmp_path, corpus_file, trained_ckpt, capsys):
     assert sha256(tmp_path / "both.tsv") == PROBE_BOTH_TSV_SHA256
 
 
+def test_probe_runs_on_a_corpus_with_a_two_token_line(tmp_path, capsys):
+    # BigramShift, one of the default probes, drops what it cannot swap
+    corpus = tmp_path / "short.txt"
+    corpus.write_text("".join(" ".join(s) + "\n" for s in make_toy_corpus(400, seed=4)) + "hello there\n")
+    ckpt = tmp_path / "m.ckpt"
+    assert run("train", "--task", "R", "--k", "1", "--seed", "3", "--corpus", corpus, *TINY, "--out", ckpt) == 0
+    assert run("probe", ckpt, "--corpus", corpus, "--seed", "3", "--out", tmp_path / "r") == 0
+    assert "BigramShift" in json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+
+
 def test_one_config_file_serves_train_and_probe(tmp_path, corpus_file, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -180,9 +180,16 @@ def test_bigramshift_balance_over_10k():
     assert 0.48 <= frac <= 0.52
 
 
-def test_bigramshift_too_short_raises():
-    with pytest.raises(DataError, match="sentence of length 2 cannot host an informative swap"):
-        P.gen_probe_bigramshift([["a", "b"]], stream(0, PROBE), seed=0)
+def test_bigramshift_drops_sentences_too_short_to_swap(corpus):
+    assert min(map(len, corpus)) >= 3
+    mixed = [["a"]] + corpus[:40] + [["a", "b"]] + corpus[40:200] + [["b", "a"]] + corpus[200:] + [["c"]]
+    want = P.gen_probe_bigramshift(corpus, stream(5, PROBE, epoch=2, item=0), seed=5)
+    assert P.gen_probe_bigramshift(mixed, stream(5, PROBE, epoch=2, item=0), seed=5) == want
+
+
+def test_bigramshift_of_only_short_sentences_raises():
+    with pytest.raises(DataError):
+        P.gen_probe_bigramshift([["a", "b"], ["c"]] * 20, stream(0, PROBE), seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -302,47 +302,78 @@ def test_post_clip_norm_never_exceeds_limit(scales):
 # ---------------------------------------------------------------------------
 
 
-def test_frozen_readout_encodes_256_at_a_time_through_the_encoder_module(tiny_data, monkeypatch):
-    """head_probs looks encode_batch up on the encoder module and validation
-    on the train module, 256 sentences at a time on a non-recording tape: a
-    tracer that swaps those attributes sees every frozen encode."""
+def test_frozen_readout_encodes_through_the_encoder_module(tiny_data, monkeypatch):
+    """head_probs and validation look encode_batch up on the encoder module
+    (through encode_sentences), on a non-recording tape: a tracer that swaps
+    that attribute sees every frozen encode."""
     from conssent import encoder
 
     params = init_params(tiny_data.vocab.size, 8, 4, head_tasks=("D",), head_dim=8, seed=1)
     seqs = [[2 + i % 20, 2 + i // 20] for i in range(300)]  # distinct: each is encoded once
-    sizes = []
+    seen = []
+    real_encode_batch = encoder.encode_batch
 
-    def spy_on(module):
-        real_encode_batch = module.encode_batch
+    def spy(batch, p, tape):
+        assert not tape.recording
+        seen.extend(tuple(s) for s in batch)
+        return real_encode_batch(batch, p, tape)
 
-        def spy(batch, p, tape):
-            assert not tape.recording
-            sizes.append(len(batch))
-            return real_encode_batch(batch, p, tape)
-
-        monkeypatch.setattr(module, "encode_batch", spy)
-
-    spy_on(encoder)
+    monkeypatch.setattr(encoder, "encode_batch", spy)
     probs = encoder.head_probs(seqs, params, "D")
-    assert probs.shape == (300, 2) and sizes == [256, 44]
+    assert probs.shape == (300, 2) and sorted(seen) == sorted(map(tuple, seqs))
     with pytest.raises(DataError):
         encoder.head_probs(seqs, params, "R")
 
-    # ten validation draws pool 320 D examples: one full chunk and a tail
-    spy_on(train)
-    sizes.clear()
+    # validation encodes each distinct sentence once, though unperturbed
+    # sentences repeat across its ten draws
+    seen.clear()
     valid_set = train._build_validation(tiny_data, "D", tiny_config("D", k=1, valid_draws=10))
     acc = train._validate(params, "D", valid_set)
-    assert sizes == [256, 64]
+    sents = [list(ex.tokens) for b in valid_set for ex in b]
+    distinct = set(map(tuple, sents))
+    assert len(distinct) < len(sents) and sorted(seen) == sorted(distinct)
     quiet = ad.Tape(recording=False)
-    scored = [train.task_scores(params, "D", b, quiet) for b in valid_set]
+    scored = [train.task_scores(params, "D", b, lambda s: encode_batch(s, params, quiet)) for b in valid_set]
     logits = np.concatenate([scores.value for scores, _ in scored])
     labels = np.concatenate([targets for _, targets in scored])
     rows = np.arange(len(labels))
     assert acc == np.mean(logits[rows, labels] > logits[rows, 1 - labels])
     # head_probs reads the same logits validation scores
-    sents = [list(ex.tokens) for b in valid_set for ex in b]
     np.testing.assert_array_equal(encoder.head_probs(sents, params, "D"), ad.softmax_rows(logits))
+
+
+def _encode_in_runs_of_five(params, tape):
+    """encode_batch over consecutive runs of five sentences, a lone last
+    sentence joining the run before it: every batch holds at least two."""
+    def encode(seqs):
+        bounds = list(range(0, len(seqs), 5)) + [len(seqs)]
+        if len(seqs) > 5 and len(seqs) % 5 == 1:
+            del bounds[-2]
+        runs = [encode_batch(seqs[lo:hi], params, tape).value for lo, hi in zip(bounds, bounds[1:])]
+        return tape.leaf(np.concatenate(runs))
+    return encode
+
+
+@pytest.mark.parametrize("task, k", [("D", 1), ("C", 2)])
+def test_validation_scores_frozen_rows_as_encode_batch_does(tiny_data, task, k):
+    """Frozen rows from encode_sentences give the logits encode_batch's rows
+    give, bit for bit, and validation is strict top-1 over them."""
+    config = tiny_config(task, k=k, valid_draws=3)
+    params = train_single_task(config, tiny_data).params
+    valid_set = train._build_validation(tiny_data, task, config)
+    quiet = ad.Tape(recording=False)
+    hits = []
+    for batch in valid_set:
+        frozen, targets = train.task_scores(
+            params, task, batch, lambda s: quiet.leaf(encode_sentences(s, params)))
+        scores, same_targets = train.task_scores(params, task, batch, _encode_in_runs_of_five(params, quiet))
+        np.testing.assert_array_equal(same_targets, targets)
+        assert frozen.value.tobytes() == scores.value.tobytes()
+        rows = np.arange(len(targets))
+        others = scores.value.copy()
+        others[rows, targets] = -np.inf
+        hits.extend(scores.value[rows, targets] > others.max(axis=1))
+    assert train._validate(params, task, valid_set) == sum(hits) / len(hits)
 
 
 def _toy300():
