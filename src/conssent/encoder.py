@@ -481,11 +481,11 @@ def head_logits(v, head: HeadWeights) -> ad.Var:
 
 
 def head_probs(seqs: list, params: EncoderParams, task: str) -> np.ndarray:
-    """(N, classes) softmax of ``task``'s head over the float64 frozen encodings
-    of ``seqs`` (float32 parameters are upcast once), as validation reads them."""
+    """(N, classes) softmax of ``task``'s head over the frozen encodings of
+    ``seqs``, read from the stored model (``as_stored``), as validation reads them."""
     if task not in params.heads:
         raise DataError(f"checkpoint has no classifier head for task {task!r}")
-    params = EncoderParams({n: a.astype(np.float64, copy=False) for n, a in params.named_arrays().items()})
+    params = as_stored(params)
     encodings = ad.Tape(recording=False).leaf(encode_sentences(seqs, params))
     return ad.softmax_rows(head_logits(encodings, params.heads[task]).value)
 
@@ -494,6 +494,12 @@ def head_probs(seqs: list, params: EncoderParams, task: str) -> np.ndarray:
 # Checkpoints: magic, version, JSON metadata, then raw little-endian float32
 # arrays in param_shapes() order.
 # ---------------------------------------------------------------------------
+
+
+def as_stored(params: EncoderParams) -> EncoderParams:
+    """The float32 model ``save_checkpoint`` writes, which every frozen read
+    (probes, ``head_probs``, validation) scores; float32 arrays are not copied."""
+    return EncoderParams({n: a.astype(np.float32, copy=False) for n, a in params.named_arrays().items()})
 
 
 def save_checkpoint(path, params: EncoderParams, meta: dict | None = None) -> None:

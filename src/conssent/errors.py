@@ -2,8 +2,10 @@
 
 The CLI maps these to exit codes: UsageError -> 1, DataError -> 2,
 NumericError -> 3, WorkerPoolError -> 4. A module defines a subclass
-only for an error that some code catches by that class; everything else
-is raised as one of these five.
+only for an error that some code catches by that class; every other error
+a command can meet is one of these five. Caller bugs that no command reaches
+(an empty batch, an unknown task name given to a library function, a loss
+that is not a scalar) raise ValueError or TypeError.
 """
 
 

@@ -10,10 +10,10 @@ Three probes whose ground truth is derivable from the raw sentence alone:
 Each probe yields a fixed, disjoint 70/15/15 train/valid/test split.
 Encoders are evaluated frozen: ``probe_encoder`` encodes the probes'
 sentences in one ``encode_sentences`` call, which encodes each distinct
-sentence once, in float32 (a loaded checkpoint's arrays as they are stored)
-with float64 rows; training, validation and ``head_probs`` stay float64.
-Then either a multinomial logistic regression (float64 under scipy's
-L-BFGS) or a one-hidden-layer sigmoid MLP (trained and scored in float32)
+sentence once, into float64 rows of the float32 model a checkpoint stores
+(``as_stored``), as validation and ``head_probs`` read it. Then either a
+multinomial logistic regression (float64 under scipy's L-BFGS) or a
+one-hidden-layer sigmoid MLP (trained and scored in float32)
 is fit on each probe's rows at ``ProbeConfig``'s fixed, SentEval-style
 grids, selected on validation; only the seed varies. A grid's cells are fit across the usable CPUs
 (``parallel.ordered_map``) with the bytes an in-process fit gives.
@@ -36,7 +36,7 @@ import numpy as np
 
 from .autodiff import softmax_rows, stable_sigmoid
 from .corpus import Vocabulary
-from .encoder import EncoderParams, encode_sentences
+from .encoder import EncoderParams, as_stored, encode_sentences
 from .errors import DataError, UsageError
 from .parallel import ordered_map
 from .rng import PROBE, stream
@@ -227,17 +227,12 @@ def _split(task: ProbeTask, encodings: np.ndarray) -> ProbeEncodings:
     return ProbeEncodings(task.name, task.num_classes, x, y)
 
 
-def _float32(params: EncoderParams) -> EncoderParams:
-    """The parameters in float32 for frozen encodes; float32 arrays are not copied."""
-    return EncoderParams({n: a.astype(np.float32, copy=False) for n, a in params.named_arrays().items()})
-
-
 def encode_probe(task: ProbeTask, params: EncoderParams, vocab: Vocabulary) -> ProbeEncodings:
     """Encode the task's sentences (each distinct one once) with the frozen
-    BiLSTM-max ``params`` in float32, token strings mapped to ids through
-    ``vocab``, then take each split's rows in its index order."""
+    BiLSTM-max ``params`` as stored (``as_stored``), token strings mapped to
+    ids through ``vocab``, then take each split's rows in its index order."""
     seqs = [vocab.encode(list(s)) for s, _ in task.examples]
-    return _split(task, encode_sentences(seqs, _float32(params)))
+    return _split(task, encode_sentences(seqs, as_stored(params)))
 
 
 @dataclass(frozen=True)
@@ -441,7 +436,7 @@ def probe_encoder(tasks: dict, params: EncoderParams, vocab: Vocabulary,
     if not tasks:
         return {}
     seqs = [vocab.encode(list(s)) for task in tasks.values() for s, _ in task.examples]
-    encodings = encode_sentences(seqs, _float32(params))
+    encodings = encode_sentences(seqs, as_stored(params))
     results, start = {}, 0
     for name, task in tasks.items():
         enc = _split(task, encodings[start : start + len(task.examples)])

@@ -30,6 +30,7 @@ from . import autodiff as ad
 from .corpus import SplitCorpus
 from .encoder import (
     EncoderParams,
+    as_stored,
     bind_params,
     copy_params,
     encode_batch,
@@ -68,14 +69,15 @@ K_RANGES = {
 GROUP1 = SINGLE_TASKS
 GROUP2 = ("N", "C")
 
-# Every task keeps its own data streams even when several share an encoder;
-# the member index (its place in GROUP1 + GROUP2) is folded into the stream's
-# epoch field (epochs stay far below 256, so the channels never collide).
+# Every task keeps its own data streams even when several share an encoder:
+# its member index (place in GROUP1 + GROUP2) is folded into the stream's epoch
+# field, _CHANNELS apart, and TrainConfig caps max_epochs and valid_draws there.
 _MEMBER_INDEX = {task: i for i, task in enumerate(GROUP1 + GROUP2)}
+_CHANNELS = 256
 
 
 def _chan(epoch: int, task: str) -> int:
-    return epoch + 256 * _MEMBER_INDEX[task]
+    return epoch + _CHANNELS * _MEMBER_INDEX[task]
 
 
 class NonFiniteGradient(NumericError):
@@ -121,6 +123,9 @@ class TrainConfig:
         for name in ("hidden_size", "embed_dim", "head_dim", "batch_size", "max_epochs", "valid_draws"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be >= 1")
+        for name in ("max_epochs", "valid_draws"):
+            if getattr(self, name) > _CHANNELS:
+                raise UsageError(f"{name} must be <= {_CHANNELS}: a task has that many data streams")
         if self.lr0 <= 0 or self.init_gain <= 0:
             raise UsageError("lr0 and init_gain must be positive")
         if not 0 <= self.gate_p <= 1:
@@ -280,9 +285,11 @@ def _build_validation(data: SplitCorpus, task: str, config: TrainConfig):
 def _validate(params: EncoderParams, task: str, valid_set) -> float:
     """Share of validation rows whose target column scores strictly above
     every other column: a tie at the top is a miss, for every task, since
-    each constraint asks the true answer to beat the alternatives. Rows are
-    read frozen from ``encode_sentences``; a head task's one batch holds its
-    distinct sentences' rows and the head's (N, head_dim) temporaries at once."""
+    each constraint asks the true answer to beat the alternatives, scored on
+    the float32 model a checkpoint of ``params`` stores (``as_stored``). Rows
+    are read frozen from ``encode_sentences``; a head task's one batch holds
+    its distinct sentences' rows and the head's temporaries at once."""
+    params = as_stored(params)
     tape = ad.Tape(recording=False)
     correct = total = 0
     for batch in valid_set:

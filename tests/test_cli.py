@@ -170,6 +170,14 @@ def test_gen_rejects_mt_and_bad_k(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--max-epochs", "--valid-draws"])
+def test_train_refuses_more_epochs_or_draws_than_a_task_has_streams(tmp_path, capsys, flag):
+    assert run("train", "--task", "MT", flag, "257", "--toy-n", "50",
+               "--out", tmp_path / "m.ckpt") == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag[2:].replace('-', '_')} must be <= 256")
+    assert not (tmp_path / "m.ckpt.g1").exists()
+
+
 @pytest.mark.parametrize("flag", [("--min-freq", "0"), ("--valid-fraction", "1.5"),
                                   ("--toy-n", "-5")])
 def test_bad_corpus_setting_is_usage_error(tmp_path, capsys, flag):

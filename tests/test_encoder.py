@@ -877,17 +877,19 @@ def test_a_failed_save_leaves_the_checkpoint_it_would_replace(tmp_path):
         assert loaded.named_arrays()[name].tobytes() == arr.astype("<f4").tobytes(), name
 
 
-def test_head_probs_of_a_loaded_checkpoint_are_float64(tmp_path):
-    """A checkpoint loads as float32; its head readout still runs in float64,
-    bit for bit what the float64 upcast of the same weights gives."""
+def test_head_probs_read_the_model_a_checkpoint_stores(tmp_path):
+    """float64 parameters give, bit for bit, the head readout of their saved
+    and reloaded checkpoint: an in-memory ensemble member is scored as the
+    stored one is."""
+    params = init_params(30, 16, 12, head_tasks=("D",), head_dim=8, seed=3)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, init_params(30, 16, 12, head_tasks=("D",), head_dim=8, seed=3))
+    save_checkpoint(path, params)
     loaded, _meta = load_checkpoint(path)
     seqs = _ragged_ids(300, 30, seed=3)
-    got = encoder.head_probs(seqs, loaded, "D")
-    want = encoder.head_probs(seqs, _cast(loaded, np.float64), "D")
+    got = encoder.head_probs(seqs, params, "D")
+    want = encoder.head_probs(seqs, loaded, "D")
     _assert_bitwise_equal(got, want, "head_probs")
-    assert all(a.dtype == np.float32 for a in loaded.named_arrays().values())
+    assert all(a.dtype == np.float64 for a in params.named_arrays().values())
 
 
 def test_checkpoint_save_load_save_identical_bytes(tmp_path):

@@ -405,7 +405,7 @@ def test_float32_readout_takes_a_loaded_checkpoint_as_it_is(tmp_path):
     path = tmp_path / "m.ckpt"
     encoder.save_checkpoint(path, init_params(20, 8, 4, seed=0))
     loaded, _meta = encoder.load_checkpoint(path)
-    cast = P._float32(loaded).named_arrays()
+    cast = encoder.as_stored(loaded).named_arrays()
     assert all(cast[name] is arr for name, arr in loaded.named_arrays().items())
 
 

@@ -13,7 +13,16 @@ from hypothesis import strategies as st
 from conssent import autodiff as ad
 from conssent import train
 from conssent.corpus import prepare_corpus
-from conssent.encoder import bind_params, encode_batch, encode_sentences, head_logits, init_params
+from conssent.encoder import (
+    as_stored,
+    bind_params,
+    encode_batch,
+    encode_sentences,
+    head_logits,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from conssent.errors import DataError, NumericError, UsageError
 from conssent.perturb import PairBatch, gen_single_examples
 from conssent.toydata import make_toy_corpus
@@ -332,8 +341,10 @@ def test_frozen_readout_encodes_through_the_encoder_module(tiny_data, monkeypatc
     sents = [list(ex.tokens) for b in valid_set for ex in b]
     distinct = set(map(tuple, sents))
     assert len(distinct) < len(sents) and sorted(seen) == sorted(distinct)
-    quiet = ad.Tape(recording=False)
-    scored = [train.task_scores(params, "D", b, lambda s: encode_batch(s, params, quiet)) for b in valid_set]
+    # both score the stored float32 model, not the float64 parameters, on float64 rows
+    quiet, stored = ad.Tape(recording=False), encoder.as_stored(params)
+    scored = [train.task_scores(stored, "D", b, lambda s: quiet.leaf(
+        encode_batch(s, stored, quiet).value.astype(np.float64))) for b in valid_set]
     logits = np.concatenate([scores.value for scores, _ in scored])
     labels = np.concatenate([targets for _, targets in scored])
     rows = np.arange(len(labels))
@@ -344,36 +355,64 @@ def test_frozen_readout_encodes_through_the_encoder_module(tiny_data, monkeypatc
 
 def _encode_in_runs_of_five(params, tape):
     """encode_batch over consecutive runs of five sentences, a lone last
-    sentence joining the run before it: every batch holds at least two."""
+    sentence joining the run before it: every batch holds at least two. The
+    rows are float64, as encode_sentences gives them."""
     def encode(seqs):
         bounds = list(range(0, len(seqs), 5)) + [len(seqs)]
         if len(seqs) > 5 and len(seqs) % 5 == 1:
             del bounds[-2]
         runs = [encode_batch(seqs[lo:hi], params, tape).value for lo, hi in zip(bounds, bounds[1:])]
-        return tape.leaf(np.concatenate(runs))
+        return tape.leaf(np.concatenate(runs, dtype=np.float64))
     return encode
 
 
 @pytest.mark.parametrize("task, k", [("D", 1), ("C", 2)])
 def test_validation_scores_frozen_rows_as_encode_batch_does(tiny_data, task, k):
     """Frozen rows from encode_sentences give the logits encode_batch's rows
-    give, bit for bit, and validation is strict top-1 over them."""
+    give, bit for bit, in float64 and in the stored float32, and validation
+    is strict top-1 over the stored model's."""
     config = tiny_config(task, k=k, valid_draws=3)
     params = train_single_task(config, tiny_data).params
     valid_set = train._build_validation(tiny_data, task, config)
     quiet = ad.Tape(recording=False)
-    hits = []
-    for batch in valid_set:
-        frozen, targets = train.task_scores(
-            params, task, batch, lambda s: quiet.leaf(encode_sentences(s, params)))
-        scores, same_targets = train.task_scores(params, task, batch, _encode_in_runs_of_five(params, quiet))
-        np.testing.assert_array_equal(same_targets, targets)
-        assert frozen.value.tobytes() == scores.value.tobytes()
-        rows = np.arange(len(targets))
-        others = scores.value.copy()
-        others[rows, targets] = -np.inf
-        hits.extend(scores.value[rows, targets] > others.max(axis=1))
+    for p in (params, as_stored(params)):  # the last, the stored model, is what validation scores
+        hits = []
+        for batch in valid_set:
+            frozen, targets = train.task_scores(p, task, batch, lambda s: quiet.leaf(encode_sentences(s, p)))
+            scores, same_targets = train.task_scores(p, task, batch, _encode_in_runs_of_five(p, quiet))
+            np.testing.assert_array_equal(same_targets, targets)
+            assert frozen.value.tobytes() == scores.value.tobytes()
+            rows = np.arange(len(targets))
+            others = scores.value.copy()
+            others[rows, targets] = -np.inf
+            hits.extend(scores.value[rows, targets] > others.max(axis=1))
     assert train._validate(params, task, valid_set) == sum(hits) / len(hits)
+
+
+@pytest.mark.parametrize("task, k", [("D", 1), ("C", 2)])
+def test_the_checkpoint_is_the_model_validation_chose(tiny_data, task, k, tmp_path):
+    """Validation scores the model a checkpoint stores: the saved and reloaded
+    snapshot scores ``best_valid`` exactly."""
+    config = tiny_config(task, k=k, valid_draws=3, max_epochs=3)
+    state = train_single_task(config, tiny_data)
+    save_checkpoint(tmp_path / "m.ckpt", state.params)
+    loaded, _meta = load_checkpoint(tmp_path / "m.ckpt")
+    valid_set = train._build_validation(tiny_data, task, config)
+    assert train._validate(loaded, task, valid_set) == state.best_valid
+
+
+def test_validation_scores_what_a_reloaded_checkpoint_scores(tmp_path):
+    """Two head columns apart by less than float32 resolves: in float64 about
+    half the rows are hits, but the stored model ties them all."""
+    data = _toy300()
+    params = init_params(data.vocab.size, 8, 4, head_tasks=("D",), head_dim=8, seed=0)
+    w2 = params.heads["D"].w2
+    w2[:, 1] = w2[:, 0] * (1 + 1e-12)
+    save_checkpoint(tmp_path / "m.ckpt", params)
+    loaded, _meta = load_checkpoint(tmp_path / "m.ckpt")
+    config = TrainConfig(task="D", hidden_size=4, embed_dim=8, head_dim=8, valid_draws=2, seed=0)
+    valid_set = train._build_validation(data, "D", config)
+    assert train._validate(params, "D", valid_set) == train._validate(loaded, "D", valid_set) == 0.0
 
 
 def _toy300():
@@ -489,6 +528,15 @@ def test_config_rejects_bad_scalars():
         TrainConfig(task="D", k=1, valid_draws=0)
     with pytest.raises(UsageError, match=r"gate_p must be in \[0, 1\], got 1\.5"):
         TrainConfig(task="D", k=1, gate_p=1.5)
+
+
+@pytest.mark.parametrize("name", ["max_epochs", "valid_draws"])
+def test_config_caps_epochs_and_draws_at_each_tasks_256_streams(name):
+    """In MT, D's epoch or draw 256 would read P's epoch or draw 0 streams."""
+    assert train._chan(256, "D") == train._chan(0, "P")
+    TrainConfig(task="MT", **{name: 256})
+    with pytest.raises(UsageError, match=f"{name} must be <= 256"):
+        TrainConfig(task="MT", **{name: 257})
 
 
 # ---------------------------------------------------------------------------
