@@ -5,11 +5,13 @@ command reads only its own config keys (``COMMANDS``): they are its flags,
 the keys it takes from a JSON ``--config`` file (which may hold any known
 key; unknown keys are rejected) and the config its ``<out>.meta.json``
 sidecar records with its SHA-256, so any output can be traced back to the
-exact settings that produced it. Keys resolve defaults < config file <
-flags; the seed resolves flag > config file > CONSSENT_SEED env var > 0.
-``--models``, ``--tolerance`` and ``--k-range`` are flags only.
+exact settings that produced it. Every key resolves flag > config file >
+built-in default. ``--models``, ``--tolerance`` and ``--k-range`` are flags
+only.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success; a package error exits with its class's
+``exit_code`` after its ``label`` (see ``errors``), and a path that cannot
+be opened exits 1.
 Human-readable progress goes to stderr; machine output goes to files and
 stdout only.
 """
@@ -19,7 +21,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -30,7 +31,7 @@ from . import ensemble as ens
 from . import probes as pr
 from .corpus import load_corpus_file, prepare_corpus, read_utf8, save_vocab_file
 from .encoder import head_probs, init_params, load_checkpoint, save_checkpoint
-from .errors import ConsSentError, DataError, NumericError, UsageError, WorkerPoolError
+from .errors import ConsSentError, DataError, NumericError, UsageError
 from .perturb import (
     PAIR_TASKS,
     SINGLE_TASKS,
@@ -52,13 +53,12 @@ from .train import (
 )
 
 # Every config key with its default: TrainConfig's fields, then the run's
-# inputs. `None` means "no value": either the command supplies its own (out
-# paths) or a fallback chain resolves it (seed, in place of TrainConfig's 0).
-# Probes always run at ProbeConfig's fixed protocol.
+# inputs. `None` means "no value": the command supplies its own (out paths)
+# or reads none (corpus, metrics). Probes always run at ProbeConfig's fixed
+# protocol.
 CONFIG_DEFAULTS = {
     **{f.name: f.default for f in fields(TrainConfig) if f.default is not MISSING},
     "task": "R",                    # D | P | I | R | C | N | MT
-    "seed": None,                   # None -> CONSSENT_SEED env var -> 0
     "corpus": None,                 # path to one-sentence-per-line text; None -> toy
     "toy_n": 2000,                  # toy corpus size when corpus is None
     "valid_fraction": 0.1,
@@ -116,28 +116,10 @@ def load_run_config(path: str | None) -> dict:
     if unknown:
         raise UsageError(f"{path}: unknown config keys {unknown}")
     for key, value in loaded.items():
-        # the seed is checked where it is resolved, after its fallbacks
-        if key != "seed" and not _type_ok(value, CONFIG_DEFAULTS[key]):
+        if not _type_ok(value, CONFIG_DEFAULTS[key]):
             raise UsageError(f"{path}: {key}={value!r} does not match the type "
                              f"of its default {CONFIG_DEFAULTS[key]!r}")
     config.update(loaded)
-    return config
-
-
-def resolve_config(args: dict, keys) -> dict:
-    """The command's ``keys``: defaults < config file < command-line flags;
-    then seed fallbacks."""
-    loaded = load_run_config(args["config"])
-    config = {key: loaded[key] if args[key] is None else args[key] for key in keys}
-    seed, source = config["seed"], "seed"
-    if seed is None:
-        seed, source = os.environ.get("CONSSENT_SEED", 0), "CONSSENT_SEED"
-    try:
-        if type(seed) not in (int, str):  # int() would truncate a float or a bool
-            raise TypeError
-        config["seed"] = int(seed)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{source}={seed!r} is not an integer") from exc
     return config
 
 
@@ -434,7 +416,7 @@ COMMANDS = {
 # What a flag needs beyond the type of its key's default.
 _FLAG_OPTIONS = {
     "task": {"choices": TASKS},
-    "seed": {"type": int, "help": "master seed (beats config and env)"},
+    "seed": {"help": "master seed"},
     "corpus": {"help": "text corpus, one sentence per line"},
     "toy_n": {"help": "toy corpus size when --corpus is absent"},
     "out": {"help": "output path (for probe: the stem of the .json and .tsv results)"},
@@ -468,7 +450,8 @@ def main(argv=None) -> int:
     try:
         args = vars(build_parser().parse_args(argv))
         command, _help, keys, _arguments = COMMANDS[args.pop("command")]
-        config = resolve_config(args, keys)
+        loaded = load_run_config(args["config"])  # flags beat the config file
+        config = {key: loaded[key] if args[key] is None else args[key] for key in keys}
         return command(config, **{k: v for k, v in args.items() if k not in (*keys, "config")})
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
@@ -476,21 +459,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # a directory, an unwritable path, ...
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
-    except WorkerPoolError as exc:
-        print(f"worker error: {exc}", file=sys.stderr)
-        return 4
-    except ConsSentError as exc:   # pragma: no cover - base-class safety net
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except ConsSentError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

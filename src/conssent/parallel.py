@@ -21,6 +21,7 @@ import atexit
 import gc
 import multiprocessing
 import os
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import resource_tracker
@@ -63,6 +64,12 @@ def ordered_map(fn, items) -> list:
     if _pool is not None and _pool._broken:  # what submit checks: it broke between maps
         shutdown()
     if _pool is None:
+        if getattr(multiprocessing.current_process(), "_inheriting", False):
+            # A worker re-running an unguarded script: spawning raises
+            # multiprocessing's bootstrap error here. When the first such
+            # worker dies, the pool terminate()s the others; blocking SIGTERM
+            # lets each print its traceback whole and exit on its own.
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
         _pool = ProcessPoolExecutor(usable_cpus(), mp_context=multiprocessing.get_context("spawn"))
     futures = []
     try:

@@ -119,8 +119,13 @@ def gen_probe_sentlen(corpus: list, bin_edges, seed: int = 0) -> ProbeTask:
 
 
 def default_length_bins(corpus: list) -> tuple:
-    """One bin per distinct length: every class non-empty by construction."""
-    return tuple(sorted({len(s) for s in corpus}))
+    """One bin per distinct length: every class non-empty by construction.
+    A corpus of fewer than 2 lengths has no SentLen task (DataError)."""
+    edges = tuple(sorted({len(s) for s in corpus}))
+    if len(edges) < 2:
+        raise DataError(f"SentLen needs sentences of at least 2 lengths; the corpus "
+                        f"has only lengths {list(edges)}")
+    return edges
 
 
 def gen_probe_wordcontent(corpus, targets, seed: int = 0) -> ProbeTask:
@@ -150,7 +155,8 @@ def gen_probe_wordcontent(corpus, targets, seed: int = 0) -> ProbeTask:
 def default_wordcontent_targets(corpus) -> tuple:
     """Mid-frequency tokens: skip the ``WORDCONTENT_SKIP`` most frequent
     (closed-class words), then take the next ``WORDCONTENT_TARGETS`` by
-    (frequency, token) rank."""
+    (frequency, token) rank. A corpus with too few token types has no
+    WordContent task (DataError)."""
     end = WORDCONTENT_SKIP + WORDCONTENT_TARGETS
     freq: dict = {}
     for s in corpus:
@@ -158,7 +164,7 @@ def default_wordcontent_targets(corpus) -> tuple:
             freq[tok] = freq.get(tok, 0) + 1
     ranked = sorted(freq, key=lambda t: (-freq[t], t))
     if len(ranked) < end:
-        raise UsageError(f"corpus has only {len(ranked)} token types, need {end}")
+        raise DataError(f"corpus has only {len(ranked)} token types, WordContent needs {end}")
     return tuple(ranked[WORDCONTENT_SKIP:end])
 
 

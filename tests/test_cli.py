@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from conssent.cli import COMMANDS, CONFIG_DEFAULTS, build_parser, config_sha256, load_run_config, main
 from conssent.corpus import load_corpus_file, prepare_corpus
 from conssent.encoder import encode_sentences, init_params, load_checkpoint, save_checkpoint
-from conssent.errors import ConsSentError
-from conssent.perturb import SINGLE_TASKS
+from conssent.errors import ConsSentError, DataError, NumericError, UsageError, WorkerPoolError
+from conssent.perturb import SINGLE_TASKS, NoCandidates
 from conssent.toydata import make_toy_corpus
-from conssent.train import TrainConfig, _epoch_batches, train_multitask
+from conssent.train import NonFiniteGradient, TrainConfig, _epoch_batches, train_multitask
 
 TINY = ["--hidden-size", "4", "--embed-dim", "8", "--head-dim", "8",
         "--batch-size", "16", "--max-epochs", "1", "--valid-draws", "1"]
@@ -231,7 +231,7 @@ def test_mistyped_or_removed_config_value_is_usage_error(tmp_path, capsys, entry
 
 def test_config_accepts_int_for_float_list_for_tuple_any_for_none(tmp_path):
     cfg = tmp_path / "cfg.json"
-    entries = {"lr0": 1, "probes": ["SentLen"], "corpus": None, "out": "x", "seed": "3"}
+    entries = {"lr0": 1, "probes": ["SentLen"], "corpus": None, "out": "x"}
     cfg.write_text(json.dumps(entries))
     assert load_run_config(str(cfg)) == {**CONFIG_DEFAULTS, **entries}
 
@@ -292,21 +292,41 @@ def test_seed_precedence(tmp_path, monkeypatch):
         return meta["config"]["seed"]
 
     monkeypatch.delenv("CONSSENT_SEED", raising=False)
-    assert gen_seed("--task", "D", "--k", "1", "--toy-n", "60") == 0   # fallback
+    assert gen_seed("--task", "D", "--k", "1", "--toy-n", "60") == 0   # default
     monkeypatch.setenv("CONSSENT_SEED", "33")
-    assert gen_seed("--task", "D", "--k", "1", "--toy-n", "60") == 33  # env
-    assert gen_seed("--config", cfg) == 11                             # config beats env
+    assert gen_seed("--task", "D", "--k", "1", "--toy-n", "60") == 0   # no env fallback
+    assert gen_seed("--config", cfg) == 11                             # config beats default
     assert gen_seed("--config", cfg, "--seed", "44") == 44             # flag beats all
 
 
-def test_bad_env_seed_is_usage_error(tmp_path, monkeypatch):
-    monkeypatch.setenv("CONSSENT_SEED", "not-a-number")
-    assert run("gen", "--task", "D", "--k", "1", "--toy-n", "50",
+def test_config_string_seed_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": "3"}))
+    assert run("gen", "--config", cfg, "--task", "D", "--k", "1", "--toy-n", "50",
                "--out", tmp_path / "x") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed='3'" in err
 
 
 def test_unknown_flag_exits_one():
     assert run("gen", "--frobnicate") == 1
+
+
+@pytest.mark.parametrize("exc, code, line", [
+    (UsageError("bad flag"), 1, "error: bad flag"),
+    (DataError("bad corpus"), 2, "data error: bad corpus"),
+    (NumericError("nan"), 3, "numeric error: nan"),
+    (WorkerPoolError("worker died"), 4, "worker error: worker died"),
+    (ConsSentError("other"), 1, "error: other"),
+    (NonFiniteGradient("inf grad"), 3, "numeric error: inf grad"),
+    (NoCandidates("no token"), 2, "data error: no token"),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_every_error_class_exits_through_main(monkeypatch, capsys, exc, code, line):
+    def fail(config):
+        raise exc
+    monkeypatch.setitem(COMMANDS, "gen", (fail, *COMMANDS["gen"][1:]))
+    assert run("gen") == code
+    assert capsys.readouterr().err == line + "\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -358,7 +378,7 @@ def test_defaults_match_the_documented_literal():
         "corpus": None, "toy_n": 2000, "valid_fraction": 0.1, "min_freq": 1,
         "probes": ["SentLen", "WordContent", "BigramShift"],
         "probe_classifier": "logreg", "baseline": False,
-        "seed": None, "out": None, "metrics": None,
+        "seed": 0, "out": None, "metrics": None,
     }
 
 
@@ -505,6 +525,24 @@ def test_probe_rejects_a_checkpoint_without_a_vocabulary_hash(tmp_path, corpus_f
     save_checkpoint(ckpt, init_params(vocab.size, 8, 4, seed=0))
     assert run("probe", ckpt, "--corpus", corpus_file, "--out", tmp_path / "r") == 2
     assert "vocab_sha256 None" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines, message", [
+    # one length: SentLen has no second class
+    ([" ".join(f"w{(i + j) % 20}" for j in range(5)) for i in range(40)],
+     "SentLen needs sentences of at least 2 lengths; the corpus has only lengths [5]"),
+    # 10 token types: WordContent cannot skip 8 and take 6
+    ([" ".join(f"w{(i + j) % 10}" for j in range(3 + i % 5)) for i in range(40)],
+     "corpus has only 10 token types, WordContent needs 14"),
+], ids=["one-length", "ten-types"])
+def test_probe_on_a_corpus_without_a_default_probe_task_is_data_error(tmp_path, capsys, lines, message):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("\n".join(lines) + "\n")
+    vocab = prepare_corpus(load_corpus_file(corpus)).vocab
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, init_params(vocab.size, 8, 4, seed=0), {"vocab_sha256": vocab.sha256()})
+    assert run("probe", ckpt, "--corpus", corpus, "--out", tmp_path / "r") == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"data error: {message}"
 
 
 def test_probe_missing_checkpoint_exits_one(tmp_path):

@@ -84,6 +84,15 @@ def test_default_length_bins_cover_exactly(corpus):
     assert task.num_classes == len(edges)
 
 
+def test_defaults_of_a_corpus_without_the_task_are_data_errors():
+    # the fault is in the corpus, not in edges or targets a caller chose
+    corpus = [["a", "b", "c"], ["d", "e", "f"]]
+    with pytest.raises(DataError, match=r"only lengths \[3\]"):
+        P.default_length_bins(corpus)
+    with pytest.raises(DataError, match="only 6 token types, WordContent needs 14"):
+        P.default_wordcontent_targets(corpus)
+
+
 # ---------------------------------------------------------------------------
 # WordContent
 # ---------------------------------------------------------------------------
