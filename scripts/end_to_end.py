@@ -76,11 +76,11 @@ def main():
                           batch_size=64, head_dim=512, init_gain=6.0,
                           valid_draws=10, max_epochs=epochs, seed=seed)
         members.append(train_single_task(cfg, data))
-    examples, _ = gen_single_examples(data.valid, "R", 1, 0.5, data.vocab,
+    examples, _ = gen_single_examples(data.valid, "R", 1, TrainConfig.gate_p, data.vocab,
                                       123, purpose=VALID)
     labels = np.array([ex.label for ex in examples])
     probs = [head_probs([ex.tokens for ex in examples], m.params, "R") for m in members]
-    accs = [float(np.mean(np.argmax(p, axis=1) == labels)) for p in probs]
+    accs = [ens.ensemble_accuracy([p], (1.0,), labels) for p in probs]
     weights = ens.normalize_weights([m.best_valid for m in members])
     acc = ens.ensemble_accuracy(probs, weights, labels)
     print(f"R(1) members: {' '.join(f'{a:.3f}' for a in accs)}   "

@@ -17,12 +17,13 @@ differ in ``k`` (or widths) instead; each score in the manifest is the
 
 import argparse
 
+from conssent.cli import CONFIG_DEFAULTS
 from conssent.toydata import make_toy_corpus
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--n", type=int, default=2400, help="number of sentences")
+    ap.add_argument("--n", type=int, default=CONFIG_DEFAULTS["toy_n"], help="number of sentences")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="toy.txt")
     args = ap.parse_args()

@@ -15,8 +15,6 @@ backward closure for ``_push`` to drop; only ``encoder.bilstm_max`` does not.
 
 import numpy as np
 
-from .errors import NumericError
-
 
 class Var:
     """A value on the tape plus its accumulated gradient."""
@@ -66,10 +64,10 @@ class Tape:
     def backward(self, loss: Var) -> None:
         """Accumulate d(loss)/d(node) into every node's ``grad``."""
         if self._used:
-            raise NumericError("tape already swept; build a new tape per pass")
+            raise ValueError("tape already swept; build a new tape per pass")
         self._used = True
         if not self.recording:
-            raise NumericError("cannot backward a non-recording tape")
+            raise ValueError("cannot backward a non-recording tape")
         if loss.value.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
         loss.grad = np.ones_like(loss.value)

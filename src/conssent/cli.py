@@ -327,7 +327,7 @@ def cmd_ensemble(config: dict, manifest: str) -> int:
         raise DataError(f"manifest has no validation scores for task {tc.task!r}")
     data = _prepare(config)
     examples, _ = gen_single_examples(
-        data.valid, tc.task, tc.k, tc.gate_p, data.vocab, tc.seed, purpose=VALID
+        data.valid, tc.task, tc.k, TrainConfig.gate_p, data.vocab, tc.seed, purpose=VALID
     )
     if not examples:
         raise DataError(f"validation split yields no {tc.task}(k={tc.k}) data")
@@ -345,7 +345,7 @@ def cmd_ensemble(config: dict, manifest: str) -> int:
             )
         probs = head_probs([ex.tokens for ex in examples], params, tc.task)
         member_probs.append(probs)
-        member_accs.append(float(np.mean(np.argmax(probs, axis=1) == labels)))
+        member_accs.append(ens.ensemble_accuracy([probs], (1.0,), labels))
     weights = task_weights[tc.task]
     acc = ens.ensemble_accuracy(member_probs, weights, labels)
     report = {
@@ -396,7 +396,7 @@ _CORPUS_KEYS = ("seed", "corpus", "toy_n", "valid_fraction", "min_freq", "out")
 _TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")  # seed: a corpus key
 COMMANDS = {
     "gen": (cmd_gen, "write epoch 0's training batches (train split, training order)",
-            (*_CORPUS_KEYS, "task", "k", "gate_p", "batch_size"), {}),
+            (*_CORPUS_KEYS, "task", "k", "batch_size"), {}),
     "train": (cmd_train, "train an encoder, save checkpoint + metrics",
               (*_CORPUS_KEYS, *_TRAIN_KEYS, "metrics"), {}),
     "probe": (cmd_probe, "probe a trained checkpoint",
@@ -406,7 +406,7 @@ COMMANDS = {
               (*_CORPUS_KEYS, *(key for key in _TRAIN_KEYS if key != "k")),
               {"--k-range": {"help": "inclusive range, e.g. 2..6 (default: the task's k range)"}}),
     "ensemble": (cmd_ensemble, "evaluate a checkpoint ensemble",
-                 (*_CORPUS_KEYS, "task", "k", "gate_p"),
+                 (*_CORPUS_KEYS, "task", "k"),
                  {"manifest": {"help": "ensemble manifest JSON"}}),
     "gradcheck": (cmd_gradcheck, "finite-difference gradient audit", ("seed",),
                   {"--models": {"type": int, "default": 20, "help": "number of random small models"},

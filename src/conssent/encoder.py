@@ -39,6 +39,7 @@ _FORMAT_VERSION = 1
 _NEG_BIG = 1e30
 _CHUNK = 8  # steps whose input projections _scan gathers at once
 _THREAD_WORK = 3_000_000  # per-step multiply-adds from which frozen batches get threads
+_FROZEN_BATCH = 128  # sentences per frozen batch
 _batch_pool: ThreadPoolExecutor | None = None  # frozen batches' threads, kept across calls
 
 
@@ -420,15 +421,13 @@ def encode_batch(seqs: list, params: EncoderParams, tape: ad.Tape) -> ad.Var:
     return bilstm_max(ids, mask, params.embedding, params.fwd, params.bwd, tape)
 
 
-def encode_sentences(
-    seqs: list, params: EncoderParams, batch_size: int = 128
-) -> np.ndarray:
+def encode_sentences(seqs: list, params: EncoderParams) -> np.ndarray:
     """Frozen encodings as a plain (N, 2H) float64 array; no tape kept. The
     encoder runs in the dtype of ``params`` (float32 params, float32 math).
 
     Each distinct id sequence is encoded once (the probe tasks share many
     sentences; toy corpora repeat some). The distinct ones are sorted by length (a stable
-    sort) and encoded in runs of ``batch_size``, so each batch pads only up
+    sort) and encoded in runs of ``_FROZEN_BATCH``, so each batch pads only up
     to its own longest sentence; one index then gathers the rows into input
     order, so row i encodes ``seqs[i]``. The bytes are those of encoding
     every input, since a row does not depend on which sentences share its
@@ -451,8 +450,8 @@ def encode_sentences(
         distinct *= 2
     n = len(distinct)
     order = np.argsort([len(s) for s in distinct], kind="stable")
-    bounds = list(range(0, n, batch_size)) + [n]
-    if n > batch_size and n % batch_size == 1:
+    bounds = list(range(0, n, _FROZEN_BATCH)) + [n]
+    if n > _FROZEN_BATCH and n % _FROZEN_BATCH == 1:
         del bounds[-2]
     tape = ad.Tape(recording=False)
     out = np.empty((n, 2 * params.hidden_size))

@@ -382,7 +382,8 @@ def gen_pair_batches(
 # records carry a `part` column in its place
 #     label  kind  k  part  tokens
 # written as one `anchor` line followed by its k `cand` lines, where exactly
-# the true candidate carries label 1. Tokens are space-joined strings. The
+# the true candidate carries label 1. Tokens are space-joined vocabulary
+# ids; line n (from 0) of the `.vocab` sidecar `gen` writes holds id n + 2. The
 # batches follow one another with no marker: consecutive runs of batch_size
 # records (or anchors), the last run possibly shorter.
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def sample_sentence(rng: RngStream) -> list[str]:
     return out
 
 
-def make_toy_corpus(n: int = 2400, seed: int = 0) -> list[list[str]]:
+def make_toy_corpus(n: int, seed: int) -> list[list[str]]:
     """n sentences, each from its own (seed, TOY, i) stream.
 
     Independent per-sentence streams mean a prefix of a larger corpus

@@ -186,7 +186,8 @@ def test_bad_corpus_setting_is_usage_error(tmp_path, capsys, flag):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("argv", [("--threads", "2"), ("--deterministic",)])
+@pytest.mark.parametrize("argv", [("--threads", "2"), ("--deterministic",), ("--lr0", "0.5"),
+                                  ("--gate-p", "0.3")])
 def test_removed_knobs_are_unknown_flags(tmp_path, argv):
     assert run("train", "--task", "D", "--k", "1", "--toy-n", "50", *argv,
                "--out", tmp_path / "m.ckpt") == 1
@@ -209,6 +210,7 @@ def test_unknown_config_key_rejected(tmp_path):
     {"max_epochs": True},
     {"allow_custom_k": 1},
     {"lr0": "0.1"},
+    {"gate_p": 0.5},
     {"l2_grid": 0.1},
     {"mlp_hidden": [50, "wide"]},
     {"probes": "SentLen"},
@@ -231,7 +233,7 @@ def test_mistyped_or_removed_config_value_is_usage_error(tmp_path, capsys, entry
 
 def test_config_accepts_int_for_float_list_for_tuple_any_for_none(tmp_path):
     cfg = tmp_path / "cfg.json"
-    entries = {"lr0": 1, "probes": ["SentLen"], "corpus": None, "out": "x"}
+    entries = {"init_gain": 1, "probes": ["SentLen"], "corpus": None, "out": "x"}
     cfg.write_text(json.dumps(entries))
     assert load_run_config(str(cfg)) == {**CONFIG_DEFAULTS, **entries}
 
@@ -271,9 +273,9 @@ def test_flags_override_config_file(tmp_path):
 
 def test_gen_hash_ignores_keys_gen_does_not_read(tmp_path):
     hashes, out = [], tmp_path / "ds.tsv"   # one out path: it is part of the config
-    for lr0 in (0.1, 0.5):
-        cfg = tmp_path / f"cfg{lr0}.json"
-        cfg.write_text(json.dumps({"task": "R", "k": 2, "seed": 7, "toy_n": 60, "lr0": lr0}))
+    for init_gain in (4.0, 6.0):
+        cfg = tmp_path / f"cfg{init_gain}.json"
+        cfg.write_text(json.dumps({"task": "R", "k": 2, "seed": 7, "toy_n": 60, "init_gain": init_gain}))
         assert run("gen", "--config", cfg, "--out", out) == 0
         assert sha256(out) == GEN_R2_SHA256
         hashes.append(json.loads((tmp_path / "ds.tsv.meta.json").read_text())["config_sha256"])
@@ -330,7 +332,7 @@ def test_every_error_class_exits_through_main(monkeypatch, capsys, exc, code, li
 
 
 @pytest.mark.parametrize("argv", [
-    ("gen", "--lr0", "0.5", "--toy-n", "50", "--out", "{tmp}/x.tsv"),
+    ("gen", "--init-gain", "0.5", "--toy-n", "50", "--out", "{tmp}/x.tsv"),
     ("gradcheck", "--models", "1", "--out", "{tmp}/g.json"),
     ("sweep", "--k", "3", "--k-range", "1..1", "--toy-n", "50", *TINY),
     ("ensemble", "{manifest}", "--task", "R", "--corpus", "{corpus}", "--hidden-size", "4"),
@@ -352,7 +354,7 @@ def test_flags_are_the_commands_keys():
                  for f in a.option_strings]
         assert sorted(flags) == sorted(["--config", *flag_only[name],
                                         *("--" + key.replace("_", "-") for key in keys)]), name
-    assert sum(len(COMMANDS[name][2]) for name in COMMANDS) == 63
+    assert sum(len(COMMANDS[name][2]) for name in COMMANDS) == 57
 
 
 def test_readme_table_matches_command_keys():
@@ -372,9 +374,9 @@ def test_defaults_match_the_documented_literal():
     # TrainConfig, less the keys for the paper's fixed optimizer and probe
     # protocol, which are constants now
     assert load_run_config(None) == {
-        "task": "R", "k": 2, "gate_p": 0.5,
+        "task": "R", "k": 2,
         "hidden_size": 32, "embed_dim": 64, "head_dim": 64, "init_gain": 4.0,
-        "batch_size": 64, "lr0": 0.1, "max_epochs": 20, "valid_draws": 10,
+        "batch_size": 64, "max_epochs": 20, "valid_draws": 10,
         "corpus": None, "toy_n": 2000, "valid_fraction": 0.1, "min_freq": 1,
         "probes": ["SentLen", "WordContent", "BigramShift"],
         "probe_classifier": "logreg", "baseline": False,
@@ -714,7 +716,7 @@ def r1_manifest(tmp_path_factory):
 
 
 @pytest.mark.parametrize("flag", [("--k", "99"), ("--k", "-1"), ("--k", "0"), ("--k", "7"),
-                                  ("--gate-p", "2.0")])
+                                  ("--valid-fraction", "1.5")])
 def test_ensemble_rejects_settings_train_rejects(r1_manifest, capsys, flag):
     manifest, corpus = r1_manifest
     assert run("ensemble", manifest, "--task", "R", "--corpus", corpus, *flag) == 1

@@ -213,11 +213,12 @@ def test_ragged_batch_matches_single_encoding():
         np.testing.assert_allclose(batch[b], encode_sentences([seq], params)[0], rtol=1e-12, atol=1e-12)
 
 
-def test_batching_does_not_change_encodings():
+def test_batching_does_not_change_encodings(monkeypatch):
     params = init_params(vocab_size=10, embed_dim=3, hidden_size=3, seed=4)
     seqs = [[2, 3], [4, 5, 6], [7], [8, 9, 2, 3], [5, 5]]
-    a = encode_sentences(seqs, params, batch_size=2)
-    b = encode_sentences(seqs, params, batch_size=128)
+    b = encode_sentences(seqs, params)
+    monkeypatch.setattr(encoder, "_FROZEN_BATCH", 2)
+    a = encode_sentences(seqs, params)
     np.testing.assert_allclose(a, b, rtol=1e-15)
 
 
@@ -244,14 +245,16 @@ def _spy_batches(monkeypatch) -> list:
 def test_frozen_batches_come_in_stable_length_order(monkeypatch):
     params = init_params(vocab_size=10, embed_dim=3, hidden_size=3, seed=4)
     batches = _spy_batches(monkeypatch)
-    encode_sentences(RAGGED, params, batch_size=3)
+    monkeypatch.setattr(encoder, "_FROZEN_BATCH", 3)
+    encode_sentences(RAGGED, params)
     assert [s for batch in batches for s in batch] == sorted(RAGGED, key=len)
 
 
 def test_a_lone_last_sentence_joins_the_batch_before_it(monkeypatch):
     params = init_params(vocab_size=10, embed_dim=3, hidden_size=3, seed=4)
     batches = _spy_batches(monkeypatch)
-    encode_sentences(RAGGED[:5], params, batch_size=2)
+    monkeypatch.setattr(encoder, "_FROZEN_BATCH", 2)
+    encode_sentences(RAGGED[:5], params)
     assert [len(batch) for batch in batches] == [2, 3]
 
 
@@ -263,7 +266,8 @@ def test_sorted_rows_come_back_in_input_order(monkeypatch):
     tape = Tape(recording=False)
     contiguous = np.concatenate([encode_batch(seqs[i : i + 4], params, tape).value for i in (0, 4)])
     batches = _spy_batches(monkeypatch)
-    got = encode_sentences(seqs, params, batch_size=4)
+    monkeypatch.setattr(encoder, "_FROZEN_BATCH", 4)
+    got = encode_sentences(seqs, params)
     assert batches != [seqs[:4], seqs[4:]]
     np.testing.assert_array_equal(got, contiguous)
 
@@ -272,9 +276,10 @@ def test_repeated_sentences_get_the_bytes_of_their_distinct_rows(monkeypatch):
     params = init_params(vocab_size=10, embed_dim=3, hidden_size=3, seed=4)
     pick = [0, 2, 0, 5, 2, 2, 6, 0, 1]
     seqs = [RAGGED[i] for i in pick]
-    distinct = encode_sentences(RAGGED, params, batch_size=3)
+    monkeypatch.setattr(encoder, "_FROZEN_BATCH", 3)
+    distinct = encode_sentences(RAGGED, params)
     batches = _spy_batches(monkeypatch)
-    got = encode_sentences(seqs, params, batch_size=3)
+    got = encode_sentences(seqs, params)
     assert got.tobytes() == distinct[pick].tobytes()
     encoded = [s for batch in batches for s in batch]
     assert sorted(encoded) == sorted(RAGGED[i] for i in set(pick))  # each distinct one once
@@ -476,13 +481,14 @@ def test_float32_rows_are_within_1e_5_of_the_float64_rows():
     assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
 
-def test_float32_rows_do_not_depend_on_their_batch_mates():
+def test_float32_rows_do_not_depend_on_their_batch_mates(monkeypatch):
     params = _cast(init_params(60, 32, 32, seed=7), np.float32)
     seqs = _ragged_ids(300, 60, seed=5)
-    rows = encode_sentences(seqs, params, batch_size=128)
-    np.testing.assert_array_equal(encode_sentences(seqs, params, batch_size=37), rows)
+    rows = encode_sentences(seqs, params)
     chunks = [encode_sentences(seqs[i : i + 50], params) for i in range(0, len(seqs), 50)]
     np.testing.assert_array_equal(np.concatenate(chunks), rows)
+    monkeypatch.setattr(encoder, "_FROZEN_BATCH", 37)
+    np.testing.assert_array_equal(encode_sentences(seqs, params), rows)
 
 
 # --------------------------------------------------------------------------

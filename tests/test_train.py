@@ -522,12 +522,10 @@ def test_config_requires_batch_at_least_k_for_ranking():
 
 
 def test_config_rejects_bad_scalars():
-    with pytest.raises(UsageError, match="lr0 and init_gain must be positive"):
-        TrainConfig(task="D", k=1, lr0=0.0)
+    with pytest.raises(UsageError, match="init_gain must be positive"):
+        TrainConfig(task="D", k=1, init_gain=0.0)
     with pytest.raises(UsageError, match="valid_draws must be >= 1"):
         TrainConfig(task="D", k=1, valid_draws=0)
-    with pytest.raises(UsageError, match=r"gate_p must be in \[0, 1\], got 1\.5"):
-        TrainConfig(task="D", k=1, gate_p=1.5)
 
 
 @pytest.mark.parametrize("name", ["max_epochs", "valid_draws"])
@@ -585,8 +583,9 @@ def test_lr_column_follows_schedule(tiny_data):
         assert lrs[i] == pytest.approx(expect, rel=1e-12)
 
 
-def test_gate_p_zero_degenerates_to_majority(tiny_data):
-    state = train_single_task(tiny_config("D", k=1, gate_p=0.0, max_epochs=3), tiny_data)
+def test_gate_p_zero_degenerates_to_majority(tiny_data, monkeypatch):
+    monkeypatch.setattr(TrainConfig, "gate_p", 0.0)
+    state = train_single_task(tiny_config("D", k=1, max_epochs=3), tiny_data)
     assert state.best_valid >= 0.99  # consistent-only data: predict class 0
     assert state.history[-1]["train_loss"] < state.history[0]["train_loss"]
 
@@ -658,6 +657,18 @@ def test_best_snapshot_is_not_last_epoch_params(tiny_data):
             more.params.embedding, one.params.embedding
         )
     assert more.best_valid >= one.best_valid - 1e-12
+
+
+def test_parameters_are_copied_once_per_improving_epoch(tiny_data, monkeypatch):
+    """Epoch 0 always improves on no snapshot at all, so nothing is copied
+    before it; each later epoch copies only when it beats the best."""
+    copies, real_copy = [], train.copy_params
+    monkeypatch.setattr(train, "copy_params", lambda p: copies.append(1) or real_copy(p))
+    state = train_single_task(tiny_config("D", k=1, seed=2, max_epochs=6), tiny_data)
+    accs = [row["valid_acc"] for row in state.history]
+    improving = sum(acc > max(accs[:e], default=float("-inf")) for e, acc in enumerate(accs))
+    assert len(copies) == improving
+    assert copies and len(copies) < len(accs)  # the run has an epoch that does not improve
 
 
 def test_learning_signal_all_tasks_twenty_seeds(tiny_data):
