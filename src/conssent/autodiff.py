@@ -10,7 +10,8 @@ Only the operations the encoder and losses need are provided. Operands may
 be ``Var`` or plain arrays/scalars; plain operands are treated as constants
 and receive no gradient. Inference and finite-difference probing use
 ``Tape(recording=False)``: it records nothing, but each op still builds its
-backward closure for ``_push`` to drop; only ``encoder.bilstm_max`` does not.
+backward closure for ``_push`` to drop; only ``encoder.bilstm_max`` and
+``encoder.head_logits`` (whose hidden layer is then one buffer) do not.
 """
 
 import numpy as np

@@ -473,10 +473,20 @@ def encode_sentences(seqs: list, params: EncoderParams) -> np.ndarray:
     return out if n == len(seqs) else out[inv]  # no repeats: rows already in input order
 
 
-def head_logits(v, head: HeadWeights) -> ad.Var:
-    """Two-layer perceptron with tanh between the layers."""
-    hidden = ad.tanh(ad.add(ad.matmul(v, head.w1), head.b1))
-    return ad.add(ad.matmul(hidden, head.w2), head.b2)
+def head_logits(v: ad.Var, head: HeadWeights) -> ad.Var:
+    """Two-layer perceptron with tanh between the layers. On a non-recording tape
+    the hidden layer is one (N, hidden) buffer, biased and squashed in place by
+    the tape ops' ufuncs in their order and dtype: the logits' bytes are the same."""
+    if v.tape.recording:
+        hidden = ad.tanh(ad.add(ad.matmul(v, head.w1), head.b1))
+        return ad.add(ad.matmul(hidden, head.w2), head.b2)
+    w1, b1, w2, b2 = map(_value_of, head)
+    hidden = (v.value @ w1).astype(np.result_type(v.value, w1, b1), copy=False)
+    hidden += b1
+    np.tanh(hidden, out=hidden)
+    out = (hidden @ w2).astype(np.result_type(hidden, w2, b2), copy=False)
+    out += b2
+    return v.tape._push(out, None)
 
 
 def head_probs(seqs: list, params: EncoderParams, task: str) -> np.ndarray:

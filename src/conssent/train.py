@@ -284,14 +284,20 @@ def _validate(params: EncoderParams, task: str, valid_set) -> float:
     """Share of validation rows whose target column scores strictly above
     every other column: a tie at the top is a miss, for every task, since
     each constraint asks the true answer to beat the alternatives, scored on
-    the float32 model a checkpoint of ``params`` stores (``as_stored``). Rows
-    are read frozen from ``encode_sentences``; a head task's one batch holds
-    its distinct sentences' rows and the head's temporaries at once."""
+    the float32 model a checkpoint of ``params`` stores (``as_stored``). The
+    set's sentences (a head task's one batch, each ``PairBatch``'s sides) are
+    read frozen in one ``encode_sentences`` call, each batch gathering its rows
+    from it: a row per sentence is held at once, beside a head task's one
+    (N, head_dim) buffer (``head_logits``)."""
     params = as_stored(params)
     tape = ad.Tape(recording=False)
+    sents = [s for batch in valid_set for s in (
+        [ex.tokens for ex in batch] if task in SINGLE_TASKS else [*batch.lefts, *batch.rights])]
+    row_of = dict(zip(map(tuple, sents), encode_sentences(sents, params)))
     correct = total = 0
     for batch in valid_set:
-        scores, targets = task_scores(params, task, batch, lambda s: tape.leaf(encode_sentences(s, params)))
+        scores, targets = task_scores(
+            params, task, batch, lambda s: tape.leaf(np.array([row_of[tuple(x)] for x in s])))
         rows = np.arange(len(targets))
         others = scores.value.copy()
         others[rows, targets] = -np.inf

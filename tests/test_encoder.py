@@ -799,6 +799,30 @@ def test_head_logits_shape():
     assert logits.value.shape == (2, 2)
 
 
+@pytest.mark.parametrize("n", [1, 2, 37])
+@pytest.mark.parametrize("rows_dtype, head_dtype", [
+    (np.float32, np.float32), (np.float64, np.float64), (np.longdouble, np.longdouble),
+    (np.float64, np.float32),  # validation's float64 rows on the stored float32 head
+])
+def test_frozen_head_logits_are_the_recording_tapes_bytes(rows_dtype, head_dtype, n):
+    """The non-recording head (one hidden buffer, the bias added and the tanh
+    taken in place) gives the recording tape's logits, with the head bound as
+    leaves (as gradcheck's numeric losses bind it) and as plain arrays."""
+    params = _cast(init_params(8, 2, 3, head_tasks=("P",), head_dim=64, seed=n, init_gain=6.0), head_dtype)
+    rows = (np.random.default_rng(n).standard_normal((n, 6)) * 3).astype(rows_dtype)
+    for bind in (False, True):
+        logits = []
+        for tape in (Tape(), Tape(recording=False)):
+            heads = bind_params(params, tape)[0].heads if bind else params.heads
+            logits.append(head_logits(tape.leaf(rows), heads["P"]).value)
+        want, got = logits
+        # a longdouble's padding bytes are undefined: compare values and signs
+        assert got.dtype == want.dtype == np.result_type(rows_dtype, head_dtype)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        if got.dtype != np.longdouble:
+            assert got.tobytes() == want.tobytes()
+
+
 # --------------------------------------------------------------------------
 # checkpoints
 # --------------------------------------------------------------------------

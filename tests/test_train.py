@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -19,6 +20,7 @@ from conssent.encoder import (
     encode_batch,
     encode_sentences,
     head_logits,
+    head_probs,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -351,6 +353,37 @@ def test_frozen_readout_encodes_through_the_encoder_module(tiny_data, monkeypatc
     assert acc == np.mean(logits[rows, labels] > logits[rows, 1 - labels])
     # head_probs reads the same logits validation scores
     np.testing.assert_array_equal(encoder.head_probs(sents, params, "D"), ad.softmax_rows(logits))
+
+    # a ranking set's sentences repeat across its PairBatches' sides and
+    # draws: validation encodes each distinct one once, in one call
+    seen.clear()
+    valid_set = train._build_validation(tiny_data, "C", tiny_config("C", k=2, valid_draws=3))
+    train._validate(init_params(tiny_data.vocab.size, 8, 4, seed=1), "C", valid_set)
+    sides = [tuple(s) for b in valid_set for s in (*b.lefts, *b.rights)]
+    assert len(set(sides)) < len(sides) and sorted(seen) == sorted(set(sides))
+
+
+def test_frozen_head_readout_holds_one_hidden_buffer():
+    """toy-R1's R(1) validation set: 1,200 examples at head_dim 512, H = E = 32.
+    The head's hidden layer is one (N, head_dim) float64 buffer, so neither
+    validation nor head_probs peaks at 1.5 of it. Before, the bias sum and
+    its tanh were both alive: 10.3 MiB traced against this bound's 7.03."""
+    data = prepare_corpus(make_toy_corpus(2400, seed=77), valid_fraction=0.05, seed=77)
+    config = TrainConfig(task="R", k=1, hidden_size=32, embed_dim=32, head_dim=512, init_gain=6.0,
+                         valid_draws=10, seed=77)
+    params = init_params(data.vocab.size, 32, 32, head_tasks=("R",), head_dim=512, seed=77, init_gain=6.0)
+    valid_set = train._build_validation(data, "R", config)
+    sents = [ex.tokens for ex in valid_set[0]]
+    bound = 1.5 * len(sents) * 512 * 8
+    assert len(sents) == 1200
+    for read in (lambda: train._validate(params, "R", valid_set), lambda: head_probs(sents, params, "R")):
+        tracemalloc.start()
+        try:
+            read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
 
 
 def _encode_in_runs_of_five(params, tape):
