@@ -6,12 +6,13 @@ the recording visits nodes in a valid reverse-topological order and no
 explicit sort is needed. Gradients accumulate additively, so fan-out (one
 value feeding several ops) is handled for free.
 
-Only the operations the encoder and losses need are provided. Operands may
-be ``Var`` or plain arrays/scalars; plain operands are treated as constants
-and receive no gradient. Inference and finite-difference probing use
+Only the operations the ranking scores and the loss need are provided; the
+encoder's two layers, ``encoder.bilstm_max`` and ``encoder.head_logits``,
+are one hand-written tape node each. Operands may be ``Var`` or plain
+arrays/scalars; plain operands are treated as constants and receive no
+gradient. Inference and finite-difference probing use
 ``Tape(recording=False)``: it records nothing, but each op still builds its
-backward closure for ``_push`` to drop; only ``encoder.bilstm_max`` and
-``encoder.head_logits`` (whose hidden layer is then one buffer) do not.
+backward closure for ``_push`` to drop; only ``bilstm_max`` does not.
 """
 
 import numpy as np
@@ -107,30 +108,6 @@ def _accum(x, g) -> None:
         x.grad = g if x.grad is None else x.grad + g
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient down to the shape the operand had before broadcasting."""
-    if g.shape == shape:
-        return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, (gs, ss) in enumerate(zip(g.shape, shape)):
-        if ss == 1 and gs != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g.reshape(shape)
-
-
-def add(a, b) -> Var:
-    tape = _tape_of(a, b)
-    va, vb = _value(a), _value(b)
-    out = va + vb
-
-    def back(g):
-        _accum(a, _unbroadcast(g, va.shape))
-        _accum(b, _unbroadcast(g, vb.shape))
-
-    return tape._push(out, back)
-
-
 def matmul(a, b) -> Var:
     tape = _tape_of(a, b)
     va, vb = _value(a), _value(b)
@@ -178,16 +155,6 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
 def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
     m = z.max(axis=1)
     return m + np.log(np.exp(z - m[:, None]).sum(axis=1))
-
-
-def tanh(x) -> Var:
-    tape = _tape_of(x)
-    t = np.tanh(_value(x))
-
-    def back(g):
-        _accum(x, g * (1.0 - t * t))
-
-    return tape._push(t, back)
 
 
 def gather_cols(x, idx) -> Var:

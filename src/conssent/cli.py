@@ -11,7 +11,7 @@ only.
 
 Exit codes: 0 success; a package error exits with its class's
 ``exit_code`` after its ``label`` (see ``errors``), and a path that cannot
-be opened exits 1.
+be opened or an allocation that fails exits 1.
 Human-readable progress goes to stderr; machine output goes to files and
 stdout only.
 """
@@ -458,6 +458,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:  # a directory, an unwritable path, ...
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except ConsSentError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)

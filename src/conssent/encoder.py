@@ -15,7 +15,9 @@ the tests as the oracle): the backward forms each intermediate with the
 same operations and association, and adds one term per timestep into each
 parameter's gradient in that graph's reverse order, continuing any running
 sum the parameter already holds. Training is chaotic: anything looser would
-change trained models. ``param_shapes`` is the one parameter layout.
+change trained models. Full and padded batches take one path; the one
+difference is that the oracle's arithmetic masking turns a real step's -0.0
+into +0.0 in a padded batch. ``param_shapes`` is the one parameter layout.
 """
 
 import json
@@ -31,7 +33,7 @@ import numpy as np
 from . import autodiff as ad
 from . import parallel
 from .corpus import PAD_ID
-from .errors import DataError
+from .errors import DataError, UsageError
 from .rng import INIT, RngStream, stream
 
 _MAGIC = b"CSNT"
@@ -162,10 +164,14 @@ def init_params(
     sibling models built under one seed (e.g. the two encoders of a
     multitask run).
     """
+    heads = dict.fromkeys(head_tasks, (head_dim, 2))  # binary tasks only
+    shapes = param_shapes(vocab_size, embed_dim, hidden_size, heads)
+    for name, shape in shapes.items():  # refused before anything is allocated
+        if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+            raise UsageError(f"parameter {name!r} of shape {shape} has more bytes than numpy can index")
     rng = stream(seed, INIT, item=stream_item)
     arrays = {}
-    heads = dict.fromkeys(head_tasks, (head_dim, 2))  # binary tasks only
-    for name, shape in param_shapes(vocab_size, embed_dim, hidden_size, heads).items():
+    for name, shape in shapes.items():
         if len(shape) == 1:
             arrays[name] = np.zeros(shape)
             if name.endswith(".b"):  # forget gate starts open
@@ -267,14 +273,15 @@ def _project(emb: np.ndarray, steps: np.ndarray, w_x: np.ndarray):
     return table.reshape(-1, table.shape[-1]), rows
 
 
-def _scan(table, rows, w_h, b, mask, keep, cache):
+def _scan(table, rows, w_h, b, pad, cache):
     """Both directions' recurrences, stepped together; returns the hidden
     states (2, T, B, H). Everything is laid out (2, T, B, ...) in step
     order: direction 1 reads right to left, so its step k is position T-1-k.
     Each step adds ``h @ w_h``, its ``table`` row and ``b`` in the per-op
     order, the rows gathered ``_CHUNK`` steps at a time (measured faster
-    than per step). When ``cache`` is a list, each step appends what its
-    backward needs: (sigmoid gates, tanh gate, c before, h, tanh(c after))."""
+    than per step). A row ``pad`` sets at a step keeps its state (copied in
+    place). When ``cache`` is a list, each step appends what its backward
+    needs: (sigmoid gates, tanh gate, c before, h, tanh(c after))."""
     _, T, B = rows.shape
     H = w_h.shape[1]
     hs = np.empty((2, T, B, H), dtype=np.result_type(table, w_h, b))
@@ -293,24 +300,23 @@ def _scan(table, rows, w_h, b, mask, keep, cache):
         h_new = s[..., 2 * H :] * tc
         if cache is not None:
             cache.append((s, g, c, h, tc))
-        if mask is None:
-            c, h = c_new, h_new
-        else:  # padded steps carry the state through unchanged
-            c = c_new * mask[:, k] + c * keep[:, k]
-            h = h_new * mask[:, k] + h * keep[:, k]
+        np.copyto(c_new, c, where=pad[:, k])
+        np.copyto(h_new, h, where=pad[:, k])
+        c, h = c_new, h_new
         hs[:, k] = h
     return hs
 
 
-def _bptt(pool, x, w_x, w_h, mask, keep, cache, sums):
+def _bptt(pool, x, w_x, w_h, pad, cache, sums):
     """Backward through both directions, step k = T-1 down to 0.
 
     ``pool`` (2, T, B, H) is the max-pool gradient reaching each step's h.
     Each intermediate is formed with the operations, operand order and
     association the per-op tape used, and each weight gets one term per
     step in that tape's order, so values and rounding match it bit for
-    bit. Returns the embedding-row gradients (2, T, B, E) for the caller
-    to scatter in the tape's order.
+    bit. A padded step passes its rows' state gradients through (``np.where``).
+    Returns the embedding-row gradients (2, T, B, E) for the caller to
+    scatter in the tape's order.
     """
     T = pool.shape[1]
     H = w_h.shape[1]
@@ -320,10 +326,10 @@ def _bptt(pool, x, w_x, w_h, mask, keep, cache, sums):
     dc = None  # the last step's c feeds nothing
     for k in range(T - 1, -1, -1):
         s, g, c_prev, h_prev, tc = cache[k]
-        dhn = dh if mask is None else dh * mask[:, k]
+        dhn = np.where(pad[:, k], 0.0, dh)
         dcn = (dhn * s[..., 2 * H :]) * (1.0 - tc * tc)
         if dc is not None:
-            dcn = (dc if mask is None else dc * mask[:, k]) + dcn
+            dcn = np.where(pad[:, k], 0.0, dc) + dcn
         ds = np.empty_like(s)  # upstream grads of the i, f, o gates
         np.multiply(dcn, g, out=ds[..., :H])
         np.multiply(dcn, c_prev, out=ds[..., H : 2 * H])
@@ -336,13 +342,9 @@ def _bptt(pool, x, w_x, w_h, mask, keep, cache, sums):
         sum_x.add(x[:, k].transpose(0, 2, 1) @ dz)
         np.matmul(dz, w_x.transpose(0, 2, 1), out=dx[:, k])
         if k > 0:
-            f = s[..., H : 2 * H]
-            if mask is None:
-                dh = pool[:, k - 1] + dz @ w_h.transpose(0, 2, 1)
-                dc = dcn * f
-            else:
-                dh = (pool[:, k - 1] + dh * keep[:, k]) + dz @ w_h.transpose(0, 2, 1)
-                dc = dcn * f if dc is None else dc * keep[:, k] + dcn * f
+            dh = pool[:, k - 1] + np.where(pad[:, k], dh, dz @ w_h.transpose(0, 2, 1))
+            dc_prev = dcn * s[..., H : 2 * H]
+            dc = dc_prev if dc is None else np.where(pad[:, k], dc, dc_prev)
     return dx
 
 
@@ -357,33 +359,28 @@ def _max_pool(hcat: np.ndarray) -> np.ndarray:
     return out
 
 
-def bilstm_max(ids: np.ndarray, mask, emb, fwd: LstmWeights, bwd: LstmWeights, tape: ad.Tape) -> ad.Var:
+def bilstm_max(ids: np.ndarray, real, emb, fwd: LstmWeights, bwd: LstmWeights, tape: ad.Tape) -> ad.Var:
     """Both LSTM directions over padded (B, T) ids, max-pooled: one tape node.
 
     ``_project`` tables each distinct id's input projection (a GEMM of two
     rows at least, a GEMV a row when B = 1), and ``_scan`` steps both
-    directions together. ``mask`` is None for a full batch, else (B, T)
-    with 1 on real tokens. Everything runs in the dtype of the parameters.
-    Only a recording tape keeps gates, states and the pool argmax, and only
-    its backward gathers the (2, T, B, E) embeddings, for ``w_x``'s gradient.
+    directions together. ``real`` (B, T) is True on real tokens, for every
+    batch. Everything runs in the dtype of the parameters. Only a recording
+    tape keeps gates, states and the pool argmax, and only its backward
+    gathers the (2, T, B, E) embeddings, for ``w_x``'s gradient.
     """
     B, T = ids.shape
     # (2, T, B) token ids in step order; direction 1 runs right to left.
     # C order keeps each gathered x[d, k] laid out like a per-step gather.
     steps = np.ascontiguousarray(np.stack([ids.T, ids.T[::-1]]))
+    pad = np.stack([~real.T, ~real.T[::-1]])[..., None]  # (2, T, B, 1) in step order
     e = _value_of(emb)
     w_x, w_h, b = (np.stack([_value_of(p), _value_of(q)]) for p, q in zip(fwd, bwd))
     H = w_h.shape[1]
-    m = keep = None
-    if mask is not None:
-        m = mask.T[:, :, None].astype(e.dtype, copy=False)  # (T, B, 1)
-        m = np.stack([m, m[::-1]])
-        keep = 1.0 - m
     cache = [] if tape.recording else None
-    hs = _scan(*_project(e, steps, w_x), w_h, b[:, None], m, keep, cache)
+    hs = _scan(*_project(e, steps, w_x), w_h, b[:, None], pad, cache)
     hcat = np.concatenate([hs[0], hs[1, ::-1]], axis=2)  # (T, B, 2H) by position
-    if m is not None:  # padded positions can never win the pool
-        hcat += (m[0] - 1.0) * _NEG_BIG
+    np.copyto(hcat, -_NEG_BIG, where=pad[0])  # padded positions can never win the pool
     if cache is None:
         return tape._push(_max_pool(hcat), None)
     idx = np.argmax(hcat, axis=0)  # first position wins ties
@@ -394,7 +391,7 @@ def bilstm_max(ids: np.ndarray, mask, emb, fwd: LstmWeights, bwd: LstmWeights, t
         np.put_along_axis(pool, idx[None], g[None], axis=0)
         pool = np.stack([pool[:, :, :H], pool[::-1, :, H:]])
         sums = [_PairSum(pair) for pair in zip(fwd, bwd)]  # w_x, w_h, b
-        dx = _bptt(pool, e[steps], w_x, w_h, m, keep, cache, sums)
+        dx = _bptt(pool, e[steps], w_x, w_h, pad, cache, sums)
         for leaf_pair in sums:
             leaf_pair.done()
         _scatter_rows(emb, dx, steps)
@@ -405,9 +402,10 @@ def bilstm_max(ids: np.ndarray, mask, emb, fwd: LstmWeights, bwd: LstmWeights, t
 def encode_batch(seqs: list, params: EncoderParams, tape: ad.Tape) -> ad.Var:
     """Encode a batch of id sequences into a (B, 2H) Var.
 
-    Ragged batches are padded with PAD ids and masked: padded steps leave
-    the recurrent state untouched and are pinned far below any reachable
-    activation before the position max, so they can never win the pool.
+    Ragged batches are padded with PAD ids: a padded step leaves the
+    recurrent state as it was, and a padded position is pinned far below
+    any reachable activation before the position max, so it can never win
+    the pool. A row's bytes do not depend on its batch's padding.
     """
     if not seqs:
         raise ValueError("empty batch")
@@ -417,8 +415,7 @@ def encode_batch(seqs: list, params: EncoderParams, tape: ad.Tape) -> ad.Var:
     real = np.arange(lengths.max()) < lengths[:, None]  # (B, T)
     ids = np.full(real.shape, PAD_ID, dtype=np.int64)
     ids[real] = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=lengths.sum())
-    mask = None if real.all() else real.astype(np.float64)
-    return bilstm_max(ids, mask, params.embedding, params.fwd, params.bwd, tape)
+    return bilstm_max(ids, real, params.embedding, params.fwd, params.bwd, tape)
 
 
 def encode_sentences(seqs: list, params: EncoderParams) -> np.ndarray:
@@ -474,19 +471,28 @@ def encode_sentences(seqs: list, params: EncoderParams) -> np.ndarray:
 
 
 def head_logits(v: ad.Var, head: HeadWeights) -> ad.Var:
-    """Two-layer perceptron with tanh between the layers. On a non-recording tape
-    the hidden layer is one (N, hidden) buffer, biased and squashed in place by
-    the tape ops' ufuncs in their order and dtype: the logits' bytes are the same."""
-    if v.tape.recording:
-        hidden = ad.tanh(ad.add(ad.matmul(v, head.w1), head.b1))
-        return ad.add(ad.matmul(hidden, head.w2), head.b2)
+    """Two-layer perceptron with tanh between the layers: one tape node. The
+    hidden layer is one (N, hidden) buffer, biased and squashed in place by the
+    per-op graph's ufuncs in its order and dtype, and the backward forms each
+    term as that graph's ``matmul``, ``add`` and ``tanh`` did, in its order."""
+    x = v.value
     w1, b1, w2, b2 = map(_value_of, head)
-    hidden = (v.value @ w1).astype(np.result_type(v.value, w1, b1), copy=False)
+    hidden = (x @ w1).astype(np.result_type(x, w1, b1), copy=False)
     hidden += b1
     np.tanh(hidden, out=hidden)
     out = (hidden @ w2).astype(np.result_type(hidden, w2, b2), copy=False)
     out += b2
-    return v.tape._push(out, None)
+
+    def back(g):
+        ad._accum(head.b2, g.sum(axis=0))
+        g_hidden = g @ w2.T
+        ad._accum(head.w2, hidden.T @ g)
+        g_pre = g_hidden * (1.0 - hidden * hidden)
+        ad._accum(head.b1, g_pre.sum(axis=0))
+        ad._accum(v, g_pre @ w1.T)
+        ad._accum(head.w1, x.T @ g_pre)
+
+    return v.tape._push(out, back)
 
 
 def head_probs(seqs: list, params: EncoderParams, task: str) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""The per-op BiLSTM-max path, kept as a reference oracle for the fused op.
+"""The per-op BiLSTM-max path and head, kept as reference oracles for the
+fused ops.
 
 This is how ``encoder.encode_batch`` was written before ``bilstm_max``:
 every timestep of every direction records a gather, two matmuls, two adds,
@@ -6,10 +7,15 @@ four column slices, four nonlinearities and the cell update (plus four
 mask ops on a ragged batch), and the pool is a per-position concat, a
 stack and a max over positions, all as separate tape nodes. The fused op
 must reproduce its forward values and every leaf gradient bit for bit.
-The nine ops below exist only for this path, and the package's tape does
-not carry them: ``autodiff`` keeps the ops the fused encoder, the heads and
-the losses run. The tests gradcheck these like the package's own ops and
-build their scalar losses from ``mean_all`` and ``sum_all``.
+The one difference is a signed zero: a padded batch's mask arithmetic here
+(``h_new*1 + h*0``, and ``+ 0*1e30`` before the pool) turns a real step's
+-0.0 into +0.0, where the fused op keeps it. ``head_logits`` is likewise
+the head as ``matmul``, ``add`` and ``tanh`` nodes, which the one-node head
+must match bit for bit. The eleven ops below exist only for these paths,
+and the package's tape does not carry them: ``autodiff`` keeps the ops the
+ranking scores and the loss run. The tests gradcheck these like the
+package's own ops and build their scalar losses from ``mean_all`` and
+``sum_all``.
 """
 
 import numpy as np
@@ -21,16 +27,50 @@ from conssent.encoder import EncoderParams, bind_params
 _NEG_BIG = 1e30
 
 
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a gradient down to the shape the operand had before broadcasting."""
+    if g.shape == shape:
+        return g
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for ax, (gs, ss) in enumerate(zip(g.shape, shape)):
+        if ss == 1 and gs != 1:
+            g = g.sum(axis=ax, keepdims=True)
+    return g.reshape(shape)
+
+
+def add(a, b) -> ad.Var:
+    tape = ad._tape_of(a, b)
+    va, vb = ad._value(a), ad._value(b)
+    out = va + vb
+
+    def back(g):
+        ad._accum(a, _unbroadcast(g, va.shape))
+        ad._accum(b, _unbroadcast(g, vb.shape))
+
+    return tape._push(out, back)
+
+
 def mul(a, b) -> ad.Var:
     tape = ad._tape_of(a, b)
     va, vb = ad._value(a), ad._value(b)
     out = va * vb
 
     def back(g):
-        ad._accum(a, ad._unbroadcast(g * vb, va.shape))
-        ad._accum(b, ad._unbroadcast(g * va, vb.shape))
+        ad._accum(a, _unbroadcast(g * vb, va.shape))
+        ad._accum(b, _unbroadcast(g * va, vb.shape))
 
     return tape._push(out, back)
+
+
+def tanh(x) -> ad.Var:
+    tape = ad._tape_of(x)
+    t = np.tanh(ad._value(x))
+
+    def back(g):
+        ad._accum(x, g * (1.0 - t * t))
+
+    return tape._push(t, back)
 
 
 def sigmoid(x) -> ad.Var:
@@ -148,17 +188,17 @@ def _lstm_direction(ids, mask, emb, w, hidden, tape, reverse):
     hs = [None] * T
     for t in steps:
         x_t = gather_rows(emb, ids[:, t])
-        z = ad.add(ad.add(ad.matmul(x_t, w.w_x), ad.matmul(h, w.w_h)), w.b)
+        z = add(add(ad.matmul(x_t, w.w_x), ad.matmul(h, w.w_h)), w.b)
         i_g = sigmoid(slice_cols(z, 0, hidden))
         f_g = sigmoid(slice_cols(z, hidden, 2 * hidden))
         o_g = sigmoid(slice_cols(z, 2 * hidden, 3 * hidden))
-        g_g = ad.tanh(slice_cols(z, 3 * hidden, 4 * hidden))
-        c_new = ad.add(mul(f_g, c), mul(i_g, g_g))
-        h_new = mul(o_g, ad.tanh(c_new))
+        g_g = tanh(slice_cols(z, 3 * hidden, 4 * hidden))
+        c_new = add(mul(f_g, c), mul(i_g, g_g))
+        h_new = mul(o_g, tanh(c_new))
         if padded:
             m = mask[:, t : t + 1]  # (B, 1) constant
-            c = ad.add(mul(c_new, m), mul(c, 1.0 - m))
-            h = ad.add(mul(h_new, m), mul(h, 1.0 - m))
+            c = add(mul(c_new, m), mul(c, 1.0 - m))
+            h = add(mul(h_new, m), mul(h, 1.0 - m))
         else:
             c, h = c_new, h_new
         hs[t] = h
@@ -188,6 +228,12 @@ def encode_batch(seqs: list, params: EncoderParams, tape: ad.Tape) -> ad.Var:
     for t in range(T):
         u = concat_cols(hs_f[t], hs_b[t])
         if ragged:
-            u = ad.add(u, (mask[:, t : t + 1] - 1.0) * _NEG_BIG)
+            u = add(u, (mask[:, t : t + 1] - 1.0) * _NEG_BIG)
         per_pos.append(u)
     return max_over_rows(stack_rows(per_pos))
+
+
+def head_logits(v, head) -> ad.Var:
+    """Per-op twin of ``conssent.encoder.head_logits``: five tape nodes."""
+    hidden = tanh(add(ad.matmul(v, head.w1), head.b1))
+    return add(ad.matmul(hidden, head.w2), head.b2)

@@ -83,8 +83,20 @@ def trained_p2(toy_data):
 # ---------------------------------------------------------------------------
 
 
+# Each model's max relative error at seed 0, as `conssent gradcheck --models 20`
+# computes them: a change that keeps the gradients' bytes keeps these.
+GRADCHECK_ERRORS = [
+    1.51709451791231e-07, 1.2817014548452033e-06, 4.43103789338174e-07, 3.234049864627563e-07,
+    2.3409033177090352e-07, 7.064977977829017e-07, 5.536873838242407e-07, 6.970831252357443e-07,
+    3.796601839030206e-07, 8.681497989964013e-07, 1.2321480458953034e-07, 8.86725906591786e-07,
+    4.3113819826112084e-07, 1.014669025921726e-06, 4.086202241569051e-07, 8.291124689681256e-07,
+    4.305839022640416e-07, 1.1154172190894634e-06, 4.6781495987924407e-07, 8.102056088207543e-07,
+]
+
+
 def test_criterion_01_gradient_exactness():
-    """20 random small models, both losses: max rel err < 1e-4 in < 1 min."""
+    """20 random small models, both losses: max rel err < 1e-4 in < 1 min,
+    and each model's error the pinned one."""
     t0 = time.perf_counter()
     report = run_gradcheck(n_models=20, seed=0)
     elapsed = time.perf_counter() - t0
@@ -93,6 +105,8 @@ def test_criterion_01_gradient_exactness():
     assert {m["kind"] for m in models} == {"binary", "ranking"}
     assert all(m["hidden"] <= 8 and m["vocab"] <= 32 for m in models)
     assert report["worst"] < 1e-4, f"max rel err {report['worst']:.3e}"
+    assert [m["max_rel_error"] for m in models] == GRADCHECK_ERRORS
+    assert report["worst"] == 1.2817014548452033e-06
     assert elapsed < 60.0, f"gradcheck took {elapsed:.1f}s"
 
 

@@ -1,10 +1,10 @@
 """Tape mechanics plus per-op agreement with central finite differences.
 
-``mul``, ``sigmoid``, ``gather_rows``, ``mean_all``, ``sum_all``,
-``slice_cols``, ``concat_cols``, ``stack_rows`` and ``max_over_rows`` live
-with the per-op reference encoder in ``lstm_reference``; they are checked
-here like the package's own ops because the fused encoder is tested
-against them.
+``add``, ``mul``, ``tanh``, ``sigmoid``, ``gather_rows``, ``mean_all``,
+``sum_all``, ``slice_cols``, ``concat_cols``, ``stack_rows`` and
+``max_over_rows`` live with the per-op reference encoder in
+``lstm_reference``; they are checked here like the package's own ops
+because the fused encoder and head are tested against them.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from lstm_reference import (
+    add,
     concat_cols,
     gather_rows,
     max_over_rows,
@@ -21,6 +22,7 @@ from lstm_reference import (
     slice_cols,
     stack_rows,
     sum_all,
+    tanh,
 )
 
 from conssent import autodiff as ad
@@ -42,7 +44,7 @@ def rand(*shape, seed=0, scale=1.0):
 def test_backward_accumulates_over_fanout():
     tape = Tape()
     x = tape.leaf(np.array([2.0, -3.0]))
-    y = ad.add(mul(x, x), x)  # x^2 + x, dy/dx = 2x + 1
+    y = add(mul(x, x), x)  # x^2 + x, dy/dx = 2x + 1
     tape.backward(sum_all(y))
     np.testing.assert_allclose(x.grad, np.array([5.0, -5.0]))
 
@@ -79,11 +81,11 @@ def test_float32_constants_keep_a_float32_var_in_float32(recording):
     tape = Tape(recording=recording)
     x = tape.leaf(np.ones((2, 3), dtype=np.float32))
     const = np.full((2, 3), 0.5, dtype=np.float32)
-    assert ad.add(x, const).value.dtype == np.float32
-    assert ad.add(const, x).value.dtype == np.float32
+    assert add(x, const).value.dtype == np.float32
+    assert add(const, x).value.dtype == np.float32
     assert ad.matmul(x, const.T).value.dtype == np.float32
     assert ad.matmul(const.T, x).value.dtype == np.float32
-    assert ad.add(x, [1, 2, 3]).value.dtype == np.float64  # a non-float constant is float64
+    assert add(x, [1, 2, 3]).value.dtype == np.float64  # a non-float constant is float64
 
 
 def test_non_recording_tape_computes_values_only():
@@ -109,7 +111,7 @@ def test_bias_broadcast_grad_sums_rows():
     tape = Tape()
     x = tape.leaf(np.zeros((3, 4)))
     b = tape.leaf(np.zeros(4))
-    loss = sum_all(ad.add(x, b))
+    loss = sum_all(add(x, b))
     tape.backward(loss)
     np.testing.assert_allclose(b.grad, [3.0, 3.0, 3.0, 3.0])
     assert b.grad.shape == (4,)
@@ -125,7 +127,7 @@ def test_sigmoid_tanh_values():
     x = tape.leaf(np.array([0.0, 100.0, -100.0]))
     s = sigmoid(x).value
     np.testing.assert_allclose(s, [0.5, 1.0, 0.0], atol=1e-12)
-    t = ad.tanh(x).value
+    t = tanh(x).value
     np.testing.assert_allclose(t, [0.0, 1.0, -1.0], atol=1e-12)
 
 
@@ -221,7 +223,7 @@ def check(build, **arrays):
 
 def test_grad_add_broadcast():
     check(
-        lambda tape, v: mean_all(ad.add(v["a"], v["b"])),
+        lambda tape, v: mean_all(add(v["a"], v["b"])),
         a=rand(3, 4, seed=1),
         b=rand(4, seed=2),
     )
@@ -253,7 +255,7 @@ def test_grad_transpose_reshape():
 
 def test_grad_sigmoid_tanh():
     check(
-        lambda tape, v: mean_all(mul(sigmoid(v["x"]), ad.tanh(v["y"]))),
+        lambda tape, v: mean_all(mul(sigmoid(v["x"]), tanh(v["y"]))),
         x=rand(4, 3, seed=11),
         y=rand(4, 3, seed=12),
     )
@@ -263,7 +265,7 @@ def test_grad_slice_concat():
     def build(tape, v):
         left = slice_cols(v["x"], 0, 2)
         right = slice_cols(v["x"], 2, 5)
-        cat = concat_cols(ad.tanh(right), left)
+        cat = concat_cols(tanh(right), left)
         return mean_all(mul(cat, cat))
 
     check(build, x=rand(3, 5, seed=13))
@@ -281,7 +283,7 @@ def test_grad_stack_max():
 def test_grad_gather_rows_with_duplicates():
     ids = np.array([0, 2, 0, 1])  # row 0 used twice: grads must accumulate
     check(
-        lambda tape, v: mean_all(ad.tanh(gather_rows(v["emb"], ids))),
+        lambda tape, v: mean_all(tanh(gather_rows(v["emb"], ids))),
         emb=rand(4, 3, seed=17),
     )
 
@@ -312,8 +314,8 @@ def test_grad_mean_sum():
 
 def test_grad_composite_mlp():
     def build(tape, v):
-        h = ad.tanh(ad.add(ad.matmul(v["x"], v["w1"]), v["b1"]))
-        logits = ad.add(ad.matmul(h, v["w2"]), v["b2"])
+        h = tanh(add(ad.matmul(v["x"], v["w1"]), v["b1"]))
+        logits = add(ad.matmul(h, v["w2"]), v["b2"])
         return ad.softmax_xent(logits, np.array([1, 0]))
 
     check(

@@ -178,6 +178,24 @@ def test_train_refuses_more_epochs_or_draws_than_a_task_has_streams(tmp_path, ca
     assert not (tmp_path / "m.ckpt.g1").exists()
 
 
+# Only widths numpy refuses outright: one it would try to allocate could
+# succeed lazily and then fill the host's memory.
+@pytest.mark.parametrize("flag, width, array", [
+    ("--hidden-size", 2**62, "fwd.w_x"),
+    ("--hidden-size", 10**20, "fwd.w_x"),  # past int64, where np.sqrt raised TypeError
+    ("--embed-dim", 2**62, "embedding"),
+    ("--head-dim", 2**62, "head.D.w1"),
+])
+def test_train_refuses_a_width_numpy_cannot_index(tmp_path, capsys, flag, width, array):
+    assert run("train", "--task", "D", "--k", "1", "--toy-n", "50", flag, width,
+               "--out", tmp_path / "m.ckpt") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith(f"error: parameter {array!r} of shape ")
+    assert err[-1].endswith(" has more bytes than numpy can index")
+    assert not any("Traceback" in line for line in err)
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 @pytest.mark.parametrize("flag", [("--min-freq", "0"), ("--valid-fraction", "1.5"),
                                   ("--toy-n", "-5")])
 def test_bad_corpus_setting_is_usage_error(tmp_path, capsys, flag):
@@ -322,6 +340,7 @@ def test_unknown_flag_exits_one():
     (ConsSentError("other"), 1, "error: other"),
     (NonFiniteGradient("inf grad"), 3, "numeric error: inf grad"),
     (NoCandidates("no token"), 2, "data error: no token"),
+    (MemoryError("no room"), 1, "error: out of memory: no room"),
 ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
 def test_every_error_class_exits_through_main(monkeypatch, capsys, exc, code, line):
     def fail(config):

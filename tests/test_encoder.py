@@ -456,9 +456,10 @@ def test_frozen_forward_runs_in_its_params_dtype_bit_for_bit(monkeypatch, dtype)
     seqs = _ragged_ids(12, 40, seed=26)
     seen, real_scan = [], encoder._scan
 
-    def spy(table, rows, w_h, b, mask, keep, cache):
-        hs = real_scan(table, rows, w_h, b, mask, keep, cache)
-        seen.append({a.dtype for a in (table, w_h, b, mask, keep, hs)})
+    def spy(table, rows, w_h, b, pad, cache):
+        hs = real_scan(table, rows, w_h, b, pad, cache)
+        seen.append({a.dtype for a in (table, w_h, b, hs)})
+        assert pad.dtype == bool
         return hs
 
     monkeypatch.setattr(encoder, "_scan", spy)
@@ -671,6 +672,30 @@ def test_frozen_pool_keeps_the_first_signed_zero_and_nan(dtype):
     assert np.isnan(rows[2]).all() and not np.isnan(rows[3]).any()
 
 
+def _signed_zero_params(dtype):
+    """The fixture of the test above: h is +0.0 after id 2, -0.0 after id 3
+    and NaN after id 4."""
+    arrays = {k: v.astype(dtype) for k, v in init_params(6, 1, 2, seed=15).named_arrays().items()}
+    arrays["embedding"][2:5, 0] = 5.0, -5.0, np.nan
+    for d in ("fwd", "bwd"):
+        arrays[f"{d}.w_h"][:] = 0.0
+        arrays[f"{d}.w_x"][:] = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0]
+        arrays[f"{d}.b"][:] = [0.0, 0.0, -1e3, -1e3, -1e3, -1e3, 0.0, 0.0]
+    return EncoderParams(arrays)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_padding_does_not_change_a_row(dtype):
+    """A row's bytes, its signed zeros and NaNs included, are the same in a
+    full batch and in a batch that a one-token sentence pads."""
+    params = _signed_zero_params(dtype)
+    seqs = [[3, 2, 2], [2, 3, 3], [3, 4, 2], [2, 2, 3]]
+    full = encode_batch(seqs, params, Tape(recording=False)).value
+    padded = encode_batch(seqs + [[2]], params, Tape(recording=False)).value
+    assert np.signbit(full[0]).all()
+    assert padded[:4].tobytes() == full.tobytes()
+
+
 def test_a_frozen_batch_holds_no_gathered_inputs():
     """B=128, T=40, E=300, H=128 in float32. Gathering the (2, T, B, E)
     inputs would hold them beside the states and one chunk of projections
@@ -805,22 +830,43 @@ def test_head_logits_shape():
     (np.float64, np.float32),  # validation's float64 rows on the stored float32 head
 ])
 def test_frozen_head_logits_are_the_recording_tapes_bytes(rows_dtype, head_dtype, n):
-    """The non-recording head (one hidden buffer, the bias added and the tanh
-    taken in place) gives the recording tape's logits, with the head bound as
-    leaves (as gradcheck's numeric losses bind it) and as plain arrays."""
+    """The one-node head (one hidden buffer, the bias added and the tanh
+    taken in place) gives the per-op head's logits on a recording tape and
+    on a frozen one, and every leaf gradient, signed zeros included, with
+    the head bound as leaves (as training and gradcheck bind it) and as
+    plain arrays."""
     params = _cast(init_params(8, 2, 3, head_tasks=("P",), head_dim=64, seed=n, init_gain=6.0), head_dtype)
-    rows = (np.random.default_rng(n).standard_normal((n, 6)) * 3).astype(rows_dtype)
+    rng = np.random.default_rng(n)
+    rows = (rng.standard_normal((n, 6)) * 3).astype(rows_dtype)
+    weights = rng.standard_normal((n, 2)).astype(np.result_type(rows_dtype, head_dtype))
+    weights[:, 1] = -0.0  # a zero upstream gradient: only the signs of the zeros can differ
     for bind in (False, True):
-        logits = []
-        for tape in (Tape(), Tape(recording=False)):
-            heads = bind_params(params, tape)[0].heads if bind else params.heads
-            logits.append(head_logits(tape.leaf(rows), heads["P"]).value)
-        want, got = logits
-        # a longdouble's padding bytes are undefined: compare values and signs
-        assert got.dtype == want.dtype == np.result_type(rows_dtype, head_dtype)
-        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-        if got.dtype != np.longdouble:
-            assert got.tobytes() == want.tobytes()
+
+        def run(logits_of):
+            tape = Tape()
+            bound, leaves = bind_params(params, tape)
+            heads = bound.heads if bind else params.heads
+            x = tape.leaf(rows)
+            logits = logits_of(x, heads["P"])
+            nodes = len(tape)
+            tape.backward(lstm_reference.sum_all(lstm_reference.mul(logits, weights)))
+            grads = {name: leaf.grad for name, leaf in leaves.items()} | {"rows": x.grad}
+            return logits.value, grads, nodes
+
+        got_values, got_grads, got_nodes = run(head_logits)
+        want_values, want_grads, _ = run(lstm_reference.head_logits)
+        assert got_nodes == 1
+        _assert_bitwise_equal(got_values, want_values, "logits")
+        frozen = Tape(recording=False)
+        heads = bind_params(params, frozen)[0].heads if bind else params.heads
+        _assert_bitwise_equal(head_logits(frozen.leaf(rows), heads["P"]).value, want_values, "frozen")
+        assert {k for k, g in got_grads.items() if g is not None} == (
+            {"rows", "head.P.w1", "head.P.b1", "head.P.w2", "head.P.b2"} if bind else {"rows"})
+        for name, want in want_grads.items():
+            got = got_grads[name]
+            assert (got is None) == (want is None), name
+            if want is not None:
+                _assert_bitwise_equal(got, want, name)
 
 
 # --------------------------------------------------------------------------
