@@ -6,13 +6,13 @@ the recording visits nodes in a valid reverse-topological order and no
 explicit sort is needed. Gradients accumulate additively, so fan-out (one
 value feeding several ops) is handled for free.
 
-Only the operations the ranking scores and the loss need are provided; the
-encoder's two layers, ``encoder.bilstm_max`` and ``encoder.head_logits``,
-are one hand-written tape node each. Operands may be ``Var`` or plain
-arrays/scalars; plain operands are treated as constants and receive no
-gradient. Inference and finite-difference probing use
-``Tape(recording=False)``: it records nothing, but each op still builds its
-backward closure for ``_push`` to drop; only ``bilstm_max`` does not.
+The loss is the one op here: the model's three layers,
+``encoder.bilstm_max``, ``encoder.head_logits`` and
+``encoder.candidate_dots``, are one hand-written tape node each, and
+``_accum`` gives a gradient only to the ``Var``s among their operands.
+Inference and finite-difference probing use ``Tape(recording=False)``: it
+records nothing, but each op still builds its backward closure for
+``_push`` to drop; only ``bilstm_max`` does not.
 """
 
 import numpy as np
@@ -87,49 +87,9 @@ class Tape:
         return len(self._items)
 
 
-def _value(x) -> np.ndarray:
-    """A Var's value; a float array constant as it is; anything else in float64."""
-    if isinstance(x, Var):
-        return x.value
-    if isinstance(x, np.ndarray) and x.dtype.kind == "f":
-        return x
-    return np.asarray(x, dtype=np.float64)
-
-
-def _tape_of(*xs) -> Tape:
-    for x in xs:
-        if isinstance(x, Var):
-            return x.tape
-    raise TypeError("at least one operand must be a Var")
-
-
 def _accum(x, g) -> None:
     if isinstance(x, Var):
         x.grad = g if x.grad is None else x.grad + g
-
-
-def matmul(a, b) -> Var:
-    tape = _tape_of(a, b)
-    va, vb = _value(a), _value(b)
-    if va.ndim != 2 or vb.ndim != 2:
-        raise ValueError(f"matmul wants 2-D operands, got {va.shape} @ {vb.shape}")
-    out = va @ vb
-
-    def back(g):
-        _accum(a, g @ vb.T)
-        _accum(b, va.T @ g)
-
-    return tape._push(out, back)
-
-
-def transpose(x) -> Var:
-    tape = _tape_of(x)
-    out = _value(x).T
-
-    def back(g):
-        _accum(x, g.T)
-
-    return tape._push(np.ascontiguousarray(out), back)
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -157,26 +117,9 @@ def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(z - m[:, None]).sum(axis=1))
 
 
-def gather_cols(x, idx) -> Var:
-    """out[b, j] = x[b, idx[b, j]] for a (B, k) integer index."""
-    tape = _tape_of(x)
-    vx = _value(x)
-    idx = np.asarray(idx, dtype=np.int64)
-    out = np.take_along_axis(vx, idx, axis=1)
-
-    def back(g):
-        gx = np.zeros_like(vx)
-        rows = np.arange(vx.shape[0])[:, None]
-        np.add.at(gx, (rows, idx), g)
-        _accum(x, gx)
-
-    return tape._push(out, back)
-
-
 def softmax_xent(logits, targets) -> Var:
     """Mean cross-entropy of a row-wise softmax against integer targets."""
-    tape = _tape_of(logits)
-    z = _value(logits)
+    z = logits.value
     t = np.asarray(targets, dtype=np.int64)
     if z.ndim != 2 or t.shape != (z.shape[0],):
         raise ValueError(f"logits {z.shape} vs targets {t.shape}")
@@ -190,7 +133,7 @@ def softmax_xent(logits, targets) -> Var:
         p[rows, t] -= 1.0
         _accum(logits, p * (g / z.shape[0]))
 
-    return tape._push(out, back)
+    return logits.tape._push(out, back)
 
 
 def finite_diff_check(params: dict, build_loss) -> float:

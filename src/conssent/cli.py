@@ -144,8 +144,8 @@ def write_meta(out_path: str | Path, config: dict, **extra) -> None:
 def _load_sentences(config: dict) -> list:
     if config["corpus"] is not None:
         return load_corpus_file(config["corpus"])
-    if config["toy_n"] < 1:
-        raise UsageError(f"toy_n must be >= 1, got {config['toy_n']}")
+    if not 1 <= config["toy_n"] <= 2**32:  # sentence i + 2**32 would repeat sentence i
+        raise UsageError(f"toy_n must be in 1..2**32, got {config['toy_n']}")
     return make_toy_corpus(config["toy_n"], seed=config["seed"])
 
 
@@ -452,6 +452,8 @@ def main(argv=None) -> int:
         command, _help, keys, _arguments = COMMANDS[args.pop("command")]
         loaded = load_run_config(args["config"])  # flags beat the config file
         config = {key: loaded[key] if args[key] is None else args[key] for key in keys}
+        if not 0 <= config["seed"] < 2**64:  # the RNG keeps a seed's low 64 bits
+            raise UsageError(f"seed must be in 0..2**64-1, got {config['seed']}")
         return command(config, **{k: v for k, v in args.items() if k not in (*keys, "config")})
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)

@@ -495,6 +495,26 @@ def head_logits(v: ad.Var, head: HeadWeights) -> ad.Var:
     return v.tape._push(out, back)
 
 
+def candidate_dots(left: ad.Var, right: ad.Var, cand_idx) -> ad.Var:
+    """``out[b, j] = left[b] · right[cand_idx[b, j]]``: the ranking tasks'
+    scores, one tape node. Each row's dot products with every right row form
+    one (B, B) matrix from which the candidates are gathered, and the backward
+    forms each term as the per-op ``transpose``, ``matmul`` and
+    ``gather_cols`` did, in their order."""
+    idx = np.asarray(cand_idx, dtype=np.int64)
+    rt = np.ascontiguousarray(right.value.T)
+    dots = left.value @ rt
+    out = np.take_along_axis(dots, idx, axis=1)
+
+    def back(g):
+        g_dots = np.zeros_like(dots)
+        np.add.at(g_dots, (np.arange(dots.shape[0])[:, None], idx), g)
+        ad._accum(left, g_dots @ rt.T)
+        ad._accum(right, (left.value.T @ g_dots).T)
+
+    return left.tape._push(out, back)
+
+
 def head_probs(seqs: list, params: EncoderParams, task: str) -> np.ndarray:
     """(N, classes) softmax of ``task``'s head over the frozen encodings of
     ``seqs``, read from the stored model (``as_stored``), as validation reads them."""

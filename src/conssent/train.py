@@ -20,6 +20,7 @@ did.
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -32,6 +33,7 @@ from .encoder import (
     EncoderParams,
     as_stored,
     bind_params,
+    candidate_dots,
     copy_params,
     encode_batch,
     encode_sentences,
@@ -126,8 +128,8 @@ class TrainConfig:
         for name in ("max_epochs", "valid_draws"):
             if getattr(self, name) > _CHANNELS:
                 raise UsageError(f"{name} must be <= {_CHANNELS}: a task has that many data streams")
-        if self.init_gain <= 0:
-            raise UsageError("init_gain must be positive")
+        if not 0 < self.init_gain < math.inf:
+            raise UsageError(f"init_gain must be positive and finite, got {self.init_gain}")
 
 
 @dataclass
@@ -153,16 +155,15 @@ def task_scores(params, task: str, batch, encode) -> tuple[ad.Var, np.ndarray]:
 
     D P I R: the task head's logits over a list of ``LabeledExample``s,
     with the labels as targets. C N: each anchor's dot products with its k
-    candidates, gathered from one (B, B) score matrix over a ``PairBatch``,
-    with the true part's slot as target; ranking adds no parameters.
+    candidates over a ``PairBatch`` (``candidate_dots``), with the true
+    part's slot as target; ranking adds no parameters.
     """
     if task in SINGLE_TASKS:
         enc = encode([list(ex.tokens) for ex in batch])
         labels = np.array([ex.label for ex in batch], dtype=np.int64)
         return head_logits(enc, params.heads[task]), labels
-    left, right = encode(batch.lefts), encode(batch.rights)
-    all_scores = ad.matmul(left, ad.transpose(right))  # (B, B) dot products
-    return ad.gather_cols(all_scores, batch.cand_idx), np.asarray(batch.targets, dtype=np.int64)
+    scores = candidate_dots(encode(batch.lefts), encode(batch.rights), batch.cand_idx)
+    return scores, np.asarray(batch.targets, dtype=np.int64)
 
 
 def batch_loss(params, task: str, batch, tape: ad.Tape) -> ad.Var:

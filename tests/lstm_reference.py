@@ -1,5 +1,5 @@
-"""The per-op BiLSTM-max path and head, kept as reference oracles for the
-fused ops.
+"""The per-op BiLSTM-max path, head and ranking scores, kept as reference
+oracles for the one-node layers.
 
 This is how ``encoder.encode_batch`` was written before ``bilstm_max``:
 every timestep of every direction records a gather, two matmuls, two adds,
@@ -10,11 +10,12 @@ must reproduce its forward values and every leaf gradient bit for bit.
 The one difference is a signed zero: a padded batch's mask arithmetic here
 (``h_new*1 + h*0``, and ``+ 0*1e30`` before the pool) turns a real step's
 -0.0 into +0.0, where the fused op keeps it. ``head_logits`` is likewise
-the head as ``matmul``, ``add`` and ``tanh`` nodes, which the one-node head
-must match bit for bit. The eleven ops below exist only for these paths,
-and the package's tape does not carry them: ``autodiff`` keeps the ops the
-ranking scores and the loss run. The tests gradcheck these like the
-package's own ops and build their scalar losses from ``mean_all`` and
+the head as ``matmul``, ``add`` and ``tanh`` nodes, and ``candidate_dots``
+the ranking scores as ``transpose``, ``matmul`` and ``gather_cols`` nodes;
+each one-node layer must match its twin bit for bit. The ops below exist
+only for these paths, and the package's tape does not carry them:
+``autodiff`` keeps the tape and the loss. The tests gradcheck these like
+the package's loss and build their scalar losses from ``mean_all`` and
 ``sum_all``.
 """
 
@@ -25,6 +26,22 @@ from conssent.corpus import PAD_ID
 from conssent.encoder import EncoderParams, bind_params
 
 _NEG_BIG = 1e30
+
+
+def _value(x) -> np.ndarray:
+    """A Var's value; a float array constant as it is; anything else in float64."""
+    if isinstance(x, ad.Var):
+        return x.value
+    if isinstance(x, np.ndarray) and x.dtype.kind == "f":
+        return x
+    return np.asarray(x, dtype=np.float64)
+
+
+def _tape_of(*xs) -> ad.Tape:
+    for x in xs:
+        if isinstance(x, ad.Var):
+            return x.tape
+    raise TypeError("at least one operand must be a Var")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -40,8 +57,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b) -> ad.Var:
-    tape = ad._tape_of(a, b)
-    va, vb = ad._value(a), ad._value(b)
+    tape = _tape_of(a, b)
+    va, vb = _value(a), _value(b)
     out = va + vb
 
     def back(g):
@@ -52,8 +69,8 @@ def add(a, b) -> ad.Var:
 
 
 def mul(a, b) -> ad.Var:
-    tape = ad._tape_of(a, b)
-    va, vb = ad._value(a), ad._value(b)
+    tape = _tape_of(a, b)
+    va, vb = _value(a), _value(b)
     out = va * vb
 
     def back(g):
@@ -64,8 +81,8 @@ def mul(a, b) -> ad.Var:
 
 
 def tanh(x) -> ad.Var:
-    tape = ad._tape_of(x)
-    t = np.tanh(ad._value(x))
+    tape = _tape_of(x)
+    t = np.tanh(_value(x))
 
     def back(g):
         ad._accum(x, g * (1.0 - t * t))
@@ -74,8 +91,8 @@ def tanh(x) -> ad.Var:
 
 
 def sigmoid(x) -> ad.Var:
-    tape = ad._tape_of(x)
-    s = ad.stable_sigmoid(ad._value(x))
+    tape = _tape_of(x)
+    s = ad.stable_sigmoid(_value(x))
 
     def back(g):
         ad._accum(x, g * s * (1.0 - s))
@@ -85,8 +102,8 @@ def sigmoid(x) -> ad.Var:
 
 def gather_rows(x, ids) -> ad.Var:
     """Select rows of a matrix by integer index (embedding lookup)."""
-    tape = ad._tape_of(x)
-    vx = ad._value(x)
+    tape = _tape_of(x)
+    vx = _value(x)
     ids = np.asarray(ids, dtype=np.int64)
     out = vx[ids]
 
@@ -98,9 +115,49 @@ def gather_rows(x, ids) -> ad.Var:
     return tape._push(out, back)
 
 
+def matmul(a, b) -> ad.Var:
+    tape = _tape_of(a, b)
+    va, vb = _value(a), _value(b)
+    if va.ndim != 2 or vb.ndim != 2:
+        raise ValueError(f"matmul wants 2-D operands, got {va.shape} @ {vb.shape}")
+    out = va @ vb
+
+    def back(g):
+        ad._accum(a, g @ vb.T)
+        ad._accum(b, va.T @ g)
+
+    return tape._push(out, back)
+
+
+def transpose(x) -> ad.Var:
+    tape = _tape_of(x)
+    out = _value(x).T
+
+    def back(g):
+        ad._accum(x, g.T)
+
+    return tape._push(np.ascontiguousarray(out), back)
+
+
+def gather_cols(x, idx) -> ad.Var:
+    """out[b, j] = x[b, idx[b, j]] for a (B, k) integer index."""
+    tape = _tape_of(x)
+    vx = _value(x)
+    idx = np.asarray(idx, dtype=np.int64)
+    out = np.take_along_axis(vx, idx, axis=1)
+
+    def back(g):
+        gx = np.zeros_like(vx)
+        rows = np.arange(vx.shape[0])[:, None]
+        np.add.at(gx, (rows, idx), g)
+        ad._accum(x, gx)
+
+    return tape._push(out, back)
+
+
 def mean_all(x) -> ad.Var:
-    tape = ad._tape_of(x)
-    vx = ad._value(x)
+    tape = _tape_of(x)
+    vx = _value(x)
     out = np.asarray(vx.mean())
 
     def back(g):
@@ -110,8 +167,8 @@ def mean_all(x) -> ad.Var:
 
 
 def sum_all(x) -> ad.Var:
-    tape = ad._tape_of(x)
-    vx = ad._value(x)
+    tape = _tape_of(x)
+    vx = _value(x)
     out = np.asarray(vx.sum())
 
     def back(g):
@@ -121,8 +178,8 @@ def sum_all(x) -> ad.Var:
 
 
 def slice_cols(x, start: int, stop: int) -> ad.Var:
-    tape = ad._tape_of(x)
-    vx = ad._value(x)
+    tape = _tape_of(x)
+    vx = _value(x)
     out = vx[:, start:stop].copy()
 
     def back(g):
@@ -134,8 +191,8 @@ def slice_cols(x, start: int, stop: int) -> ad.Var:
 
 
 def concat_cols(a, b) -> ad.Var:
-    tape = ad._tape_of(a, b)
-    va, vb = ad._value(a), ad._value(b)
+    tape = _tape_of(a, b)
+    va, vb = _value(a), _value(b)
     split = va.shape[1]
     out = np.concatenate([va, vb], axis=1)
 
@@ -149,8 +206,8 @@ def concat_cols(a, b) -> ad.Var:
 def stack_rows(xs) -> ad.Var:
     """Stack same-shape arrays along a new leading axis."""
     xs = list(xs)
-    tape = ad._tape_of(*xs)
-    out = np.stack([ad._value(x) for x in xs], axis=0)
+    tape = _tape_of(*xs)
+    out = np.stack([_value(x) for x in xs], axis=0)
 
     def back(g):
         for i, x in enumerate(xs):
@@ -165,8 +222,8 @@ def max_over_rows(x) -> ad.Var:
     The gradient flows only to the position that attains the max; on exact
     ties the lowest index wins (np.argmax returns the first occurrence).
     """
-    tape = ad._tape_of(x)
-    vx = ad._value(x)
+    tape = _tape_of(x)
+    vx = _value(x)
     idx = np.argmax(vx, axis=0)
     out = np.take_along_axis(vx, idx[None, ...], axis=0)[0]
 
@@ -188,7 +245,7 @@ def _lstm_direction(ids, mask, emb, w, hidden, tape, reverse):
     hs = [None] * T
     for t in steps:
         x_t = gather_rows(emb, ids[:, t])
-        z = add(add(ad.matmul(x_t, w.w_x), ad.matmul(h, w.w_h)), w.b)
+        z = add(add(matmul(x_t, w.w_x), matmul(h, w.w_h)), w.b)
         i_g = sigmoid(slice_cols(z, 0, hidden))
         f_g = sigmoid(slice_cols(z, hidden, 2 * hidden))
         o_g = sigmoid(slice_cols(z, 2 * hidden, 3 * hidden))
@@ -235,5 +292,10 @@ def encode_batch(seqs: list, params: EncoderParams, tape: ad.Tape) -> ad.Var:
 
 def head_logits(v, head) -> ad.Var:
     """Per-op twin of ``conssent.encoder.head_logits``: five tape nodes."""
-    hidden = tanh(add(ad.matmul(v, head.w1), head.b1))
-    return add(ad.matmul(hidden, head.w2), head.b2)
+    hidden = tanh(add(matmul(v, head.w1), head.b1))
+    return add(matmul(hidden, head.w2), head.b2)
+
+
+def candidate_dots(left, right, cand_idx) -> ad.Var:
+    """Per-op twin of ``conssent.encoder.candidate_dots``: three tape nodes."""
+    return gather_cols(matmul(left, transpose(right)), cand_idx)

@@ -204,6 +204,57 @@ def test_bad_corpus_setting_is_usage_error(tmp_path, capsys, flag):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _refused_in_one_line(capsys, start):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(start), err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", [("gen", "--task", "D", "--k", "1", "--toy-n", "50"),
+                                     ("gradcheck", "--models", "1")], ids=["gen", "gradcheck"])
+def test_a_seed_the_rng_would_alias_is_refused(tmp_path, capsys, monkeypatch, seed, source, command):
+    """The RNG keeps a seed's low 64 bits: seed 3 and 2**64 + 3 give one run
+    under two recorded configs."""
+    def never(**_):
+        raise AssertionError("gradcheck built models")
+
+    monkeypatch.setattr("conssent.cli.run_gradcheck", never)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": seed}))
+    argv = ("--seed", seed) if source == "flag" else ("--config", cfg)
+    out = tmp_path / "x.tsv"
+    assert run(*command, *argv, *(["--out", out] if command[0] == "gen" else [])) == 1
+    _refused_in_one_line(capsys, f"error: seed must be in 0..2**64-1, got {seed}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [("--init-gain", "nan"), ("--init-gain", "inf"),
+                                  ("--config", "NaN")], ids=["flag-nan", "flag-inf", "config-NaN"])
+def test_a_non_finite_init_gain_is_refused(tmp_path, capsys, argv):
+    if argv[0] == "--config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"init_gain": NaN}')
+        argv = ("--config", cfg)
+    assert run("train", "--task", "D", "--k", "1", "--toy-n", "50", *TINY, *argv,
+               "--out", tmp_path / "m.ckpt") == 1
+    _refused_in_one_line(capsys, "error: init_gain must be positive and finite, got ")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("toy_n", [2**62, 2**32 + 1])
+def test_a_toy_corpus_that_would_repeat_is_refused_before_generating(tmp_path, capsys, monkeypatch, toy_n):
+    """Toy sentence i + 2**32 reads sentence i's stream."""
+    def never(n, seed):
+        raise AssertionError(f"generated {n} toy sentences")
+
+    monkeypatch.setattr("conssent.cli.make_toy_corpus", never)
+    assert run("gen", "--task", "D", "--k", "1", "--toy-n", toy_n, "--out", tmp_path / "x") == 1
+    _refused_in_one_line(capsys, f"error: toy_n must be in 1..2**32, got {toy_n}")
+    with pytest.raises(AssertionError, match=f"generated {2**32} toy sentences"):
+        run("gen", "--task", "D", "--k", "1", "--toy-n", 2**32, "--out", tmp_path / "x")
+
+
 @pytest.mark.parametrize("argv", [("--threads", "2"), ("--deterministic",), ("--lr0", "0.5"),
                                   ("--gate-p", "0.3")])
 def test_removed_knobs_are_unknown_flags(tmp_path, argv):

@@ -27,6 +27,7 @@ from conssent.corpus import PAD_ID
 from conssent.encoder import (
     EncoderParams,
     bind_params,
+    candidate_dots,
     copy_params,
     encode_batch,
     encode_sentences,
@@ -806,9 +807,7 @@ def test_full_model_gradcheck_ranking():
         bound = EncoderParams(leaves)
         a = encode_batch(lefts, bound, tape)
         r = encode_batch(rights, bound, tape)
-        dots = ad.matmul(a, ad.transpose(r))
-        scores = ad.gather_cols(dots, cand_idx)
-        return ad.softmax_xent(scores, targets)
+        return ad.softmax_xent(candidate_dots(a, r, cand_idx), targets)
 
     arrays = {k: v.copy() for k, v in params.named_arrays().items()}
     worst = finite_diff_check(arrays, build)
@@ -867,6 +866,39 @@ def test_frozen_head_logits_are_the_recording_tapes_bytes(rows_dtype, head_dtype
             assert (got is None) == (want is None), name
             if want is not None:
                 _assert_bitwise_equal(got, want, name)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.longdouble])
+@pytest.mark.parametrize("B, k", [(2, 2), (2, 6), (3, 2), (3, 6), (64, 2), (64, 6)])
+def test_candidate_dots_are_the_per_op_chains_bytes(dtype, B, k):
+    """The one-node ranking scores give the per-op ``transpose``, ``matmul``
+    and ``gather_cols`` chain's values on a recording tape and on a frozen
+    one, and both sides' gradients, signed zeros included, with a candidate
+    column repeated in a row so its gradient terms add up."""
+    rng = np.random.default_rng(B * 10 + k)
+    left, right = (rng.standard_normal((B, 7)).astype(dtype) for _ in range(2))
+    cand_idx = rng.integers(0, B, size=(B, k))
+    cand_idx[0, 1] = cand_idx[0, 0]
+    weights = rng.standard_normal((B, k)).astype(dtype)
+    weights[:, -1] = -0.0  # a zero upstream gradient: only the signs of the zeros can differ
+
+    def run(dots_of):
+        tape = Tape()
+        a, r = tape.leaf(left), tape.leaf(right)
+        scores = dots_of(a, r, cand_idx)
+        nodes = len(tape)
+        tape.backward(lstm_reference.sum_all(lstm_reference.mul(scores, weights)))
+        return scores.value, a.grad, r.grad, nodes
+
+    *got, got_nodes = run(candidate_dots)
+    *want, want_nodes = run(lstm_reference.candidate_dots)
+    assert (got_nodes, want_nodes) == (1, 3)
+    for what, g, w in zip(("scores", "left grad", "right grad"), got, want):
+        _assert_bitwise_equal(g, w, what)
+    frozen = Tape(recording=False)
+    _assert_bitwise_equal(candidate_dots(frozen.leaf(left), frozen.leaf(right), cand_idx).value,
+                          want[0], "frozen")
+    assert len(frozen) == 0
 
 
 # --------------------------------------------------------------------------

@@ -214,6 +214,17 @@ def test_pair_batch_loss_equals_mean_of_per_anchor_ranking(tiny_data):
     assert float(loss.value) == pytest.approx(sum(per_anchor) / len(per_anchor), rel=1e-10)
 
 
+@pytest.mark.parametrize("task, nodes", [("C", 4), ("N", 4), ("D", 3)])
+def test_a_training_batch_records_one_node_per_layer(tiny_data, task, nodes):
+    """Each side's BiLSTM-max, the ranking scores or the head, and the loss."""
+    config = tiny_config(task, k=3)
+    params = init_params(tiny_data.vocab.size, 8, 4, head_tasks=("D",), head_dim=8, seed=5)
+    batch = train._epoch_batches(tiny_data.train, task, config, 0, tiny_data.vocab)[0]
+    tape = ad.Tape()
+    train.batch_loss(bind_params(params, tape)[0], task, batch, tape)
+    assert len(tape) == nodes
+
+
 def test_training_step_frees_activations_without_gc():
     # every Var points at its tape; if the tape kept its recording after
     # the sweep, a step's activations would live until a cyclic GC pass
