@@ -7,12 +7,12 @@ explicit sort is needed. Gradients accumulate additively, so fan-out (one
 value feeding several ops) is handled for free.
 
 The loss is the one op here: the model's three layers,
-``encoder.bilstm_max``, ``encoder.head_logits`` and
+``encoder.encode_batch``, ``encoder.head_logits`` and
 ``encoder.candidate_dots``, are one hand-written tape node each, and
 ``_accum`` gives a gradient only to the ``Var``s among their operands.
 Inference and finite-difference probing use ``Tape(recording=False)``: it
 records nothing, but each op still builds its backward closure for
-``_push`` to drop; only ``bilstm_max`` does not.
+``_push`` to drop; only ``encode_batch`` does not.
 """
 
 import numpy as np

@@ -116,10 +116,15 @@ def load_run_config(path: str | None) -> dict:
     if unknown:
         raise UsageError(f"{path}: unknown config keys {unknown}")
     for key, value in loaded.items():
-        if not _type_ok(value, CONFIG_DEFAULTS[key]):
-            raise UsageError(f"{path}: {key}={value!r} does not match the type "
-                             f"of its default {CONFIG_DEFAULTS[key]!r}")
-    config.update(loaded)
+        default = CONFIG_DEFAULTS[key]
+        if not _type_ok(value, default):
+            raise UsageError(f"{path}: {key}={value!r} does not match the type of its default {default!r}")
+        if isinstance(default, float):  # stored as its flag stores it, so config_sha256 agrees
+            try:
+                value = float(value)
+            except OverflowError:
+                raise UsageError(f"{path}: {key} is too large for a float") from None
+        config[key] = value
     return config
 
 

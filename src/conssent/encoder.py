@@ -6,7 +6,7 @@ the two hidden states at every position, and taking the elementwise max
 over positions. Classification heads are two-layer perceptrons applied on
 top of (pairs of) these fixed-size vectors.
 
-The whole BiLSTM-max is one tape op, ``bilstm_max``: a table of each
+The whole BiLSTM-max is one tape op, ``encode_batch``: a table of each
 distinct id's input projection, a recurrence that steps both directions
 together, and, on a recording tape only, caches gates, states and the pool
 argmax for a hand-written backpropagation through time. Values and
@@ -195,36 +195,6 @@ def bind_params(params: EncoderParams, tape: ad.Tape) -> tuple[EncoderParams, di
     return EncoderParams(leaves), leaves
 
 
-class _PairSum:
-    """Running gradients of a (forward, backward) pair of operands.
-
-    Terms arrive stacked (2, ...). The first one is assigned, or added to
-    a gradient the operand already holds, exactly as ``autodiff._accum``
-    did on the per-op tape; later terms are added in place into the
-    stacked array this op owns. Constants (non-Var operands) take nothing.
-    """
-
-    __slots__ = ("pair", "total")
-
-    def __init__(self, pair):
-        self.pair = pair
-        self.total = None
-
-    def add(self, terms: np.ndarray) -> None:
-        if self.total is not None:
-            self.total += terms
-            return
-        self.total = np.stack([
-            t if not isinstance(v, ad.Var) or v.grad is None else v.grad + t
-            for v, t in zip(self.pair, terms)
-        ])
-
-    def done(self) -> None:
-        for v, total in zip(self.pair, self.total):
-            if isinstance(v, ad.Var):
-                v.grad = total
-
-
 def _scatter_rows(emb, dx: np.ndarray, steps: np.ndarray) -> None:
     """Add per-step embedding-row gradients into ``emb.grad``.
 
@@ -234,8 +204,6 @@ def _scatter_rows(emb, dx: np.ndarray, steps: np.ndarray) -> None:
     rows join the running sum in the per-op tape's order: the backward
     direction's steps first, then the forward direction's, last step first.
     """
-    if not isinstance(emb, ad.Var):
-        return
     V, E = emb.value.shape
     T = steps.shape[1]
     # one slot per distinct (direction, step, id), sorted by step then id
@@ -312,8 +280,9 @@ def _bptt(pool, x, w_x, w_h, pad, cache, sums):
 
     ``pool`` (2, T, B, H) is the max-pool gradient reaching each step's h.
     Each intermediate is formed with the operations, operand order and
-    association the per-op tape used, and each weight gets one term per
-    step in that tape's order, so values and rounding match it bit for
+    association the per-op tape used, and each step adds its term in place
+    into ``sums``, the stacked (2, ...) running gradients of w_x, w_h and b,
+    in that tape's order, so values and rounding match it bit for
     bit. A padded step passes its rows' state gradients through (``np.where``).
     Returns the embedding-row gradients (2, T, B, E) for the caller to
     scatter in the tape's order.
@@ -337,9 +306,9 @@ def _bptt(pool, x, w_x, w_h, pad, cache, sums):
         dz = np.empty(s.shape[:2] + (4 * H,), dtype=ds.dtype)
         dz[..., : 3 * H] = (ds * s) * (1.0 - s)
         dz[..., 3 * H :] = (dcn * s[..., :H]) * (1.0 - g * g)
-        sum_b.add(dz.sum(axis=1))
-        sum_h.add(h_prev.transpose(0, 2, 1) @ dz)
-        sum_x.add(x[:, k].transpose(0, 2, 1) @ dz)
+        sum_b += dz.sum(axis=1)
+        sum_h += h_prev.transpose(0, 2, 1) @ dz
+        sum_x += x[:, k].transpose(0, 2, 1) @ dz
         np.matmul(dz, w_x.transpose(0, 2, 1), out=dx[:, k])
         if k > 0:
             dh = pool[:, k - 1] + np.where(pad[:, k], dh, dz @ w_h.transpose(0, 2, 1))
@@ -359,23 +328,37 @@ def _max_pool(hcat: np.ndarray) -> np.ndarray:
     return out
 
 
-def bilstm_max(ids: np.ndarray, real, emb, fwd: LstmWeights, bwd: LstmWeights, tape: ad.Tape) -> ad.Var:
-    """Both LSTM directions over padded (B, T) ids, max-pooled: one tape node.
+def encode_batch(seqs: list, params: EncoderParams, tape: ad.Tape) -> ad.Var:
+    """Encode a batch of id sequences into a (B, 2H) Var: both LSTM
+    directions over the padded batch, max-pooled, as one tape node.
 
+    Ragged batches are padded with PAD ids: a padded step leaves the
+    recurrent state as it was, and a padded position is pinned far below
+    any reachable activation before the position max, so it can never win
+    the pool. A row's bytes do not depend on its batch's padding.
     ``_project`` tables each distinct id's input projection (a GEMM of two
     rows at least, a GEMV a row when B = 1), and ``_scan`` steps both
-    directions together. ``real`` (B, T) is True on real tokens, for every
-    batch. Everything runs in the dtype of the parameters. Only a recording
-    tape keeps gates, states and the pool argmax, and only its backward
-    gathers the (2, T, B, E) embeddings, for ``w_x``'s gradient.
+    directions together, in the dtype of the parameters. On a recording
+    tape every parameter is a bound leaf (``bind_params``); only that tape
+    keeps gates, states and the pool argmax, and only its backward gathers
+    the (2, T, B, E) embeddings, for ``w_x``'s gradient.
     """
-    B, T = ids.shape
+    if not seqs:
+        raise ValueError("empty batch")
+    lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
+    if lengths.min() == 0:
+        raise DataError("cannot encode an empty sentence")
+    B, T = len(seqs), lengths.max()
+    pos = np.arange(T)
+    ids = np.full((B, T), PAD_ID, dtype=np.int64)
+    ids[pos < lengths[:, None]] = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=lengths.sum())
     # (2, T, B) token ids in step order; direction 1 runs right to left.
     # C order keeps each gathered x[d, k] laid out like a per-step gather.
     steps = np.ascontiguousarray(np.stack([ids.T, ids.T[::-1]]))
-    pad = np.stack([~real.T, ~real.T[::-1]])[..., None]  # (2, T, B, 1) in step order
-    e = _value_of(emb)
-    w_x, w_h, b = (np.stack([_value_of(p), _value_of(q)]) for p, q in zip(fwd, bwd))
+    pad = np.stack([pos, pos[::-1]])[:, :, None, None] >= lengths[:, None]  # (2, T, B, 1) in step order
+    e = _value_of(params.embedding)
+    pairs = list(zip(params.fwd, params.bwd))  # w_x, w_h, b
+    w_x, w_h, b = (np.stack([_value_of(p), _value_of(q)]) for p, q in pairs)
     H = w_h.shape[1]
     cache = [] if tape.recording else None
     hs = _scan(*_project(e, steps, w_x), w_h, b[:, None], pad, cache)
@@ -390,32 +373,18 @@ def bilstm_max(ids: np.ndarray, real, emb, fwd: LstmWeights, bwd: LstmWeights, t
         pool = np.zeros((T, B, 2 * H), dtype=g.dtype)
         np.put_along_axis(pool, idx[None], g[None], axis=0)
         pool = np.stack([pool[:, :, :H], pool[::-1, :, H:]])
-        sums = [_PairSum(pair) for pair in zip(fwd, bwd)]  # w_x, w_h, b
+        # each running sum starts from the gradient its leaf holds, or from
+        # -0.0, which the first term replaces bit for bit (-0.0 + t is t)
+        sums = [np.empty_like(w, dtype=np.result_type(g, out)) for w in (w_x, w_h, b)]
+        halves = [(half, leaf) for total, pair in zip(sums, pairs) for half, leaf in zip(total, pair)]
+        for half, leaf in halves:
+            half[...] = -0.0 if leaf.grad is None else leaf.grad
         dx = _bptt(pool, e[steps], w_x, w_h, pad, cache, sums)
-        for leaf_pair in sums:
-            leaf_pair.done()
-        _scatter_rows(emb, dx, steps)
+        for half, leaf in halves:
+            leaf.grad = half
+        _scatter_rows(params.embedding, dx, steps)
 
     return tape._push(out, back)
-
-
-def encode_batch(seqs: list, params: EncoderParams, tape: ad.Tape) -> ad.Var:
-    """Encode a batch of id sequences into a (B, 2H) Var.
-
-    Ragged batches are padded with PAD ids: a padded step leaves the
-    recurrent state as it was, and a padded position is pinned far below
-    any reachable activation before the position max, so it can never win
-    the pool. A row's bytes do not depend on its batch's padding.
-    """
-    if not seqs:
-        raise ValueError("empty batch")
-    lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
-    if lengths.min() == 0:
-        raise DataError("cannot encode an empty sentence")
-    real = np.arange(lengths.max()) < lengths[:, None]  # (B, T)
-    ids = np.full(real.shape, PAD_ID, dtype=np.int64)
-    ids[real] = np.fromiter(chain.from_iterable(seqs), dtype=np.int64, count=lengths.sum())
-    return bilstm_max(ids, real, params.embedding, params.fwd, params.bwd, tape)
 
 
 def encode_sentences(seqs: list, params: EncoderParams) -> np.ndarray:

@@ -1,7 +1,7 @@
 """The per-op BiLSTM-max path, head and ranking scores, kept as reference
 oracles for the one-node layers.
 
-This is how ``encoder.encode_batch`` was written before ``bilstm_max``:
+This is how ``encoder.encode_batch`` was written before it became one tape op:
 every timestep of every direction records a gather, two matmuls, two adds,
 four column slices, four nonlinearities and the cell update (plus four
 mask ops on a ragged batch), and the pool is a per-position concat, a

@@ -307,6 +307,24 @@ def test_config_accepts_int_for_float_list_for_tuple_any_for_none(tmp_path):
     assert load_run_config(str(cfg)) == {**CONFIG_DEFAULTS, **entries}
 
 
+def test_a_float_key_given_as_a_json_integer_hashes_as_its_flag(tmp_path, capsys):
+    """`"init_gain": 4` in a config file and `--init-gain 4` are one run, so
+    both record 4.0 and one config_sha256; an integer no float holds exits 1."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"init_gain": 4}))
+    args = ("train", "--task", "D", "--k", "1", "--toy-n", "80", *TINY)
+    metas = []
+    for extra in (["--init-gain", "4"], ["--config", cfg]):
+        assert run(*args, *extra, "--out", tmp_path / "m.ckpt") == 0
+        metas.append(json.loads((tmp_path / "m.ckpt.meta.json").read_text()))
+    assert [type(m["config"]["init_gain"]) for m in metas] == [float, float]
+    assert metas[0]["config_sha256"] == metas[1]["config_sha256"]
+    capsys.readouterr()
+    cfg.write_text(json.dumps({"init_gain": 10**400}))
+    assert run(*args, "--config", cfg, "--out", tmp_path / "m.ckpt") == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_invalid_config_json_is_data_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{broken")

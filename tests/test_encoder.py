@@ -26,6 +26,7 @@ from conssent.autodiff import Tape, finite_diff_check
 from conssent.corpus import PAD_ID
 from conssent.encoder import (
     EncoderParams,
+    as_stored,
     bind_params,
     candidate_dots,
     copy_params,
@@ -309,7 +310,7 @@ def test_list_and_tuple_inputs_agree_and_empty_sentences_are_refused():
 
 
 # --------------------------------------------------------------------------
-# the fused bilstm_max op against the per-op reference path, bit for bit
+# the fused encode_batch op against the per-op reference path, bit for bit
 # --------------------------------------------------------------------------
 
 
@@ -386,8 +387,9 @@ def test_fused_matches_reference_on_signed_zero_gradient():
 
 def test_fused_matches_reference_pair_step_shared_leaves(monkeypatch):
     # pair_batch_loss encodes twice on one tape into the same leaves, whose
-    # running sums must carry on from one encode's backward into the next
-    params = init_params(12, 3, 4, seed=22, init_gain=6.0)
+    # running sums must carry on from one encode's backward into the next,
+    # in float64 and in the stored float32
+    params64 = init_params(12, 3, 4, seed=22, init_gain=6.0)
     batch = PairBatch(
         lefts=[[2, 3, 4], [5, 6], [7, 8, 9, 10], [11, 2]],
         rights=[[3, 4, 5, 6], [6, 2], [9, 10], [2, 11, 11]],
@@ -403,9 +405,11 @@ def test_fused_matches_reference_pair_step_shared_leaves(monkeypatch):
         bound, leaves = bind_params(params, tape)
         loss = train.pair_batch_loss(batch, bound, tape)
         tape.backward(loss)
+        assert loss.value.dtype == params.embedding.dtype
         return loss.value, {name: leaf.grad for name, leaf in leaves.items()}
 
-    _assert_same_run(run)
+    for params in (params64, as_stored(params64)):
+        _assert_same_run(run)
 
 
 def test_fused_matches_reference_long_large_vocab():
